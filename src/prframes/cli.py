@@ -18,6 +18,7 @@ from typing import List, Optional
 from . import curated, frameio
 from .construct import basis_with_maximal_subspace, generate_exact_pr, generate_with_dmax
 from .errors import (
+    BadInput,
     CapExceeded,
     NotABasis,
     NotAFrame,
@@ -31,9 +32,8 @@ from .errors import (
 )
 from .frames import Frame, has_complement_property, is_exact_pr_frame, spark
 from .lifting import has_exact_pr_redundancy, lifted_independent, pr_redundancy
-from .ratlin import format_rational, parse_rational
+from .ratlin import DEFAULT_RANGE_MAX, format_rational, parse_rational
 from .subspaces import (
-    Subspace,
     d_max,
     extend_to_maximal,
     is_maximal_pr_subspace,
@@ -43,6 +43,7 @@ from .subspaces import (
 )
 
 USAGE_ERRORS = (
+    BadInput,
     OutOfRange,
     CapExceeded,
     PatternViolation,
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--kind", choices=["exact", "dmax", "basis-subspace"], default="exact")
     g.add_argument("--k", type=int, default=None)
-    g.add_argument("--range-max", type=int, default=1 << 16)
+    g.add_argument("--range-max", type=int, default=DEFAULT_RANGE_MAX)
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_gen)
 

@@ -10,19 +10,21 @@ measure-zero event at integer scale) is retried with a derived seed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .errors import OutOfRange, PatternViolation, RearrangeFailure, RetriesExhausted
-from .frames import Frame, is_exact_pr_frame, is_full_spark, has_complement_property
+from .frames import Frame, is_exact_pr_frame, is_full_spark
 from .lifting import has_exact_pr_redundancy
-from .ratlin import Seed, derive_seed, sample_int_matrix, sample_pattern
-
-DEFAULT_RANGE_MAX = 1 << 16
+from .ratlin import (
+    DEFAULT_RANGE_MAX,
+    Seed,
+    derive_seed,
+    sample_int_matrix,
+    sample_pattern,
+    solve,
+)
 
 Cell = Tuple[int, int]
 
@@ -80,39 +82,30 @@ class PatternMatrix:
             if sum(self.mask[i]) != self.n:
                 raise PatternViolation("P3", f"row {i} has {sum(self.mask[i])} nonzeros")
         for i in range(self.n):
-            if not self._has_sdr(i):
+            if self.sdr_for_row(i) is None:
                 raise PatternViolation("P4", f"row {i}")
 
-    def _has_sdr(self, i: int) -> bool:
-        # rows l must be matched to distinct columns j with mask[i][j] and mask[l][j]
-        cand_cols = [j for j in range(self.N) if self.mask[i][j]]
-        g = nx.Graph()
-        g.add_nodes_from((("r", l) for l in range(self.n)), bipartite=0)
-        g.add_nodes_from((("c", j) for j in cand_cols), bipartite=1)
-        for l in range(self.n):
-            for j in cand_cols:
-                if self.mask[l][j]:
-                    g.add_edge(("r", l), ("c", j))
-        match = nx.algorithms.bipartite.maximum_matching(
-            g, top_nodes=[("r", l) for l in range(self.n)]
-        )
-        return sum(1 for k in match if k[0] == "r") == self.n
-
     def sdr_for_row(self, i: int) -> Optional[Dict[int, int]]:
-        """Row -> column representatives for row i, if a full system exists."""
+        """Row -> column representatives for row i, if a full system exists.
+
+        Rows l are matched to distinct columns j with cells (i, j) and (l, j)
+        both nonzero, by Kuhn's augmenting paths.
+        """
         cand_cols = [j for j in range(self.N) if self.mask[i][j]]
-        g = nx.Graph()
-        g.add_nodes_from((("r", l) for l in range(self.n)), bipartite=0)
-        g.add_nodes_from((("c", j) for j in cand_cols), bipartite=1)
-        for l in range(self.n):
+        owner: Dict[int, int] = {}  # column -> row
+
+        def augment(l: int, seen: set) -> bool:
             for j in cand_cols:
-                if self.mask[l][j]:
-                    g.add_edge(("r", l), ("c", j))
-        match = nx.algorithms.bipartite.maximum_matching(
-            g, top_nodes=[("r", l) for l in range(self.n)]
-        )
-        pairs = {k[1]: v[1] for k, v in match.items() if k[0] == "r"}
-        return pairs if len(pairs) == self.n else None
+                if self.mask[l][j] and j not in seen:
+                    seen.add(j)
+                    if j not in owner or augment(owner[j], seen):
+                        owner[j] = l
+                        return True
+            return False
+
+        if not all(augment(l, set()) for l in range(self.n)):
+            return None
+        return {l: j for j, l in owner.items()}
 
     def permute_columns(self, order: Sequence[int]) -> "PatternMatrix":
         inv = {old: new for new, old in enumerate(order)}
@@ -437,34 +430,12 @@ def _as_identity_leading(cf: CertifiedFrame) -> Frame:
     coordinates, so the certificate carries over.
     """
     frame = cf.frame
-    k = frame.dim
-    lead = frame.matrix.col_submatrix(range(k))
-    from .ratlin import nullspace as _ns, rank as _rank  # local to avoid cycle noise
-
-    if _rank(lead) < k:
-        raise RetriesExhausted("leading block not invertible")  # not expected: identity/full spark
-    inv = _invert(lead)
-    new = inv @ frame.matrix
-    return Frame.from_matrix(new)
-
-
-def _invert(m) -> "RatMatrix":
-    from .ratlin import RatMatrix
-
-    n = m.rows
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
-    r = 0
-    for c in range(n):
-        pr = next(i for i in range(r, n) if work[i][c] != 0)
-        work[r], work[pr] = work[pr], work[r]
-        pivinv = 1 / work[r][c]
-        work[r] = [x * pivinv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return RatMatrix.from_rows([row[n:] for row in work])
+    lead = frame.matrix.col_submatrix(range(frame.dim))
+    try:
+        return Frame.from_matrix(solve(lead, frame.matrix))
+    except ValueError:
+        # not expected: the leading block is the identity or full spark
+        raise RetriesExhausted("leading block not invertible") from None
 
 
 def _redundancy_component(dim: int, length: int, seed: Seed, max_retries: int = 5) -> Frame:

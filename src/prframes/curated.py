@@ -100,8 +100,8 @@ def r3_example_witnesses() -> Dict[int, S2Witness]:
     """Removal witnesses for the R^3 example, keyed by removed index.
 
     Each pair (x, y) has equal quadratic values on the four retained vectors
-    and differs on the removed one.  Indices 0 and 1 are left to the witness
-    search (no curated pair is stored for them).
+    and differs on the removed one.  Index 0 is left to the witness search
+    (no curated pair is stored for it).
     """
 
     def w(x, y, i):

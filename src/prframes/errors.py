@@ -43,3 +43,7 @@ class NotPRSubspace(PRFramesError):
 
 class SupportTooLarge(PRFramesError):
     """The support size exceeds [(n+1)/2], so no maximal PR subspace exists."""
+
+
+class BadInput(PRFramesError):
+    """Input read from outside the program (a JSON file, a CLI value) is malformed."""

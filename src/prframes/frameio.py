@@ -2,6 +2,7 @@
 
 Rationals travel as "p/q" strings (bare integers stay integers); nothing is
 ever rendered as floating point, so parse(serialize(x)) round-trips exactly.
+Readers check the JSON shape and raise BadInput on anything malformed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import json
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from .errors import BadInput
 from .frames import Frame
 from .lifting import S2Witness
 from .ratlin import RatMatrix, format_rational, parse_rational
@@ -31,8 +33,30 @@ def frame_to_dict(frame: Frame, meta: Optional[dict] = None) -> dict:
     return out
 
 
+def _field(d, key: str, ok, what: str):
+    if not isinstance(d, dict):
+        raise BadInput(f"expected a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise BadInput(f"missing key {key!r}")
+    if not ok(d[key]):
+        raise BadInput(f"{key!r} must be {what}")
+    return d[key]
+
+
+def _dim_field(d) -> int:
+    return _field(d, "n", lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+
+
+def _rows_field(d, key: str) -> List[List[Fraction]]:
+    rows = _field(
+        d, key, lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v),
+        "a list of lists",
+    )
+    return [_vec_in(r) for r in rows]
+
+
 def frame_from_dict(d: dict) -> Frame:
-    return Frame.from_vectors([_vec_in(v) for v in d["vectors"]], dim=d["n"])
+    return Frame.from_vectors(_rows_field(d, "vectors"), dim=_dim_field(d))
 
 
 def subspace_to_dict(sub: Subspace, meta: Optional[dict] = None) -> dict:
@@ -47,8 +71,7 @@ def subspace_to_dict(sub: Subspace, meta: Optional[dict] = None) -> dict:
 
 
 def subspace_from_dict(d: dict) -> Subspace:
-    rows = [_vec_in(r) for r in d["basis"]]
-    return Subspace(d["n"], RatMatrix.from_rows(rows))
+    return Subspace(_dim_field(d), RatMatrix.from_rows(_rows_field(d, "basis")))
 
 
 def witness_to_dict(w: S2Witness) -> dict:

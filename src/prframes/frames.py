@@ -2,11 +2,13 @@
 
 A frame is a spanning family of N rational vectors in R^n.  Over the reals,
 phase retrievability is equivalent to the complement property: every index
-subset or its complement spans.  The checker here searches partitions with a
-pruned depth-first scan (index 0 pinned to the left side, cutting the mirror
-half), which enumerates exactly the subsets a plain bitmask loop would but
-abandons a branch as soon as one side already spans.  All rank arithmetic is
-exact and integer-only.
+subset or its complement spans.  One search, ``_partition(cols, t)``, looks
+for a 2-colouring whose classes both have rank <= t with a pruned depth-first
+scan (index 0 pinned to class A, cutting the mirror half), which enumerates
+exactly the subsets a plain bitmask loop would but abandons a branch as soon
+as one class exceeds rank t.  The complement property is t = n - 1; the
+subspace tools reuse it for d(F).  All rank arithmetic is exact and
+integer-only.
 """
 
 from __future__ import annotations
@@ -15,10 +17,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NotAFrame
-from .ratlin import RatMatrix, IntVec, _vec_gcd_reduce, clear_denominators, int_rank
+from .ratlin import (
+    RatMatrix,
+    IntVec,
+    clear_denominators,
+    echelon_insert,
+    echelon_reduce,
+    int_rank,
+)
 
 IndexSet = FrozenSet[int]
 
@@ -103,66 +112,45 @@ class ExactnessResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Echelon-basis helpers on integer columns.
+# The partition search.
 # ---------------------------------------------------------------------------
 
 
-def _basis_add(basis: List[Tuple[int, List[int]]], vec: Sequence[int]):
-    """Reduce vec against an echelon basis; return the new (pivot, row) or None."""
-    v = list(vec)
-    for piv, b in basis:
-        if v[piv]:
-            a, c = b[piv], v[piv]
-            v = [a * x - c * y for x, y in zip(v, b)]
-            v = _vec_gcd_reduce(v)
-    lead = next((j for j, x in enumerate(v) if x), None)
-    if lead is None:
-        return None
-    return (lead, v)
+def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
+    """Class A of a 2-colouring of the columns with both class ranks <= t, or None.
 
-
-def _insert(basis: List[Tuple[int, List[int]]], item) -> List[Tuple[int, List[int]]]:
-    out = list(basis)
-    pos = next((t for t, (p, _) in enumerate(out) if p > item[0]), len(out))
-    out.insert(pos, item)
-    return out
-
-
-def rank_of(cols: Sequence[Sequence[int]]) -> int:
-    return int_rank(cols)
-
-
-def _cp_failing_partition(
-    cols: Sequence[IntVec], n: int
-) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
-    """Find a 2-coloring of the columns with both color classes rank < n.
-
-    Column 0 is pinned to the left class (global swap symmetry), so the scan
-    covers every subset containing index 0 exactly once.  A branch dies the
-    moment either class reaches full rank, which is what makes the exhaustive
+    Column 0 is pinned to A (global swap symmetry), so the scan covers every
+    subset containing index 0 exactly once; at each column it tries B before
+    A, which fixes which failing subset is returned.  A branch dies the
+    moment either class exceeds rank t, which is what makes the exhaustive
     scan tractable at N ~ 20.
     """
     ncols = len(cols)
     if ncols == 0:
-        # the empty family: both classes empty, neither spans (n >= 1)
-        return frozenset(), frozenset()
-    first = _basis_add([], cols[0])
-    start_a: List[Tuple[int, List[int]]] = [] if first is None else [first]
-    # stack entries: (next index, basisA, basisB, members of A)
-    stack = [(1, start_a, [], [0])]
+        # the empty family: both classes empty, of rank 0
+        return frozenset()
+    first = echelon_reduce([], cols[0])
+    start_a = [] if first is None else [first]
+    if len(start_a) > t:
+        return None
+    # stack entries: (next index, basis of A, basis of B, bitmask of A's members)
+    stack = [(1, start_a, [], 1)]
     while stack:
-        i, ba, bb, amembers = stack.pop()
-        if len(ba) >= n or len(bb) >= n:
-            continue
+        i, ba, bb, amask = stack.pop()
         if i == ncols:
-            a = frozenset(amembers)
-            return a, frozenset(range(ncols)) - a
+            return frozenset(j for j in range(ncols) if amask >> j & 1)
         col = cols[i]
-        added_a = _basis_add(ba, col)
-        added_b = _basis_add(bb, col)
+        added_a = echelon_reduce(ba, col)
+        added_b = echelon_reduce(bb, col)
         # dependent columns stay free; independent ones grow the class basis
-        stack.append((i + 1, ba if added_a is None else _insert(ba, added_a), bb, amembers + [i]))
-        stack.append((i + 1, ba, bb if added_b is None else _insert(bb, added_b), amembers))
+        if added_a is None:
+            stack.append((i + 1, ba, bb, amask | 1 << i))
+        elif len(ba) < t:
+            stack.append((i + 1, echelon_insert(ba, added_a), bb, amask | 1 << i))
+        if added_b is None:
+            stack.append((i + 1, ba, bb, amask))
+        elif len(bb) < t:
+            stack.append((i + 1, ba, echelon_insert(bb, added_b), amask))
     return None
 
 
@@ -179,10 +167,8 @@ def span_dim(frame: Frame, idxs: Iterable[int]) -> int:
 
 def has_complement_property(frame: Frame) -> CPResult:
     """Decide the complement property; on failure return one failing subset."""
-    hit = _cp_failing_partition(frame._int_cols, frame.dim)
-    if hit is None:
-        return CPResult(True, None)
-    return CPResult(False, hit[0])
+    failing = _partition(frame._int_cols, frame.dim - 1)
+    return CPResult(failing is None, failing)
 
 
 def is_phase_retrievable(frame: Frame) -> bool:
@@ -214,8 +200,7 @@ def _removal_failure(cols: Sequence[IntVec], n: int) -> Optional[FrozenSet[int]]
             comp = [j for j in range(len(cols)) if cols[j][r] == 0]
             if comp:
                 return frozenset(lam)
-    hit = _cp_failing_partition(cols, n)
-    return None if hit is None else hit[0]
+    return _partition(cols, n - 1)
 
 
 def is_exact_pr_frame(frame: Frame) -> ExactnessResult:

@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .frames import Frame, is_exact_pr_frame, has_complement_property
-from .ratlin import RatMatrix, IntVec, int_nullspace, int_rank
+from .ratlin import RatMatrix, IntVec, int_nullspace, rank
 
 
 def sym_pairs(n: int) -> List[Tuple[int, int]]:
@@ -55,9 +55,7 @@ class LiftedSystem:
 
     @property
     def kernel_dim(self) -> int:
-        from .ratlin import rank as _rank
-
-        return self.matrix.cols - _rank(self.matrix)
+        return self.matrix.cols - rank(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,7 @@ def lifted_operator(frame: Frame) -> LiftedSystem:
 
 def lifted_independent(frame: Frame) -> bool:
     """True iff the lifted vectors are linearly independent."""
-    from .ratlin import rank as _rank
-
-    return _rank(lifted_operator(frame).matrix) == frame.N
+    return rank(lifted_operator(frame).matrix) == frame.N
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +124,27 @@ def _sign_rows(cols: Sequence[IntVec], lam: Sequence[int], flips) -> List[Tuple[
     return rows
 
 
-def _split(v: Sequence[int], n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    return tuple(v[:n]), tuple(v[n:])
+def _solution_bases(frame: Frame, lam: Sequence[int]):
+    """Integer bases of the candidate spaces of pairs (x, y), one at a time.
+
+    If some u != 0 is orthogonal to the whole subfamily, the only space is
+    span{(u, 0)} and the scan ends there.  Otherwise each sign pattern eps
+    (first sign pinned to +1) gives {(x, y) : <x, f_j> = eps_j <y, f_j>};
+    empty solution bases are skipped.
+    """
+    n, cols = frame.dim, frame._int_cols
+    perp = int_nullspace([cols[j] for j in lam], n)
+    if perp:
+        yield [tuple(perp[0]) + (0,) * n]
+        return
+    for flips in _flip_sets(lam[1:]):
+        basis = int_nullspace(_sign_rows(cols, lam, flips), 2 * n)
+        if basis:
+            yield basis
 
 
 def _witness_from(v: Sequence[int], n: int, idx: Optional[int]) -> S2Witness:
-    x, y = _split(v, n)
-    return S2Witness(tuple(Fraction(a) for a in x), tuple(Fraction(a) for a in y), idx)
+    return S2Witness(tuple(Fraction(a) for a in v[:n]), tuple(Fraction(a) for a in v[n:]), idx)
 
 
 def find_s2_element(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
@@ -146,32 +156,20 @@ def find_s2_element(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
     if not lam:
         raise ValueError("lam must be non-empty")
     n = frame.dim
-    cols = frame._int_cols
-    perp = int_nullspace([cols[j] for j in lam], n)
-    if perp:
-        return _witness_from(tuple(perp[0]) + (0,) * n, n, None)
-    eq = [tuple(int(i == a) for i in range(n)) for a in range(n)]
-    same_rows = [e + tuple(-t for t in e) for e in eq]   # x - y = 0
-    anti_rows = [e + e for e in eq]                      # x + y = 0
-    for flips in _flip_sets(lam[1:]):
-        rows = _sign_rows(cols, lam, flips)
-        basis = int_nullspace(rows, 2 * n)
-        d = len(basis)
-        if d == 0:
-            continue
-        d_same = 2 * n - int_rank(rows + same_rows)
-        d_anti = 2 * n - int_rank(rows + anti_rows)
-        if d <= d_same or d <= d_anti:
-            continue
-        # some v in the solution space avoids both x=y and x=-y
-        def in_same(v):
-            return v[:n] == v[n:]
 
-        def in_anti(v):
-            return all(a == -b for a, b in zip(v[:n], v[n:]))
+    def in_same(v):
+        return v[:n] == v[n:]
 
-        v1 = next(v for v in basis if not in_same(v))
-        v2 = next(v for v in basis if not in_anti(v))
+    def in_anti(v):
+        return all(a == -b for a, b in zip(v[:n], v[n:]))
+
+    for basis in _solution_bases(frame, lam):
+        # some v in the solution space avoids both x=y and x=-y unless the
+        # whole space lies in one of them
+        v1 = next((v for v in basis if not in_same(v)), None)
+        v2 = next((v for v in basis if not in_anti(v)), None)
+        if v1 is None or v2 is None:
+            continue
         if not in_anti(v1):
             pick = v1
         elif not in_same(v2):
@@ -194,21 +192,12 @@ def find_s2_witness(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
         raise ValueError("lam must be a proper non-empty subset")
     comp = [i for i in range(N) if i not in set(lam)]
     cols = frame._int_cols
-    perp = int_nullspace([cols[j] for j in lam], n)
-    if perp:
-        u = perp[0]
-        idx = next(i for i in comp if _dot(u, cols[i]) != 0)
-        return _witness_from(tuple(u) + (0,) * n, n, idx)
-    for flips in _flip_sets(lam[1:]):
-        rows = _sign_rows(cols, lam, flips)
-        basis = int_nullspace(rows, 2 * n)
-        if not basis:
-            continue
+    for basis in _solution_bases(frame, lam):
+        d = len(basis)
         for i in comp:
             f = cols[i]
             p = [_dot(v[:n], f) for v in basis]
             q = [_dot(v[n:], f) for v in basis]
-            d = len(basis)
             pick = None
             for a in range(d):
                 if p[a] * p[a] - q[a] * q[a] != 0:

@@ -1,9 +1,11 @@
 """Exact rational linear algebra and seeded integer sampling.
 
 Everything downstream (complement-property scans, kernel searches, pattern
-instantiation) runs on top of this module.  All arithmetic is exact: matrices
-hold ``fractions.Fraction`` entries, and the hot paths clear denominators and
-work fraction-free on Python integers.  No floating point appears anywhere.
+instantiation) runs on top of this module, and this module is the only place
+that eliminates.  All arithmetic is exact: matrices hold
+``fractions.Fraction`` entries, and every kernel (echelon steps, ranks,
+nullspaces, solves) clears denominators and works fraction-free on Python
+integers with gcd trimming.  No floating point appears anywhere.
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
@@ -14,21 +16,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .errors import BadInput
+
 Seed = int
+
+DEFAULT_RANGE_MAX = 1 << 16
 
 IntVec = Tuple[int, ...]
 
 
 def parse_rational(s) -> Fraction:
-    """Parse a JSON-side rational: "p/q", "k", or a plain int."""
-    if isinstance(s, int):
+    """Parse a JSON-side rational: "p/q", "k", or a plain int.
+
+    Anything else, bools and floats included, raises BadInput.
+    """
+    if isinstance(s, bool) or not isinstance(s, (int, str, Fraction)):
+        raise BadInput(f"not a rational: {s!r}")
+    try:
         return Fraction(s)
-    if isinstance(s, Fraction):
-        return s
-    return Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise BadInput(f"not a rational: {s!r}") from None
 
 
 def format_rational(x: Fraction):
@@ -68,10 +78,6 @@ class RatMatrix:
         return cls.from_rows(
             [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
 
     def transpose(self) -> "RatMatrix":
         if self.cols == 0:
@@ -114,12 +120,9 @@ class RatMatrix:
             sum((row[k] * v[k] for k in range(self.cols)), Fraction(0)) for row in self.entries
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
 
 # ---------------------------------------------------------------------------
-# Fraction-free integer kernels of the elimination routines.
+# Fraction-free integer kernels: every elimination in the package runs here.
 # ---------------------------------------------------------------------------
 
 
@@ -134,69 +137,90 @@ def _vec_gcd_reduce(v: List[int]) -> List[int]:
     return v
 
 
+Echelon = List[Tuple[int, List[int]]]
+
+
+def echelon_reduce(basis: Echelon, vec: Sequence[int]) -> Optional[Tuple[int, List[int]]]:
+    """Reduce vec against an echelon basis; return its (pivot, row), or None in the span.
+
+    ``basis`` holds (pivot column, row) pairs sorted by pivot; each row is
+    zero left of its pivot.  Every elimination step is gcd-trimmed.
+    """
+    v = list(vec)
+    for piv, b in basis:
+        if v[piv]:
+            a, c = b[piv], v[piv]
+            v = _vec_gcd_reduce([a * x - c * y for x, y in zip(v, b)])
+    lead = next((j for j, x in enumerate(v) if x), None)
+    return None if lead is None else (lead, v)
+
+
+def echelon_insert(basis: Echelon, item: Tuple[int, List[int]]) -> Echelon:
+    """A copy of the basis with a reduced (pivot, row) placed in pivot order."""
+    pos = next((t for t, (p, _) in enumerate(basis) if p > item[0]), len(basis))
+    return basis[:pos] + [item] + basis[pos:]
+
+
 def int_row_reduce(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """Bring integer rows to an echelon basis (fraction-free, gcd-trimmed).
 
     Returns a list of independent rows, each with a leading nonzero at a
     strictly increasing column position.  Length of the result is the rank.
     """
-    basis: List[List[int]] = []  # kept sorted by pivot column
-    pivots: List[int] = []
+    basis: Echelon = []
     for row in rows:
-        v = list(row)
-        for piv, b in zip(pivots, basis):
-            if v[piv]:
-                a, c = b[piv], v[piv]
-                v = [a * x - c * y for x, y in zip(v, b)]
-                v = _vec_gcd_reduce(v)
-        # find pivot of the reduced row
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        # insert keeping pivot order
-        pos = next((t for t, p in enumerate(pivots) if p > lead), len(pivots))
-        pivots.insert(pos, lead)
-        basis.insert(pos, v)
-    return basis
+        item = echelon_reduce(basis, row)
+        if item is not None:
+            basis = echelon_insert(basis, item)
+    return [v for _, v in basis]
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(int_row_reduce(rows))
 
 
-def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[IntVec]:
-    """Integer basis of {x : rows . x = 0}; exact, denominators cleared."""
-    # reduced row echelon form over Fractions, then clear denominators
-    work = [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free reduced echelon form, pivots taken among the first ncols columns.
+
+    Returns (pivot rows, pivot columns): row r is the only one nonzero in
+    column pivots[r].  Rows may run past ncols (an augmented right-hand
+    side); those entries are carried along but never pivoted on.
+    """
+    work = [_vec_gcd_reduce(list(row)) for row in rows]
     pivots: List[int] = []
-    r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        prow = work[r]
+        a = prow[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and f:
+                work[i] = _vec_gcd_reduce([a * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
-        r += 1
-        if r == len(work):
+        if len(pivots) == len(work):
             break
-    free = [c for c in range(ncols) if c not in pivots]
+    return work[: len(pivots)], pivots
+
+
+def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[IntVec]:
+    """Integer basis of {x : rows . x = 0}, one primitive vector per free column.
+
+    The vector for free column c is the reduced-echelon kernel vector with a
+    1 at c, scaled to a primitive integer vector with positive entry at c.
+    """
+    red, pivots = _gauss_jordan(rows, ncols)
     basis: List[IntVec] = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pi, pc in enumerate(pivots):
-            v[pc] = -work[pi][fc]
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        iv = _vec_gcd_reduce([int(x * den) for x in v])
-        basis.append(tuple(iv))
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        den = lcm(*(abs(row[pc]) for row, pc in zip(red, pivots) if row[fc]))
+        v = [0] * ncols
+        v[fc] = den
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * den // row[pc]
+        basis.append(tuple(_vec_gcd_reduce(v)))
     return basis
 
 
@@ -235,6 +259,19 @@ def nullspace(m: RatMatrix) -> RatMatrix:
     if m.cols == 0:
         return RatMatrix(1, 0, ((),))
     return RatMatrix(m.cols, ncols, data)
+
+
+def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """X with aX = b, for an invertible square a; ValueError if a is singular."""
+    n = a.rows
+    if a.cols != n or b.rows != n:
+        raise ValueError("shape mismatch")
+    aug = [clear_denominators(ra + rb) for ra, rb in zip(a.entries, b.entries)]
+    red, pivots = _gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    data = tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
+    return RatMatrix(n, b.cols, data)
 
 
 def sample_pattern(

@@ -6,7 +6,9 @@ A subspace M is PR with respect to a frame F when the projected family
 invertible Gram factor (B^T B)^{-1}, so every rank (hence the complement
 property) agrees.  d_max(F) is the exact min over index subsets of
 max(rank of the subset, rank of the complement); it equals the largest
-dimension of any PR subspace.
+dimension of any PR subspace.  Both run on the partition search of
+``frames._partition``: the projected complement property is threshold
+k - 1, and d_max is the least threshold that admits a partition.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .errors import (
     RetriesExhausted,
     SupportTooLarge,
 )
-from .frames import Frame, _basis_add, _cp_failing_partition, _insert
+from .frames import Frame, _partition
 from .ratlin import (
+    DEFAULT_RANGE_MAX,
     IntVec,
     RatMatrix,
     Seed,
@@ -35,10 +38,10 @@ from .ratlin import (
     int_nullspace,
     int_rank,
     sample_int_matrix,
+    solve,
 )
 
 DEFAULT_CAP = 24
-DEFAULT_RANGE_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,31 +116,7 @@ def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
     cols = _projected_int_cols(frame, sub)
     if int_rank(cols) < sub.dim:
         return False
-    return _cp_failing_partition(cols, sub.dim) is None
-
-
-def _partition_within(cols: Sequence[IntVec], t: int) -> bool:
-    """Is there a 2-coloring of the columns with both class ranks <= t?
-
-    Same pruned scan as the complement-property search, with the kill
-    condition moved from rank n to rank t+1.
-    """
-    first = _basis_add([], cols[0])
-    start_a = [] if first is None else [first]
-    stack = [(1, start_a, [])]
-    ncols = len(cols)
-    while stack:
-        i, ba, bb = stack.pop()
-        if len(ba) > t or len(bb) > t:
-            continue
-        if i == ncols:
-            return True
-        col = cols[i]
-        added_a = _basis_add(ba, col)
-        added_b = _basis_add(bb, col)
-        stack.append((i + 1, ba if added_a is None else _insert(ba, added_a), bb))
-        stack.append((i + 1, ba, bb if added_b is None else _insert(bb, added_b)))
-    return False
+    return _partition(cols, sub.dim - 1) is None
 
 
 def d_max(frame: Frame, cap: int = DEFAULT_CAP) -> int:
@@ -150,10 +129,10 @@ def d_max(frame: Frame, cap: int = DEFAULT_CAP) -> int:
         raise CapExceeded(f"N={frame.N} exceeds enumeration cap {cap}")
     n = frame.dim
     cols = frame._int_cols
-    if _cp_failing_partition(cols, n) is None:
+    if _partition(cols, n - 1) is None:
         return n
     for t in range((n + 1) // 2, n):
-        if _partition_within(cols, t):
+        if _partition(cols, t) is not None:
             return t
     return n
 
@@ -305,23 +284,6 @@ def _stage_accepts(us: List[IntVec], n: int, supp: FrozenSet[int]) -> bool:
     return True
 
 
-def _solve_transpose(t: RatMatrix, u: Sequence[int]) -> Tuple[Fraction, ...]:
-    """v with T^T v = u, by elimination on the augmented system."""
-    n = t.rows
-    tt = t.transpose()
-    work = [list(tt.entries[i]) + [Fraction(u[i])] for i in range(n)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if work[i][c] != 0)
-        work[c], work[pr] = work[pr], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return tuple(work[i][n] for i in range(n))
-
-
 def extend_to_maximal(
     b: Frame,
     x: Sequence,
@@ -371,8 +333,9 @@ def extend_to_maximal(
             us.append(got)
         if not ok:
             continue
-        back = [_solve_transpose(b.matrix, u) for u in us]
-        sub = Subspace.from_vectors(back, ambient_dim=n)
+        # back from dual-basis coordinates: columns v with B^T v = u
+        coords = RatMatrix.from_rows(zip(*us))
+        sub = Subspace(n, solve(b.matrix.transpose(), coords))
         if not is_pr_subspace(b, sub):
             continue
         if min_support(sub, b) != k:

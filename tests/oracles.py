@@ -96,6 +96,19 @@ def brute_min_support(sub_vectors, basis_vectors) -> int:
     return best
 
 
+def brute_sdr(mask, i: int) -> bool:
+    """Does row i of a 0/1 mask have a system of distinct representatives?
+
+    Scans every injective assignment of the rows l to columns j with
+    mask[i][j]; it needs mask[l][j] for every l.
+    """
+    n = len(mask)
+    cand = [j for j, cell in enumerate(mask[i]) if cell]
+    return any(
+        all(mask[l][js[l]] for l in range(n)) for js in itertools.permutations(cand, n)
+    )
+
+
 def greedy_lifted_completion(frame: Frame, rng, tries: int = 200) -> Frame:
     """Extend a frame until its lifted vectors form a basis of the symmetric space.
 

@@ -103,6 +103,28 @@ def test_verify_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": "2", "vectors": [[1, 0], [0, 1], [1, 1]]}',
+        '{"n": 2, "vectors": 5}',
+        '[[1, 0], [0, 1], [1, 1]]',
+        '{"n": 2, "vectors": [[1, 0], [0, 1], ["1/0", 1]]}',
+        '{"n": 2, "vectors": [[1, 0], [0, true], [1, 1]]}',
+        '{"n": 2, "vectors": [[1, 0], [0, 1], [0.5, 1]]}',
+    ],
+    ids=["string-n", "scalar-vectors", "top-level-list", "zero-denominator", "bool", "float"],
+)
+def test_verify_malformed_frame_exits_2(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(doc)
+    code, out, err = run(capsys, "verify", str(p), "--checks", "pr")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
+    assert "Traceback" not in err
+
+
 def test_analyze(capsys, pr_frame_file):
     code, out, _ = run(capsys, "analyze", pr_frame_file, "--what", "dmax,spark,redundancy")
     assert code == 0

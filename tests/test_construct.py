@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import brute_is_exact_pr
+from oracles import brute_is_exact_pr, brute_sdr
 from prframes import (
     Frame,
     OutOfRange,
@@ -52,6 +53,39 @@ def test_base_pattern_row_representatives():
     assert len(cols) == 3
     for row, col in sdr.items():
         assert p.mask[0][col] and p.mask[row][col]
+
+
+def check_sdr(p, i):
+    sdr = p.sdr_for_row(i)
+    assert (sdr is not None) == brute_sdr(p.mask, i)
+    if sdr is not None:
+        assert sorted(sdr) == list(range(p.n))
+        assert len(set(sdr.values())) == p.n
+        assert all(p.mask[i][j] and p.mask[l][j] for l, j in sdr.items())
+
+
+@pytest.mark.parametrize(
+    "n,N", [(n, N) for n in range(3, 9) for N in range(2 * n, n * (n + 1) // 2 + 1)]
+)
+def test_sdr_matcher_agrees_with_brute_force_on_plans(n, N):
+    p = build_pattern(plan(n, N))
+    for i in range(n):
+        check_sdr(p, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.booleans(), min_size=n + 2, max_size=n + 2), min_size=n, max_size=n
+        )
+    )
+)
+def test_sdr_matcher_agrees_with_brute_force_on_random_masks(rows):
+    # random masks also cover rows without a representative system
+    p = PatternMatrix(len(rows), len(rows[0]), tuple(tuple(r) for r in rows))
+    for i in range(p.n):
+        check_sdr(p, i)
 
 
 @pytest.mark.parametrize("step,shape", [(step_I, (4, 10)), (step_II, (4, 9)), (step_III, (4, 8))])

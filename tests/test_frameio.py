@@ -3,7 +3,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from prframes import (
+    BadInput,
     Frame,
     MaximalityVerdict,
     S2Witness,
@@ -84,3 +87,18 @@ def test_save_load_file(tmp_path):
     assert text.endswith("\n")
     g = frame_from_dict(load_json(str(p)))
     assert g.vectors == f.vectors
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"basis": [[1], [0]]},
+        {"n": True, "basis": [[1], [0]]},
+        {"n": 2, "basis": [1, 0]},
+        {"n": 2, "basis": [[1], [False]]},
+        [[1], [0]],
+    ],
+)
+def test_subspace_from_dict_rejects_malformed_shapes(d):
+    with pytest.raises(BadInput):
+        subspace_from_dict(d)

@@ -3,8 +3,16 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_has_cp, brute_has_cp_halved, brute_is_exact_pr, brute_spark
+from oracles import (
+    _rank as oracle_rank,
+    brute_d_value,
+    brute_has_cp,
+    brute_has_cp_halved,
+    brute_is_exact_pr,
+    brute_spark,
+)
 from prframes import (
     Frame,
     NotAFrame,
@@ -15,6 +23,7 @@ from prframes import (
     span_dim,
     spark,
 )
+from prframes.frames import _partition
 
 
 def std_basis(n):
@@ -137,3 +146,31 @@ def test_repeated_vector_line_not_exact():
     f = Frame.from_vectors([(1,), (2,)], dim=1)
     got = is_exact_pr_frame(f)
     assert not got.exact and got.removable == (0, 1)
+
+
+small_families = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=8),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families)
+def test_partition_agrees_with_oracles(family):
+    n, vecs = family
+    try:
+        frame = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    cols = frame._int_cols
+    failing = _partition(cols, n - 1)
+    assert (failing is None) == brute_has_cp(frame)
+    if failing is not None:
+        comp = [i for i in range(frame.N) if i not in failing]
+        assert 0 in failing
+        assert oracle_rank([frame.vectors[i] for i in failing]) < n
+        assert oracle_rank([frame.vectors[i] for i in comp]) < n
+    d = next(t for t in range(n + 1) if _partition(cols, t) is not None)
+    assert d == brute_d_value(frame)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from prframes import BadInput
 from prframes.ratlin import (
     RatMatrix,
     clear_denominators,
@@ -18,7 +19,12 @@ from prframes.ratlin import (
     rank,
     sample_int_matrix,
     sample_pattern,
+    solve,
 )
+
+
+def sympy_to_fractions(m) -> tuple:
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in m.tolist())
 
 
 def test_parse_format_roundtrip():
@@ -28,6 +34,9 @@ def test_parse_format_roundtrip():
     assert parse_rational(7) == Fraction(7)
     assert format_rational(Fraction(6, 3)) == 2
     assert format_rational(Fraction(-1, 3)) == "-1/3"
+    for bad in [True, 0.5, "1/0", "x", None, [1]]:
+        with pytest.raises(BadInput):
+            parse_rational(bad)
 
 
 def test_matrix_shape_validation():
@@ -71,6 +80,12 @@ def test_nullspace_is_exact_kernel_basis(seed):
         assert all(x == 0 for x in m.mul_vec(ns.column(j)))
     if ns.cols:
         assert rank(ns) == ns.cols
+    # the same basis as sympy's, vector for vector, once scaled to primitive integers
+    expected = [
+        clear_denominators(tuple(Fraction(int(x.p), int(x.q)) for x in v))
+        for v in sympy.Matrix([[int(x) for x in r] for r in data]).nullspace()
+    ]
+    assert int_nullspace([[int(x) for x in r] for r in data], cols) == expected
 
 
 def test_int_nullspace_orthogonal_to_rows():
@@ -80,6 +95,36 @@ def test_int_nullspace_orthogonal_to_rows():
     for v in basis:
         for r in rows:
             assert sum(a * b for a, b in zip(r, v)) == 0
+
+
+# columns of a non-orthogonal basis of R^4, as in extend_to_maximal's B^T v = u
+SKEW_BASIS_T = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2]]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solve_matches_sympy(seed):
+    rng = random.Random(300 + seed)
+    if seed == 0:
+        a_rows = SKEW_BASIS_T
+    else:
+        n = rng.randint(1, 5)
+        a_rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    n = len(a_rows)
+    a_sym = sympy.Matrix([[sympy.Rational(x) for x in r] for r in a_rows])
+    if a_sym.rank() < n:
+        with pytest.raises(ValueError):
+            solve(RatMatrix.from_rows(a_rows), RatMatrix.identity(n))
+        return
+    m = rng.randint(1, 3)
+    b_rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)] for _ in range(n)]
+    x = solve(RatMatrix.from_rows(a_rows), RatMatrix.from_rows(b_rows))
+    expected = a_sym.solve(sympy.Matrix([[sympy.Rational(v) for v in r] for r in b_rows]))
+    assert x.entries == sympy_to_fractions(expected)
+
+
+def test_solve_rejects_singular():
+    with pytest.raises(ValueError):
+        solve(RatMatrix.from_rows([[1, 2], [2, 4]]), RatMatrix.identity(2))
 
 
 def test_clear_denominators_primitive():
