@@ -4,16 +4,19 @@ A frame is a spanning family of N rational vectors in R^n.  Over the reals,
 phase retrievability is equivalent to the complement property: every index
 subset or its complement spans.  One search, ``_partition(cols, t)``, looks
 for a 2-colouring whose classes both have rank <= t with a pruned depth-first
-scan (index 0 pinned to class A, cutting the mirror half), which enumerates
-exactly the subsets a plain bitmask loop would but abandons a branch as soon
-as one class exceeds rank t.  The complement property is t = n - 1; the
-subspace tools reuse it for d(F).  All rank arithmetic is exact and
-integer-only.
+scan.  Index 0 is pinned to class A, cutting the mirror half; a branch dies
+as soon as one class exceeds rank t; and a column already in the span of one
+class goes to that class only (dominance: it costs that class no rank, and
+keeping it out of the other class can only lower that one's rank).  The
+reported failing subset is therefore one valid witness, not the first one in
+bitmask order.  The complement property is t = n - 1; exactness, removal and
+the subspace tools' d(F) reuse it.  ``spark`` is a depth-first search over
+independent subfamilies that shares each prefix's echelon basis.  All rank
+arithmetic is exact and integer-only.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -119,11 +122,13 @@ class ExactnessResult(NamedTuple):
 def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
     """Class A of a 2-colouring of the columns with both class ranks <= t, or None.
 
-    Column 0 is pinned to A (global swap symmetry), so the scan covers every
-    subset containing index 0 exactly once; at each column it tries B before
-    A, which fixes which failing subset is returned.  A branch dies the
-    moment either class exceeds rank t, which is what makes the exhaustive
-    scan tractable at N ~ 20.
+    Column 0 is pinned to A (global swap symmetry).  A column in the span of
+    A goes to A only, and otherwise a column in the span of B goes to B only:
+    any 2-colouring with both ranks <= t stays one after that move, so the
+    rule loses no answer.  Only a column independent of both classes
+    branches, trying B before A, and a branch dies the moment either class
+    exceeds rank t.  The returned class is one valid witness, not the first
+    failing subset in bitmask order.
     """
     ncols = len(cols)
     if ncols == 0:
@@ -141,15 +146,16 @@ def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
             return frozenset(j for j in range(ncols) if amask >> j & 1)
         col = cols[i]
         added_a = echelon_reduce(ba, col)
-        added_b = echelon_reduce(bb, col)
-        # dependent columns stay free; independent ones grow the class basis
         if added_a is None:
             stack.append((i + 1, ba, bb, amask | 1 << i))
-        elif len(ba) < t:
-            stack.append((i + 1, echelon_insert(ba, added_a), bb, amask | 1 << i))
+            continue
+        added_b = echelon_reduce(bb, col)
         if added_b is None:
             stack.append((i + 1, ba, bb, amask))
-        elif len(bb) < t:
+            continue
+        if len(ba) < t:
+            stack.append((i + 1, echelon_insert(ba, added_a), bb, amask | 1 << i))
+        if len(bb) < t:
             stack.append((i + 1, ba, echelon_insert(bb, added_b), amask))
     return None
 
@@ -177,14 +183,35 @@ def is_phase_retrievable(frame: Frame) -> bool:
 
 
 def spark(frame: Frame) -> int:
-    """Size of the smallest linearly dependent subfamily; N+1 if none exists."""
+    """Size of the smallest linearly dependent subfamily; N+1 if none exists.
+
+    Depth-first search over independent subfamilies in index order, each
+    node extending its parent's echelon basis by one column.  A column in
+    the span of an independent set I closes a dependent set of size |I|+1,
+    so every circuit is found from its members below its largest index.
+    The best size so far bounds the search: a node is only expanded while
+    it can still close a smaller dependent set.
+    """
     cols = frame._int_cols
-    upper = min(frame.N, frame.dim + 1)
-    for s in range(1, upper + 1):
-        for combo in itertools.combinations(range(frame.N), s):
-            if int_rank([cols[i] for i in combo]) < s:
-                return s
-    return frame.N + 1
+    best = len(cols) + 1
+    # stack entries: (next index, echelon basis of an independent set)
+    stack = [(0, [])]
+    while stack:
+        start, basis = stack.pop()
+        size = len(basis)
+        if size + 1 >= best:
+            continue
+        children = []
+        for j in range(start, len(cols)):
+            item = echelon_reduce(basis, cols[j])
+            if item is None:
+                best = size + 1
+                break
+            if size + 2 < best:
+                children.append((j + 1, echelon_insert(basis, item)))
+        else:
+            stack.extend(reversed(children))
+    return best
 
 
 def _removal_failure(cols: Sequence[IntVec], n: int) -> Optional[FrozenSet[int]]:

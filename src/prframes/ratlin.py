@@ -14,6 +14,7 @@ identical call sequence produce identical outputs.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,12 +29,19 @@ DEFAULT_RANGE_MAX = 1 << 16
 IntVec = Tuple[int, ...]
 
 
+_RATIONAL_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(s) -> Fraction:
     """Parse a JSON-side rational: "p/q", "k", or a plain int.
 
-    Anything else, bools and floats included, raises BadInput.
+    Strings must be ``[+-]?digits`` or ``[+-]?digits/digits``; anything
+    else (decimals, exponents, underscores, spaces, bools, floats) raises
+    BadInput.
     """
     if isinstance(s, bool) or not isinstance(s, (int, str, Fraction)):
+        raise BadInput(f"not a rational: {s!r}")
+    if isinstance(s, str) and not _RATIONAL_STR.fullmatch(s):
         raise BadInput(f"not a rational: {s!r}")
     try:
         return Fraction(s)

@@ -97,6 +97,24 @@ def test_criterion_02_generator_coverage(capsys):
     report(capsys, f"criterion 02 generator coverage, {len(targets)} targets x 100 seeds")
 
 
+def test_criterion_02_generator_coverage_n7_n8(capsys):
+    targets = [
+        (n, N, seeds)
+        for n, seeds in ((7, 5), (8, 1))
+        for N in range(2 * n - 1, n * (n + 1) // 2 + 1)
+    ]
+    assert len(targets) == 16 + 22
+    for n, N, seeds in targets:
+        total_retries = 0
+        for seed in range(seeds):
+            cert = generate_exact_pr(n, N, seed)
+            assert cert.certificate["exact_pr"]
+            assert (cert.frame.dim, cert.frame.N) == (n, N)
+            total_retries += cert.certificate["retries"]
+        assert total_retries <= 5, f"target ({n},{N}) needed {total_retries} retries"
+    report(capsys, f"criterion 02 generator coverage, {len(targets)} targets with n = 7, 8")
+
+
 def test_criterion_03_r3_example(capsys):
     f = curated.r3_example_frame()
     assert d_max(f) == 2

@@ -112,8 +112,12 @@ def test_verify_malformed_json_exits_2(capsys, tmp_path):
         '{"n": 2, "vectors": [[1, 0], [0, 1], ["1/0", 1]]}',
         '{"n": 2, "vectors": [[1, 0], [0, true], [1, 1]]}',
         '{"n": 2, "vectors": [[1, 0], [0, 1], [0.5, 1]]}',
+        '{"n": 2, "vectors": [["1e3", 0], [0, 1], ["0.5", "1"]]}',
     ],
-    ids=["string-n", "scalar-vectors", "top-level-list", "zero-denominator", "bool", "float"],
+    ids=[
+        "string-n", "scalar-vectors", "top-level-list", "zero-denominator", "bool", "float",
+        "decimal-string",
+    ],
 )
 def test_verify_malformed_frame_exits_2(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"
@@ -168,6 +172,17 @@ def test_subspace_check_failure_exits_1(capsys, tmp_path):
     assert json.loads(out)["is_pr_subspace"] is False
     code, out, _ = run(capsys, "subspace", f, "--action", "maximal", "--subspace-file", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("action", ["check", "maximal"])
+def test_subspace_wrong_ambient_dim_exits_2(capsys, tmp_path, action):
+    f = write_frame(tmp_path, "f3.json", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3)
+    sub = tmp_path / "sub2.json"
+    save_json(subspace_to_dict(Subspace.from_vectors([(1, 1)], ambient_dim=2)), str(sub))
+    code, out, err = run(capsys, "subspace", f, "--action", action, "--subspace-file", str(sub))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
 
 
 def test_subspace_maximal_verdict(capsys, tmp_path):

@@ -102,3 +102,15 @@ def test_save_load_file(tmp_path):
 def test_subspace_from_dict_rejects_malformed_shapes(d):
     with pytest.raises(BadInput):
         subspace_from_dict(d)
+
+
+@pytest.mark.parametrize("entry", ["0.5", "1e3", "1_000", " 1", "inf", "1/-2", "1/", ""])
+def test_frame_from_dict_rejects_non_rational_strings(entry):
+    with pytest.raises(BadInput):
+        frame_from_dict({"n": 2, "vectors": [[entry, 0], [0, 1], [1, 1]]})
+
+
+@pytest.mark.parametrize("entry", ["7", "-7", "+7", "3/4", "-3/4", "+06/8"])
+def test_frame_from_dict_accepts_integer_and_ratio_strings(entry):
+    frame = frame_from_dict({"n": 2, "vectors": [[entry, 0], [0, 1], [1, 1]]})
+    assert frame.vectors[0][0] == Fraction(entry)

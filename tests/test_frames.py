@@ -16,6 +16,8 @@ from oracles import (
 from prframes import (
     Frame,
     NotAFrame,
+    curated,
+    generate_exact_pr,
     has_complement_property,
     is_exact_pr_frame,
     is_full_spark,
@@ -23,6 +25,7 @@ from prframes import (
     span_dim,
     spark,
 )
+import prframes.frames
 from prframes.frames import _partition
 
 
@@ -174,3 +177,70 @@ def test_partition_agrees_with_oracles(family):
         assert oracle_rank([frame.vectors[i] for i in comp]) < n
     d = next(t for t in range(n + 1) if _partition(cols, t) is not None)
     assert d == brute_d_value(frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families)
+def test_spark_agrees_with_oracle(family):
+    n, vecs = family
+    try:
+        frame = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    assert spark(frame) == brute_spark(frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families)
+def test_exactness_agrees_with_oracle(family):
+    n, vecs = family
+    try:
+        frame = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    # the oracle builds every co-singleton family as a Frame, so it needs
+    # each of them to span (only a line with a zero vector breaks that)
+    assume(all(oracle_rank(vecs[:i] + vecs[i + 1 :]) == n for i in range(len(vecs))))
+    assert is_exact_pr_frame(frame).exact == brute_is_exact_pr(frame)
+
+
+# ---------------------------------------------------------------------------
+# Work ceilings: echelon steps taken by the searches, counted deterministically.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """Count the echelon steps the searches in prframes.frames take."""
+    calls = [0]
+    inner = prframes.frames.echelon_reduce
+
+    def counting(basis, vec):
+        calls[0] += 1
+        return inner(basis, vec)
+
+    monkeypatch.setattr(prframes.frames, "echelon_reduce", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "N, ceiling", [(10, 320), (11, 350), (12, 355), (13, 405), (14, 470), (15, 540)]
+)
+def test_cp_work_ceiling_curated(echelon_calls, N, ceiling):
+    frame = curated.curated_exact_frame(N)
+    assert has_complement_property(frame).holds
+    assert echelon_calls[0] <= ceiling
+
+
+def test_cp_work_ceiling_generated_6_21(echelon_calls):
+    frame = generate_exact_pr(6, 21, 0).frame
+    echelon_calls[0] = 0
+    assert has_complement_property(frame).holds
+    assert echelon_calls[0] <= 2850
+
+
+def test_spark_work_ceiling_generated_6_11(echelon_calls):
+    frame = generate_exact_pr(6, 11, 0).frame
+    echelon_calls[0] = 0
+    assert spark(frame) == 7
+    assert echelon_calls[0] <= 1860
