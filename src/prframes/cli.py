@@ -188,10 +188,6 @@ def cmd_subspace(args) -> int:
             print("--subspace-file is required for this action", file=sys.stderr)
             return 2
         sub = frameio.subspace_from_dict(frameio.load_json(args.subspace_file))
-        if sub.ambient_dim != frame.dim:
-            raise BadInput(
-                f"subspace lives in R^{sub.ambient_dim}, the frame in R^{frame.dim}"
-            )
         if args.action == "check":
             ok = is_pr_subspace(frame, sub)
             _emit({"command": "subspace-check", "is_pr_subspace": ok})

@@ -3,8 +3,9 @@
 The pattern calculus starts from a fixed 3x6 zero/nonzero mask and grows it
 with three steps that add one dimension and n+1, n, or 2 columns.  Chaining
 steps reaches every (n, N) with 2n <= N <= n(n+1)/2; length 2n-1 is covered
-separately by full-spark rejection sampling.  Free cells are instantiated
-with uniform integers and the result is verified exactly; a failed draw (a
+by a dense integer draw, which is exact precisely when it is full spark.
+Either way the free cells are drawn as uniform integers and the frame is
+certified by one exactness check in exact arithmetic; a failed draw (a
 measure-zero event at integer scale) is retried with a derived seed.
 """
 
@@ -370,47 +371,29 @@ def generate_exact_pr(
 ) -> CertifiedFrame:
     """A certified exact PR frame of length N in R^n, any admissible N.
 
-    Length 2n-1 uses full-spark rejection sampling (full spark at minimal
-    length is exact); longer frames instantiate a derivation of the pattern
-    calculus and are verified with the general exactness checker.
+    Length 2n-1 draws a dense integer matrix; longer frames instantiate a
+    derivation of the pattern calculus.  Only the draw differs: one exactness
+    check certifies both.  At length 2n-1 it also proves full spark: an
+    n-subset's complement has only n-1 vectors, so there the complement
+    property means that every n-subset spans.
     """
     if n < 1 or N < 2 * n - 1 or N > n * (n + 1) // 2:
         raise OutOfRange(f"exact PR frames require 2n-1 <= N <= n(n+1)/2, got (n={n}, N={N})")
-    retries = 0
     if N == 2 * n - 1:
-        for attempt in range(max_retries + 1):
-            m = sample_int_matrix(n, N, range_max, derive_seed(seed, attempt))
-            frame = Frame.from_matrix(m)
-            if is_full_spark(frame) and is_exact_pr_frame(frame).exact:
-                return CertifiedFrame(
-                    frame,
-                    {
-                        "exact_pr": True,
-                        "d": n,
-                        "plan": ["full_spark"],
-                        "seed": seed,
-                        "retries": retries,
-                    },
-                )
-            retries += 1
-        raise RetriesExhausted(f"full-spark sampling failed for (n={n}, N={N})")
-    p = plan(n, N)
-    pat = build_pattern(p)
+        steps, what = ["full_spark"], "full-spark sampling"
+        draw = lambda s: Frame.from_matrix(sample_int_matrix(n, N, range_max, s))
+    else:
+        p = plan(n, N)
+        steps, what, pat = list(p.steps), "pattern instantiation", build_pattern(p)
+        draw = lambda s: instantiate(pat, range_max, s)
     for attempt in range(max_retries + 1):
-        frame = instantiate(pat, range_max, derive_seed(seed, attempt))
+        frame = draw(derive_seed(seed, attempt))
         if is_exact_pr_frame(frame).exact:
             return CertifiedFrame(
                 frame,
-                {
-                    "exact_pr": True,
-                    "d": n,
-                    "plan": list(p.steps),
-                    "seed": seed,
-                    "retries": retries,
-                },
+                {"exact_pr": True, "d": n, "plan": steps, "seed": seed, "retries": attempt},
             )
-        retries += 1
-    raise RetriesExhausted(f"pattern instantiation failed for (n={n}, N={N})")
+    raise RetriesExhausted(f"{what} failed for (n={n}, N={N})")
 
 
 def compose_direct_sum(f1: Frame, f2: Optional[Frame]) -> Frame:

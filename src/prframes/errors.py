@@ -46,4 +46,9 @@ class SupportTooLarge(PRFramesError):
 
 
 class BadInput(PRFramesError):
-    """Input read from outside the program (a JSON file, a CLI value) is malformed."""
+    """Malformed input, or arguments that do not fit together.
+
+    Covers input read from outside the program (a JSON file, a CLI value)
+    and calls whose arguments are each well formed but mismatched, such as
+    a subspace of R^m checked against a frame for R^n.
+    """

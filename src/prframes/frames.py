@@ -11,8 +11,9 @@ keeping it out of the other class can only lower that one's rank).  The
 reported failing subset is therefore one valid witness, not the first one in
 bitmask order.  The complement property is t = n - 1; exactness, removal and
 the subspace tools' d(F) reuse it.  ``spark`` is a depth-first search over
-independent subfamilies that shares each prefix's echelon basis.  All rank
-arithmetic is exact and integer-only.
+independent subfamilies that shares each prefix's echelon basis; it runs on
+bare integer columns as ``_spark(cols)``, so the subspace tools reuse it for
+the minimum support.  All rank arithmetic is exact and integer-only.
 """
 
 from __future__ import annotations
@@ -183,16 +184,21 @@ def is_phase_retrievable(frame: Frame) -> bool:
 
 
 def spark(frame: Frame) -> int:
-    """Size of the smallest linearly dependent subfamily; N+1 if none exists.
+    """Size of the smallest linearly dependent subfamily; N+1 if none exists."""
+    return _spark(frame._int_cols)
+
+
+def _spark(cols: Sequence[IntVec]) -> int:
+    """Size of the smallest dependent subfamily of the columns; len+1 if none.
 
     Depth-first search over independent subfamilies in index order, each
     node extending its parent's echelon basis by one column.  A column in
     the span of an independent set I closes a dependent set of size |I|+1,
     so every circuit is found from its members below its largest index.
     The best size so far bounds the search: a node is only expanded while
-    it can still close a smaller dependent set.
+    it can still close a smaller dependent set.  A zero column (also the
+    empty vector) is dependent on its own, so such a family has spark 1.
     """
-    cols = frame._int_cols
     best = len(cols) + 1
     # stack entries: (next index, echelon basis of an independent set)
     stack = [(0, [])]

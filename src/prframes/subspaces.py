@@ -8,7 +8,11 @@ property) agrees.  d_max(F) is the exact min over index subsets of
 max(rank of the subset, rank of the complement); it equals the largest
 dimension of any PR subspace.  Both run on the partition search of
 ``frames._partition``: the projected complement property is threshold
-k - 1, and d_max is the least threshold that admits a partition.
+k - 1, and d_max is the least threshold that admits a partition.  The
+minimum dual-basis support of M, which decides maximality for a basis, is
+the spark of the parity-check columns of M's dual-basis code, so it runs on
+the spark search ``frames._spark``.  A subspace and a frame of different
+ambient dimensions raise ``BadInput``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
+    BadInput,
     CapExceeded,
     NotABasis,
     NotPRSubspace,
@@ -27,7 +32,7 @@ from .errors import (
     RetriesExhausted,
     SupportTooLarge,
 )
-from .frames import Frame, _partition
+from .frames import Frame, _partition, _spark
 from .ratlin import (
     DEFAULT_RANGE_MAX,
     IntVec,
@@ -109,14 +114,20 @@ def _projected_int_cols(frame: Frame, sub: Subspace) -> List[IntVec]:
     return [clear_denominators(v) for v in project_frame(frame, sub)]
 
 
+def _require_same_space(frame: Frame, sub: Subspace) -> None:
+    if sub.ambient_dim != frame.dim:
+        raise BadInput(f"subspace lives in R^{sub.ambient_dim}, the frame in R^{frame.dim}")
+
+
 def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
-    """True iff the coordinate family spans R^k and has the complement property."""
-    if frame.dim != sub.ambient_dim:
-        return False
-    cols = _projected_int_cols(frame, sub)
-    if int_rank(cols) < sub.dim:
-        return False
-    return _partition(cols, sub.dim - 1) is None
+    """True iff the coordinate family has the complement property in R^k.
+
+    A family that does not span R^k fails it as well (every column in one
+    class), and the partition search finds that split, so no separate rank
+    check is needed.
+    """
+    _require_same_space(frame, sub)
+    return _partition(_projected_int_cols(frame, sub), sub.dim - 1) is None
 
 
 def d_max(frame: Frame, cap: int = DEFAULT_CAP) -> int:
@@ -175,30 +186,24 @@ def support(x: Sequence, b: Frame) -> FrozenSet[int]:
     )
 
 
-def _coeff_matrix(sub: Subspace, b: Frame) -> List[IntVec]:
-    """Rows i of B^T * (basis of M): the dual-basis coordinates of M's basis."""
-    bt = b.matrix.transpose()
-    prod = bt @ sub.basis
-    return [clear_denominators(row) for row in prod.entries]
-
-
 def min_support(sub: Subspace, b: Frame) -> int:
     """Smallest dual-basis support size over nonzero elements of the subspace.
 
-    A nonzero element supported inside S exists iff the coordinate rows
-    outside S drop rank, so supports are scanned in increasing size.
+    In dual-basis coordinates M is the code spanned by the k columns of the
+    n x k coefficient matrix C (row i holds <b_i, m_j>, up to a scale that
+    leaves supports alone).  A vector is in that code iff a parity-check
+    matrix H, whose rows are an integer basis of ker C^T, annihilates it, so
+    the supports of M are the supports of the linear dependencies among the
+    n columns of H, and the smallest one is their spark.  For k = n, H is
+    empty: its columns are empty vectors, each dependent alone, and the
+    answer is 1.
     """
     _require_basis(b)
-    if sub.ambient_dim != b.dim:
-        raise NotABasis("ambient dimensions differ")
-    n, k = sub.ambient_dim, sub.dim
-    rows = _coeff_matrix(sub, b)
-    for s in range(1, n + 1):
-        for supp in itertools.combinations(range(n), s):
-            outside = [rows[i] for i in range(n) if i not in supp]
-            if int_rank(outside) < k:
-                return s
-    raise AssertionError("unreachable: the full support always admits a hit")
+    _require_same_space(b, sub)
+    n = b.dim
+    rows = _projected_int_cols(b, sub)
+    checks = int_nullspace(list(zip(*rows)), n)
+    return _spark([tuple(h[i] for h in checks) for i in range(n)])
 
 
 def _orthogonal_sample(us: Sequence[IntVec], n: int, rng: random.Random, range_max: int) -> Optional[IntVec]:
@@ -297,8 +302,10 @@ def extend_to_maximal(
     support size k of x.  Each stage samples an integer vector orthogonal to
     the ones already kept and accepts it when every square row subset of the
     running size that meets the support is invertible.  The finished subspace
-    is re-verified from scratch (PR, minimum support k, Maximal verdict), so
-    a bad draw can only cost a retry, never a wrong certificate.
+    is re-verified from scratch, so a bad draw can only cost a retry, never
+    a wrong certificate: for a basis, PR plus minimum support k is exactly
+    the rule under which ``is_maximal_pr_subspace`` returns Maximal, so these
+    two checks certify maximality.
     """
     _require_basis(b)
     n = b.dim
@@ -336,11 +343,6 @@ def extend_to_maximal(
         # back from dual-basis coordinates: columns v with B^T v = u
         coords = RatMatrix.from_rows(zip(*us))
         sub = Subspace(n, solve(b.matrix.transpose(), coords))
-        if not is_pr_subspace(b, sub):
-            continue
-        if min_support(sub, b) != k:
-            continue
-        if is_maximal_pr_subspace(b, sub).status != "Maximal":
-            continue
-        return sub
+        if is_pr_subspace(b, sub) and min_support(sub, b) == k:
+            return sub
     raise RetriesExhausted(f"extension failed after {max_retries + 1} attempts")

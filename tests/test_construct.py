@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import brute_is_exact_pr, brute_sdr
 from prframes import (
     Frame,
+    NotAFrame,
     OutOfRange,
     PatternViolation,
     base_pattern_36,
@@ -161,6 +162,37 @@ def test_generate_exact_full_spark_path():
     cert = generate_exact_pr(4, 7, seed=5)
     assert is_full_spark(cert.frame)
     assert cert.certificate["plan"] == ["full_spark"]
+
+
+minimal_length_families = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=2 * n - 1,
+            max_size=2 * n - 1,
+        ),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(minimal_length_families)
+def test_exact_iff_full_spark_at_minimal_length(family):
+    # why the 2n-1 branch of generate_exact_pr needs no separate spark proof
+    n, vecs = family
+    try:
+        frame = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    assert is_exact_pr_frame(frame).exact == is_full_spark(frame)
+
+
+def test_generate_exact_work_ceiling_7_13(echelon_calls):
+    # the whole call: draws, frame construction and the exactness proof
+    cert = generate_exact_pr(7, 13, 0)
+    assert cert.certificate["plan"] == ["full_spark"]
+    assert echelon_calls[0] <= 6050
 
 
 def test_generate_exact_deterministic():

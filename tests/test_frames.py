@@ -25,7 +25,6 @@ from prframes import (
     span_dim,
     spark,
 )
-import prframes.frames
 from prframes.frames import _partition
 
 
@@ -205,22 +204,9 @@ def test_exactness_agrees_with_oracle(family):
 
 
 # ---------------------------------------------------------------------------
-# Work ceilings: echelon steps taken by the searches, counted deterministically.
+# Work ceilings: echelon steps taken by the searches, counted deterministically
+# by the echelon_calls fixture (tests/conftest.py).
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def echelon_calls(monkeypatch):
-    """Count the echelon steps the searches in prframes.frames take."""
-    calls = [0]
-    inner = prframes.frames.echelon_reduce
-
-    def counting(basis, vec):
-        calls[0] += 1
-        return inner(basis, vec)
-
-    monkeypatch.setattr(prframes.frames, "echelon_reduce", counting)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -228,6 +214,7 @@ def echelon_calls(monkeypatch):
 )
 def test_cp_work_ceiling_curated(echelon_calls, N, ceiling):
     frame = curated.curated_exact_frame(N)
+    echelon_calls[0] = 0
     assert has_complement_property(frame).holds
     assert echelon_calls[0] <= ceiling
 

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import brute_d_value, brute_min_support
 from prframes import (
+    BadInput,
     CapExceeded,
     Frame,
     NotABasis,
@@ -169,6 +171,34 @@ def test_min_support_examples():
         min_support(m, Frame.from_vectors([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)], dim=4))
 
 
+@st.composite
+def bases_and_subspaces(draw):
+    """A random basis of R^n (entries -2..2) and k independent vectors, 1 <= k <= n."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    basis = draw(st.lists(entries, min_size=n, max_size=n))
+    sub = draw(st.lists(entries, min_size=k, max_size=k))
+    return n, basis, sub
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_and_subspaces())
+# k == n: the parity check is empty
+@example((3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)], [(1, 2, 0), (0, 1, 1), (2, 0, 1)]))
+# M holds the dual-basis direction (1, -1, 0) of the skew basis: a zero
+# parity-check column
+@example((3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)], [(1, -1, 0), (1, 1, 1)]))
+def test_min_support_agrees_with_oracle(case):
+    n, basis_vecs, sub_vecs = case
+    try:
+        b = Frame.from_vectors(basis_vecs, dim=n)
+        m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
+    except (NotAFrame, ValueError):
+        assume(False)
+    assert min_support(m, b) == brute_min_support(sub_vecs, basis_vecs)
+
+
 def test_generic_min_support_value():
     # a generic k-dim subspace has minimum support n-k+1; the Vandermonde
     # pair below is generic because all 2x2 minors are nonzero
@@ -253,3 +283,39 @@ def test_two_dim_span_characterization():
     assert is_pr_subspace(b4, Subspace.from_vectors([x, y_good], ambient_dim=4))
     assert not is_pr_subspace(b4, Subspace.from_vectors([x, y_inside], ambient_dim=4))
     assert not is_pr_subspace(b4, Subspace.from_vectors([x, y_outside], ambient_dim=4))
+
+
+def test_wrong_ambient_dimension_is_bad_input():
+    f3 = Frame.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], dim=3)
+    b3 = std_basis(3)
+    sub2 = Subspace.from_vectors([(1, 1)], ambient_dim=2)
+    for call in (
+        lambda: is_pr_subspace(f3, sub2),
+        lambda: is_maximal_pr_subspace(f3, sub2),
+        lambda: min_support(sub2, b3),
+    ):
+        with pytest.raises(BadInput, match=r"subspace lives in R\^2, the frame in R\^3"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# Work ceilings: echelon steps, counted by the echelon_calls fixture
+# (tests/conftest.py), about 1.25x the measured count.
+# ---------------------------------------------------------------------------
+
+
+def test_min_support_work_ceiling_vandermonde(echelon_calls):
+    # generic 5-dim subspace of R^11: minimum support n - k + 1 = 7
+    b = std_basis(11)
+    m = Subspace.from_vectors([tuple((i + 1) ** p for i in range(11)) for p in range(5)], ambient_dim=11)
+    echelon_calls[0] = 0
+    assert min_support(m, b) == 7
+    assert echelon_calls[0] <= 1860
+
+
+def test_extend_to_maximal_work_ceiling(echelon_calls):
+    b = std_basis(11)
+    echelon_calls[0] = 0
+    m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0), seed=0)
+    assert m.dim == 5
+    assert echelon_calls[0] <= 6150
