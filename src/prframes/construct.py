@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import OutOfRange, PatternViolation, RearrangeFailure, RetriesExhausted
+from .errors import NotPRSubspace, OutOfRange, PatternViolation, RearrangeFailure, RetriesExhausted
 from .frames import Frame, is_exact_pr_frame, is_full_spark
 from .lifting import has_exact_pr_redundancy
 from .ratlin import (
@@ -516,7 +516,7 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
     and tilts basis vectors e_{k+1}..e_{2k-1} into M so the projected basis
     is that frame.  Valid exactly for 1 <= k <= [(n+1)/2].
     """
-    from .subspaces import Subspace, is_maximal_pr_subspace, is_pr_subspace
+    from .subspaces import Subspace, is_maximal_pr_subspace
 
     if not (1 <= k <= (n + 1) // 2):
         raise OutOfRange(f"maximal PR subspaces of a basis need 1 <= k <= [(n+1)/2]")
@@ -537,9 +537,10 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
         e[t] = Fraction(1)
         m_basis.append(tuple(e))
     sub = Subspace.from_vectors(m_basis, ambient_dim=n)
-    if not is_pr_subspace(basis, sub):
-        raise RetriesExhausted("constructed subspace is not PR")  # not expected
-    verdict = is_maximal_pr_subspace(basis, sub)
+    try:
+        verdict = is_maximal_pr_subspace(basis, sub)
+    except NotPRSubspace:
+        raise RetriesExhausted("constructed subspace is not PR") from None  # not expected
     if verdict.status != "Maximal":
         raise RetriesExhausted("constructed subspace failed the maximality certificate")
     return basis, sub

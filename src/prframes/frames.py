@@ -11,9 +11,12 @@ keeping it out of the other class can only lower that one's rank).  The
 reported failing subset is therefore one valid witness, not the first one in
 bitmask order.  The complement property is t = n - 1; exactness, removal and
 the subspace tools' d(F) reuse it.  ``spark`` is a depth-first search over
-independent subfamilies that shares each prefix's echelon basis; it runs on
-bare integer columns as ``_spark(cols)``, so the subspace tools reuse it for
-the minimum support.  All rank arithmetic is exact and integer-only.
+independent subfamilies that shares each prefix's span; it runs on bare
+integer columns as ``_spark(cols)``, so the subspace tools reuse it for the
+minimum support.  Both searches hold every span as its integer normals and
+take one ``ratlin`` membership test (dot products only) per question,
+extending a span only where they branch.  All rank arithmetic is exact and
+integer-only.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from .ratlin import (
     RatMatrix,
     IntVec,
     clear_denominators,
-    echelon_insert,
-    echelon_reduce,
+    extend_span,
     int_rank,
+    off_span,
+    span_normals,
 )
 
 IndexSet = FrozenSet[int]
@@ -123,6 +127,9 @@ class ExactnessResult(NamedTuple):
 def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
     """Class A of a 2-colouring of the columns with both class ranks <= t, or None.
 
+    Each class is held as the integer normals of its span (``ratlin``), so a
+    node asks two membership questions, one dot-product pass each, and a
+    class has rank <= t exactly while it keeps at least n - t normals.
     Column 0 is pinned to A (global swap symmetry).  A column in the span of
     A goes to A only, and otherwise a column in the span of B goes to B only:
     any 2-colouring with both ranks <= t stays one after that move, so the
@@ -135,29 +142,32 @@ def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
     if ncols == 0:
         # the empty family: both classes empty, of rank 0
         return frozenset()
-    first = echelon_reduce([], cols[0])
-    start_a = [] if first is None else [first]
-    if len(start_a) > t:
+    n = len(cols[0])
+    keep = n - t  # fewest normals a class of rank <= t still has
+    empty = span_normals(n)
+    off = off_span(empty, cols[0])
+    start_a = empty if off is None else extend_span(empty, cols[0], off)
+    if len(start_a) < keep:
         return None
-    # stack entries: (next index, basis of A, basis of B, bitmask of A's members)
-    stack = [(1, start_a, [], 1)]
+    # stack entries: (next index, normals of A, normals of B, bitmask of A's members)
+    stack = [(1, start_a, empty, 1)]
     while stack:
-        i, ba, bb, amask = stack.pop()
+        i, na, nb, amask = stack.pop()
         if i == ncols:
             return frozenset(j for j in range(ncols) if amask >> j & 1)
         col = cols[i]
-        added_a = echelon_reduce(ba, col)
-        if added_a is None:
-            stack.append((i + 1, ba, bb, amask | 1 << i))
+        off_a = off_span(na, col)
+        if off_a is None:
+            stack.append((i + 1, na, nb, amask | 1 << i))
             continue
-        added_b = echelon_reduce(bb, col)
-        if added_b is None:
-            stack.append((i + 1, ba, bb, amask))
+        off_b = off_span(nb, col)
+        if off_b is None:
+            stack.append((i + 1, na, nb, amask))
             continue
-        if len(ba) < t:
-            stack.append((i + 1, echelon_insert(ba, added_a), bb, amask | 1 << i))
-        if len(bb) < t:
-            stack.append((i + 1, ba, echelon_insert(bb, added_b), amask))
+        if len(na) > keep:
+            stack.append((i + 1, extend_span(na, col, off_a), nb, amask | 1 << i))
+        if len(nb) > keep:
+            stack.append((i + 1, na, extend_span(nb, col, off_b), amask))
     return None
 
 
@@ -192,29 +202,33 @@ def _spark(cols: Sequence[IntVec]) -> int:
     """Size of the smallest dependent subfamily of the columns; len+1 if none.
 
     Depth-first search over independent subfamilies in index order, each
-    node extending its parent's echelon basis by one column.  A column in
-    the span of an independent set I closes a dependent set of size |I|+1,
-    so every circuit is found from its members below its largest index.
-    The best size so far bounds the search: a node is only expanded while
-    it can still close a smaller dependent set.  A zero column (also the
-    empty vector) is dependent on its own, so such a family has spark 1.
+    node holding the integer normals of its span and extending its parent's
+    by one column.  A column in the span of an independent set I closes a
+    dependent set of size |I|+1, so every circuit is found from its members
+    below its largest index.  The best size so far bounds the search: a
+    node is only expanded while it can still close a smaller dependent set.
+    A zero column (also the empty vector) is dependent on its own, so such a
+    family has spark 1.
     """
     best = len(cols) + 1
-    # stack entries: (next index, echelon basis of an independent set)
-    stack = [(0, [])]
+    if not cols:
+        return best
+    n = len(cols[0])
+    # stack entries: (next index, normals of an independent set's span)
+    stack = [(0, span_normals(n))]
     while stack:
-        start, basis = stack.pop()
-        size = len(basis)
+        start, normals = stack.pop()
+        size = n - len(normals)
         if size + 1 >= best:
             continue
         children = []
         for j in range(start, len(cols)):
-            item = echelon_reduce(basis, cols[j])
-            if item is None:
+            off = off_span(normals, cols[j])
+            if off is None:
                 best = size + 1
                 break
             if size + 2 < best:
-                children.append((j + 1, echelon_insert(basis, item)))
+                children.append((j + 1, extend_span(normals, cols[j], off)))
         else:
             stack.extend(reversed(children))
     return best

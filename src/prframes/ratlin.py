@@ -3,9 +3,18 @@
 Everything downstream (complement-property scans, kernel searches, pattern
 instantiation) runs on top of this module, and this module is the only place
 that eliminates.  All arithmetic is exact: matrices hold
-``fractions.Fraction`` entries, and every kernel (echelon steps, ranks,
-nullspaces, solves) clears denominators and works fraction-free on Python
-integers with gcd trimming.  No floating point appears anywhere.
+``fractions.Fraction`` entries, and every kernel clears denominators and
+works fraction-free on Python integers with gcd trimming.  No floating point
+appears anywhere.
+
+There are two kernels.  The span step holds a span of rank r in R^n as
+n - r independent primitive integer normals, starting from the n identity
+rows (``span_normals``).  A vector lies in the span iff it is orthogonal to
+every normal (``off_span``: dot products only, no new list); adding one
+that is not (``extend_span``) reuses the first nonzero dot product d_k and
+replaces each other normal h_i by the gcd-trimmed d_k h_i - d_i h_k.  Ranks
+and the searches in ``frames`` and ``subspaces`` run on this step alone.
+Nullspaces and solves run on fraction-free Gauss-Jordan (``_gauss_jordan``).
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
@@ -17,7 +26,9 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BadInput
@@ -145,46 +156,59 @@ def _vec_gcd_reduce(v: List[int]) -> List[int]:
     return v
 
 
-Echelon = List[Tuple[int, List[int]]]
+Normals = Tuple[Tuple[int, ...], ...]
 
 
-def echelon_reduce(basis: Echelon, vec: Sequence[int]) -> Optional[Tuple[int, List[int]]]:
-    """Reduce vec against an echelon basis; return its (pivot, row), or None in the span.
+@lru_cache(maxsize=32)
+def span_normals(n: int) -> Normals:
+    """Normals of the zero span in R^n: the n identity rows (shared, immutable)."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    ``basis`` holds (pivot column, row) pairs sorted by pivot; each row is
-    zero left of its pivot.  Every elimination step is gcd-trimmed.
+
+def off_span(normals: Normals, vec: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """(k, d) for the first normal h_k with d = <h_k, vec> != 0; None when vec lies in the span.
+
+    A span of rank r in R^n is held as n - r independent primitive integer
+    normals, so membership is n - r dot products and nothing else.
     """
-    v = list(vec)
-    for piv, b in basis:
-        if v[piv]:
-            a, c = b[piv], v[piv]
-            v = _vec_gcd_reduce([a * x - c * y for x, y in zip(v, b)])
-    lead = next((j for j, x in enumerate(v) if x), None)
-    return None if lead is None else (lead, v)
+    for k, h in enumerate(normals):
+        d = sum(map(mul, h, vec))
+        if d:
+            return k, d
+    return None
 
 
-def echelon_insert(basis: Echelon, item: Tuple[int, List[int]]) -> Echelon:
-    """A copy of the basis with a reduced (pivot, row) placed in pivot order."""
-    pos = next((t for t, (p, _) in enumerate(basis) if p > item[0]), len(basis))
-    return basis[:pos] + [item] + basis[pos:]
+def extend_span(normals: Normals, vec: Sequence[int], off: Tuple[int, int]) -> Normals:
+    """Normals of the span with vec added, given ``off = off_span(normals, vec)``.
 
-
-def int_row_reduce(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Bring integer rows to an echelon basis (fraction-free, gcd-trimmed).
-
-    Returns a list of independent rows, each with a leading nonzero at a
-    strictly increasing column position.  Length of the result is the rank.
+    Each other normal h_i becomes the gcd-trimmed d_k h_i - d_i h_k, which is
+    orthogonal to vec; h_k itself is dropped.  Normals before k are
+    orthogonal to vec already and are kept as they are.
     """
-    basis: Echelon = []
-    for row in rows:
-        item = echelon_reduce(basis, row)
-        if item is not None:
-            basis = echelon_insert(basis, item)
-    return [v for _, v in basis]
+    k, dk = off
+    hk = normals[k]
+    out = list(normals[:k])
+    for h in normals[k + 1 :]:
+        di = sum(map(mul, h, vec))
+        if di:
+            h = [dk * x - di * y for x, y in zip(h, hk)]
+            g = gcd(*h)
+            h = tuple([x // g for x in h] if g > 1 else h)
+        out.append(h)
+    return tuple(out)
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(int_row_reduce(rows))
+    """Rank of integer rows: their length minus the normals left after adding them all."""
+    if not rows:
+        return 0
+    n = len(rows[0])
+    normals = span_normals(n)
+    for row in rows:
+        off = off_span(normals, row)
+        if off is not None:
+            normals = extend_span(normals, row, off)
+    return n - len(normals)
 
 
 def _gauss_jordan(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:

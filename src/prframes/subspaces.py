@@ -17,7 +17,6 @@ ambient dimensions raise ``BadInput``.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +39,13 @@ from .ratlin import (
     Seed,
     clear_denominators,
     derive_seed,
+    extend_span,
     int_nullspace,
     int_rank,
+    off_span,
     sample_int_matrix,
     solve,
+    span_normals,
 )
 
 DEFAULT_CAP = 24
@@ -278,14 +280,33 @@ def is_maximal_pr_subspace(
 
 
 def _stage_accepts(us: List[IntVec], n: int, supp: FrozenSet[int]) -> bool:
-    """Every row subset of matching size meeting the support must be invertible."""
-    m1 = len(us)
-    for lam in itertools.combinations(range(n), m1):
-        if not supp.intersection(lam):
-            continue
-        rows = [tuple(u[i] for u in us) for i in lam]
-        if int_rank(rows) < m1:
-            return False
+    """Every m-row subset meeting the support is invertible, m = len(us).
+
+    Row i is (u[i] for u in us), a vector in R^m.  For m <= n and a nonempty
+    support (as ``extend_to_maximal`` guarantees) that holds iff every
+    dependent row set of size <= m has size exactly m and avoids the
+    support: a smaller one, or one meeting the support, lies in a singular
+    m-subset that meets it.  Those sets are found as in ``frames._spark``,
+    by a depth-first search over independent row sets in index order, to
+    depth m - 1, each node holding the integer normals of its span.  At
+    depth m - 1 a set that avoids the support only needs its support rows
+    tested, and any of them in the span rejects.
+    """
+    m = len(us)
+    rows = list(zip(*us))
+    # stack entries: (next index, normals of an independent set's span, does it meet supp)
+    stack = [(0, span_normals(m), False)]
+    while stack:
+        start, normals, meets = stack.pop()
+        last = len(normals) == 1
+        for j in range(start, n):
+            if last and not meets and j not in supp:
+                continue
+            off = off_span(normals, rows[j])
+            if off is None:
+                return False
+            if not last:
+                stack.append((j + 1, extend_span(normals, rows[j], off), meets or j in supp))
     return True
 
 

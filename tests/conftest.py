@@ -4,23 +4,24 @@ import pytest
 
 import prframes.frames
 import prframes.ratlin
+import prframes.subspaces
 
 
 @pytest.fixture
-def echelon_calls(monkeypatch):
-    """Count echelon steps taken in prframes.frames and prframes.ratlin.
+def span_tests(monkeypatch):
+    """Count span membership tests (``off_span`` calls) across prframes.
 
-    The searches in frames and the rank and row reductions in ratlin both
-    count.  Both modules bind ``echelon_reduce`` by name, so both bindings are
+    The searches in frames and subspaces and the ranks in ratlin all count.
+    Each of these modules binds ``off_span`` by name, so every binding is
     replaced by one counting wrapper around the original.
     """
     calls = [0]
-    inner = prframes.ratlin.echelon_reduce
+    inner = prframes.ratlin.off_span
 
-    def counting(basis, vec):
+    def counting(normals, vec):
         calls[0] += 1
-        return inner(basis, vec)
+        return inner(normals, vec)
 
-    monkeypatch.setattr(prframes.ratlin, "echelon_reduce", counting)
-    monkeypatch.setattr(prframes.frames, "echelon_reduce", counting)
+    for module in (prframes.ratlin, prframes.frames, prframes.subspaces):
+        monkeypatch.setattr(module, "off_span", counting)
     return calls

@@ -96,6 +96,18 @@ def brute_min_support(sub_vectors, basis_vectors) -> int:
     return best
 
 
+def brute_stage_accepts(us, n: int, supp) -> bool:
+    """Is every m-row subset of [u_1 .. u_m] that meets supp invertible?
+
+    Row i is (u[i] for u in us); every m-subset of the n rows is scanned.
+    """
+    m = len(us)
+    for lam in itertools.combinations(range(n), m):
+        if supp.intersection(lam) and _rank([[u[i] for u in us] for i in lam]) < m:
+            return False
+    return True
+
+
 def brute_sdr(mask, i: int) -> bool:
     """Does row i of a 0/1 mask have a system of distinct representatives?
 

@@ -188,11 +188,11 @@ def test_exact_iff_full_spark_at_minimal_length(family):
     assert is_exact_pr_frame(frame).exact == is_full_spark(frame)
 
 
-def test_generate_exact_work_ceiling_7_13(echelon_calls):
+def test_generate_exact_work_ceiling_7_13(span_tests):
     # the whole call: draws, frame construction and the exactness proof
     cert = generate_exact_pr(7, 13, 0)
     assert cert.certificate["plan"] == ["full_spark"]
-    assert echelon_calls[0] <= 6050
+    assert span_tests[0] <= 6050
 
 
 def test_generate_exact_deterministic():
@@ -273,6 +273,21 @@ def test_basis_with_maximal_subspace():
     proj = project_frame(basis, sub)
     nonzero = [v for v in proj if any(x != 0 for x in v)]
     assert len(nonzero) == 3
+
+
+def test_basis_with_maximal_subspace_proves_pr_once(monkeypatch):
+    import prframes.subspaces
+
+    calls = [0]
+    inner = prframes.subspaces.is_pr_subspace
+
+    def counting(frame, sub):
+        calls[0] += 1
+        return inner(frame, sub)
+
+    monkeypatch.setattr(prframes.subspaces, "is_pr_subspace", counting)
+    basis_with_maximal_subspace(7, 3, 4)
+    assert calls[0] == 1
 
 
 def test_basis_with_maximal_subspace_bounds():

@@ -204,30 +204,32 @@ def test_exactness_agrees_with_oracle(family):
 
 
 # ---------------------------------------------------------------------------
-# Work ceilings: echelon steps taken by the searches, counted deterministically
-# by the echelon_calls fixture (tests/conftest.py).
+# Work ceilings: span membership tests taken by the searches, counted
+# deterministically by the span_tests fixture (tests/conftest.py).
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "N, ceiling", [(10, 320), (11, 350), (12, 355), (13, 405), (14, 470), (15, 540)]
 )
-def test_cp_work_ceiling_curated(echelon_calls, N, ceiling):
+def test_cp_work_ceiling_curated(span_tests, N, ceiling):
     frame = curated.curated_exact_frame(N)
-    echelon_calls[0] = 0
+    span_tests[0] = 0
     assert has_complement_property(frame).holds
-    assert echelon_calls[0] <= ceiling
+    assert span_tests[0] <= ceiling
 
 
-def test_cp_work_ceiling_generated_6_21(echelon_calls):
+def test_cp_work_ceiling_generated_6_21(span_tests):
     frame = generate_exact_pr(6, 21, 0).frame
-    echelon_calls[0] = 0
+    span_tests[0] = 0
     assert has_complement_property(frame).holds
-    assert echelon_calls[0] <= 2850
+    assert span_tests[0] <= 2850
+    # exact, not just bounded: search order and pruning fix the questions asked
+    assert span_tests[0] == 2278
 
 
-def test_spark_work_ceiling_generated_6_11(echelon_calls):
+def test_spark_work_ceiling_generated_6_11(span_tests):
     frame = generate_exact_pr(6, 11, 0).frame
-    echelon_calls[0] = 0
+    span_tests[0] = 0
     assert spark(frame) == 7
-    assert echelon_calls[0] <= 1860
+    assert span_tests[0] <= 1860

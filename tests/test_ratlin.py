@@ -5,21 +5,26 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from oracles import _rank as oracle_rank
 from prframes import BadInput
 from prframes.ratlin import (
     RatMatrix,
     clear_denominators,
     derive_seed,
+    extend_span,
     format_rational,
     int_nullspace,
     int_rank,
     nullspace,
+    off_span,
     parse_rational,
     rank,
     sample_int_matrix,
     sample_pattern,
     solve,
+    span_normals,
 )
 
 
@@ -137,6 +142,39 @@ def test_int_rank_degenerate():
     assert int_rank([]) == 0
     assert int_rank([(0, 0)]) == 0
     assert int_rank([(1, 0), (2, 0)]) == 1
+
+
+@st.composite
+def degenerate_families(draw):
+    """Integer columns in R^n (n = 0..4, entries -2..2) with zero and parallel ones, and a probe."""
+    n = draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    cols = draw(st.lists(vec, max_size=6))
+    if cols:
+        # multiples of drawn columns; a factor 0 gives a zero column
+        scaled = st.tuples(st.integers(0, len(cols) - 1), st.integers(-2, 2))
+        for j, s in draw(st.lists(scaled, max_size=3)):
+            cols.append(tuple(s * x for x in cols[j]))
+        cols = draw(st.permutations(cols))
+    return n, cols, draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_families())
+def test_span_normals_agree_with_sympy(family):
+    n, cols, probe = family
+    normals = span_normals(n)
+    for col in cols:
+        off = off_span(normals, col)
+        if off is not None:
+            normals = extend_span(normals, col, off)
+    r = oracle_rank(cols)
+    assert n - len(normals) == r
+    assert oracle_rank(normals) == len(normals)
+    assert all(sum(a * b for a, b in zip(h, col)) == 0 for h in normals for col in cols)
+    assert (off_span(normals, probe) is None) == (oracle_rank(cols + [probe]) == r)
+    if cols:
+        assert int_rank(cols) == r
 
 
 def test_sample_pattern_respects_mask_and_seed():

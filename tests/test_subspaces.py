@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import brute_d_value, brute_min_support
+from oracles import brute_d_value, brute_min_support, brute_stage_accepts
 from prframes import (
     BadInput,
     CapExceeded,
@@ -29,6 +29,7 @@ from prframes import (
     random_pr_subspace,
     support,
 )
+from prframes.subspaces import _stage_accepts
 
 
 def std_basis(n):
@@ -298,24 +299,50 @@ def test_wrong_ambient_dimension_is_bad_input():
             call()
 
 
+@st.composite
+def stage_candidates(draw):
+    """m integer vectors in R^n (1 <= m <= n <= 7, entries -2..2) and a nonempty support."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, min(n, 4)))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    us = draw(st.lists(vec, min_size=m, max_size=m))
+    supp = draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    return us, n, supp
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage_candidates())
+def test_stage_accepts_agrees_with_oracle(case):
+    us, n, supp = case
+    assert _stage_accepts(us, n, supp) == brute_stage_accepts(us, n, supp)
+
+
 # ---------------------------------------------------------------------------
-# Work ceilings: echelon steps, counted by the echelon_calls fixture
+# Work ceilings: span membership tests, counted by the span_tests fixture
 # (tests/conftest.py), about 1.25x the measured count.
 # ---------------------------------------------------------------------------
 
 
-def test_min_support_work_ceiling_vandermonde(echelon_calls):
+def test_min_support_work_ceiling_vandermonde(span_tests):
     # generic 5-dim subspace of R^11: minimum support n - k + 1 = 7
     b = std_basis(11)
     m = Subspace.from_vectors([tuple((i + 1) ** p for i in range(11)) for p in range(5)], ambient_dim=11)
-    echelon_calls[0] = 0
+    span_tests[0] = 0
     assert min_support(m, b) == 7
-    assert echelon_calls[0] <= 1860
+    assert span_tests[0] <= 1860
 
 
-def test_extend_to_maximal_work_ceiling(echelon_calls):
+def test_extend_to_maximal_work_ceiling(span_tests):
     b = std_basis(11)
-    echelon_calls[0] = 0
+    span_tests[0] = 0
     m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0), seed=0)
     assert m.dim == 5
-    assert echelon_calls[0] <= 6150
+    assert span_tests[0] <= 6150
+
+
+def test_extend_to_maximal_work_ceiling_support_7(span_tests):
+    # the stage checks dominate: every 7-row subset of R^13 meeting the support
+    b = std_basis(13)
+    m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0, 1, 1), seed=0)
+    assert m.dim == 7
+    assert span_tests[0] <= 26650
