@@ -38,7 +38,10 @@ def main():
     print("\n== The engine can also find its own witness ==")
     retained = [1, 2, 3, 4]
     w = find_s2_witness(f, retained)
-    print(f"  drop index 0: found x={fmt(w.x)}, y={fmt(w.y)}, differing index {w.differing_index}")
+    print(
+        f"  drop index 0: found x={fmt(w.x)}, y={fmt(w.y)}, "
+        f"differing index {w.differing_index}  validates={w.validate(f, retained)}"
+    )
 
 
 if __name__ == "__main__":

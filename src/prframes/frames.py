@@ -9,8 +9,8 @@ as soon as one class exceeds rank t; and a column already in the span of one
 class goes to that class only (dominance: it costs that class no rank, and
 keeping it out of the other class can only lower that one's rank).  The
 reported failing subset is therefore one valid witness, not the first one in
-bitmask order.  The complement property is t = n - 1; exactness, removal and
-the subspace tools' d(F) reuse it.  ``spark`` is a depth-first search over
+bitmask order.  The complement property is t = n - 1; exactness, removal,
+the subspace tools' d(F) and ``lifting``'s rank-<=2 kernel elements reuse it.  ``spark`` is a depth-first search over
 independent subfamilies that shares each prefix's span; it runs on bare
 integer columns as ``_spark(cols)``, so the subspace tools reuse it for the
 minimum support.  Both searches hold every span as its integer normals and
@@ -35,6 +35,7 @@ from .ratlin import (
     int_rank,
     off_span,
     span_normals,
+    span_of,
 )
 
 IndexSet = FrozenSet[int]
@@ -145,8 +146,7 @@ def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
     n = len(cols[0])
     keep = n - t  # fewest normals a class of rank <= t still has
     empty = span_normals(n)
-    off = off_span(empty, cols[0])
-    start_a = empty if off is None else extend_span(empty, cols[0], off)
+    start_a = span_of(cols[:1], n)
     if len(start_a) < keep:
         return None
     # stack entries: (next index, normals of A, normals of B, bitmask of A's members)

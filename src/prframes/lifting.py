@@ -3,18 +3,24 @@
 Lifting sends a vector f to the quadratic functional A |-> f^T A f on
 symmetric matrices.  A frame is phase-retrievable exactly when the joint
 kernel of these functionals meets the rank-<=2 symmetric matrices only at 0,
-and the witnesses of failure all have the form x (x)^T - y (y)^T.  The
-searches below are complete and exact:
+and every nonzero rank-<=2 element is x x^T - y y^T with x != +-y.  Put
+u = (x + y)/2 and v = (x - y)/2: the quadratic at f is
+<x,f>^2 - <y,f>^2 = 4 <u,f> <v,f>, and x != +-y means u != 0 and v != 0.  So
+the element vanishes on a subfamily exactly when every member is orthogonal
+to u or to v: it is a 2-colouring (A, B) of the subfamily with u normal to
+span A and v normal to span B, which exists iff both classes have rank
+<= n - 1.  This is the complement-property argument of Balan, Casazza and
+Edidin ("On signal reconstruction without phase", 2006).  Both searches
+below are the pruned partition search of ``frames`` on that colouring:
 
-* a rank-2 definite kernel element forces both generators orthogonal to the
-  selected subfamily, so a rank-one element from the orthogonal complement
-  exists as well -- that case is a single nullspace computation;
-* everything else satisfies <x, f_j> = eps_j <y, f_j> for a sign vector eps,
-  so a scan over sign patterns (first sign pinned to +1) with one linear
-  solve each covers it.
+* ``find_s2_element`` is ``_partition(cols, n - 1)`` on the subfamily, with
+  u and v taken from the normals of the two class spans;
+* ``find_s2_witness`` also needs a frame vector f_i outside the subfamily
+  with <u,f_i> <v,f_i> != 0, that is, outside both class spans.  Its search
+  carries the complement indices still outside both spans and prunes a
+  branch when none are left.
 
-Zero testing of the residual quadratics is symbolic (congruence transform of
-the coefficient matrix restricted to the solution space), never sampled.
+Both are exact and complete, and every witness they return is integral.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
-from .frames import Frame, is_exact_pr_frame, has_complement_property
-from .ratlin import RatMatrix, IntVec, int_nullspace, rank
+from .frames import Frame, _partition, is_exact_pr_frame, has_complement_property
+from .ratlin import RatMatrix, extend_span, off_span, rank, span_normals, span_of
 
 
 def sym_pairs(n: int) -> List[Tuple[int, int]]:
@@ -100,51 +106,11 @@ def lifted_independent(frame: Frame) -> bool:
     return rank(lifted_operator(frame).matrix) == frame.N
 
 
-# ---------------------------------------------------------------------------
-# Sign-pattern search machinery.
-# ---------------------------------------------------------------------------
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _flip_sets(rest: Sequence[int]):
-    """Flip subsets ordered by size; witnesses tend to need few sign flips."""
-    for r in range(len(rest) + 1):
-        yield from itertools.combinations(rest, r)
-
-
-def _sign_rows(cols: Sequence[IntVec], lam: Sequence[int], flips) -> List[Tuple[int, ...]]:
-    flipped = set(flips)
-    rows = []
-    for j in lam:
-        eps = -1 if j in flipped else 1
-        rows.append(tuple(cols[j]) + tuple(-eps * t for t in cols[j]))
-    return rows
-
-
-def _solution_bases(frame: Frame, lam: Sequence[int]):
-    """Integer bases of the candidate spaces of pairs (x, y), one at a time.
-
-    If some u != 0 is orthogonal to the whole subfamily, the only space is
-    span{(u, 0)} and the scan ends there.  Otherwise each sign pattern eps
-    (first sign pinned to +1) gives {(x, y) : <x, f_j> = eps_j <y, f_j>};
-    empty solution bases are skipped.
-    """
-    n, cols = frame.dim, frame._int_cols
-    perp = int_nullspace([cols[j] for j in lam], n)
-    if perp:
-        yield [tuple(perp[0]) + (0,) * n]
-        return
-    for flips in _flip_sets(lam[1:]):
-        basis = int_nullspace(_sign_rows(cols, lam, flips), 2 * n)
-        if basis:
-            yield basis
-
-
-def _witness_from(v: Sequence[int], n: int, idx: Optional[int]) -> S2Witness:
-    return S2Witness(tuple(Fraction(a) for a in v[:n]), tuple(Fraction(a) for a in v[n:]), idx)
+def _witness(u: Sequence[int], v: Sequence[int], idx: Optional[int]) -> S2Witness:
+    """x = u + v, y = u - v: the quadratic at f is 4 <u,f> <v,f>."""
+    x = tuple(Fraction(a + b) for a, b in zip(u, v))
+    y = tuple(Fraction(a - b) for a, b in zip(u, v))
+    return S2Witness(x, y, idx)
 
 
 def find_s2_element(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
@@ -155,29 +121,15 @@ def find_s2_element(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
     lam = sorted(set(lam))
     if not lam:
         raise ValueError("lam must be non-empty")
-    n = frame.dim
-
-    def in_same(v):
-        return v[:n] == v[n:]
-
-    def in_anti(v):
-        return all(a == -b for a, b in zip(v[:n], v[n:]))
-
-    for basis in _solution_bases(frame, lam):
-        # some v in the solution space avoids both x=y and x=-y unless the
-        # whole space lies in one of them
-        v1 = next((v for v in basis if not in_same(v)), None)
-        v2 = next((v for v in basis if not in_anti(v)), None)
-        if v1 is None or v2 is None:
-            continue
-        if not in_anti(v1):
-            pick = v1
-        elif not in_same(v2):
-            pick = v2
-        else:
-            pick = tuple(a + b for a, b in zip(v1, v2))
-        return _witness_from(pick, n, None)
-    return None
+    n, cols = frame.dim, frame._int_cols
+    sub = [cols[j] for j in lam]
+    a = _partition(sub, n - 1)
+    if a is None:
+        return None
+    # both classes have rank <= n - 1, so each span keeps a nonzero normal
+    u = span_of((c for j, c in enumerate(sub) if j in a), n)[0]
+    v = span_of((c for j, c in enumerate(sub) if j not in a), n)[0]
+    return _witness(u, v, None)
 
 
 def find_s2_witness(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
@@ -185,34 +137,55 @@ def find_s2_witness(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
 
     Returns None exactly when dropping the complement does not enlarge the
     rank-<=2 part of the kernel.  Requires a proper, non-empty subfamily.
+
+    The search is ``frames._partition``'s over the subfamily, with "some
+    complement vector lies outside both class spans" in place of the rank
+    bound.  Adding a column to a class only shrinks the set of such
+    vectors, so the dominance rule and the pin of the first column to A
+    lose no answer, and a branch dies once the set is empty.
     """
     lam = sorted(set(lam))
     n, N = frame.dim, frame.N
     if not lam or len(lam) >= N:
         raise ValueError("lam must be a proper non-empty subset")
-    comp = [i for i in range(N) if i not in set(lam)]
     cols = frame._int_cols
-    for basis in _solution_bases(frame, lam):
-        d = len(basis)
-        for i in comp:
-            f = cols[i]
-            p = [_dot(v[:n], f) for v in basis]
-            q = [_dot(v[n:], f) for v in basis]
-            pick = None
-            for a in range(d):
-                if p[a] * p[a] - q[a] * q[a] != 0:
-                    pick = basis[a]
-                    break
-            if pick is None:
-                for a in range(d):
-                    for b in range(a + 1, d):
-                        if p[a] * p[b] - q[a] * q[b] != 0:
-                            pick = tuple(s + t for s, t in zip(basis[a], basis[b]))
-                            break
-                    if pick is not None:
-                        break
-            if pick is not None:
-                return _witness_from(pick, n, i)
+    inside = set(lam)
+
+    def outside(normals, live):
+        return tuple(i for i in live if off_span(normals, cols[i]) is not None)
+
+    empty = span_normals(n)
+    start_a = span_of([cols[lam[0]]], n)
+    # B starts empty, so this drops exactly the zero columns and those in span A
+    live = outside(start_a, (i for i in range(N) if i not in inside))
+    if not live:
+        return None
+    # stack entries: (next position in lam, normals of A, normals of B,
+    # complement indices outside both spans)
+    stack = [(1, start_a, empty, live)]
+    while stack:
+        p, na, nb, live = stack.pop()
+        if p == len(lam):
+            f = cols[live[0]]
+            ka, kb = off_span(na, f)[0], off_span(nb, f)[0]
+            return _witness(na[ka], nb[kb], live[0])
+        col = cols[lam[p]]
+        off_a = off_span(na, col)
+        if off_a is None:
+            stack.append((p + 1, na, nb, live))
+            continue
+        off_b = off_span(nb, col)
+        if off_b is None:
+            stack.append((p + 1, na, nb, live))
+            continue
+        grown = extend_span(na, col, off_a)
+        keep = outside(grown, live)
+        if keep:
+            stack.append((p + 1, grown, nb, keep))
+        grown = extend_span(nb, col, off_b)
+        keep = outside(grown, live)
+        if keep:
+            stack.append((p + 1, na, grown, keep))
     return None
 
 

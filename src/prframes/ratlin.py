@@ -13,7 +13,8 @@ rows (``span_normals``).  A vector lies in the span iff it is orthogonal to
 every normal (``off_span``: dot products only, no new list); adding one
 that is not (``extend_span``) reuses the first nonzero dot product d_k and
 replaces each other normal h_i by the gcd-trimmed d_k h_i - d_i h_k.  Ranks
-and the searches in ``frames`` and ``subspaces`` run on this step alone.
+and the searches in ``frames``, ``lifting`` and ``subspaces`` run on this
+step alone.
 Nullspaces and solves run on fraction-free Gauss-Jordan (``_gauss_jordan``).
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
@@ -198,17 +199,22 @@ def extend_span(normals: Normals, vec: Sequence[int], off: Tuple[int, int]) -> N
     return tuple(out)
 
 
+def span_of(vecs: Iterable[Sequence[int]], n: int) -> Normals:
+    """Normals of the span of integer vectors in R^n, adding them one by one."""
+    normals = span_normals(n)
+    for vec in vecs:
+        off = off_span(normals, vec)
+        if off is not None:
+            normals = extend_span(normals, vec, off)
+    return normals
+
+
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows: their length minus the normals left after adding them all."""
+    """Rank of integer rows: their length minus the normals of their span."""
     if not rows:
         return 0
     n = len(rows[0])
-    normals = span_normals(n)
-    for row in rows:
-        off = off_span(normals, row)
-        if off is not None:
-            normals = extend_span(normals, row, off)
-    return n - len(normals)
+    return n - len(span_of(rows, n))
 
 
 def _gauss_jordan(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
@@ -261,7 +267,7 @@ def clear_denominators(vec: Sequence[Fraction]) -> IntVec:
     den = 1
     for x in vec:
         den = den * x.denominator // gcd(den, x.denominator)
-    iv = [int(x * den) for x in vec]
+    iv = [x.numerator * (den // x.denominator) for x in vec]
     return tuple(_vec_gcd_reduce(iv))
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 import prframes.frames
+import prframes.lifting
 import prframes.ratlin
 import prframes.subspaces
 
@@ -11,9 +12,9 @@ import prframes.subspaces
 def span_tests(monkeypatch):
     """Count span membership tests (``off_span`` calls) across prframes.
 
-    The searches in frames and subspaces and the ranks in ratlin all count.
-    Each of these modules binds ``off_span`` by name, so every binding is
-    replaced by one counting wrapper around the original.
+    The searches in frames, lifting and subspaces and the ranks in ratlin
+    all count.  Each of these modules binds ``off_span`` by name, so every
+    binding is replaced by one counting wrapper around the original.
     """
     calls = [0]
     inner = prframes.ratlin.off_span
@@ -22,6 +23,6 @@ def span_tests(monkeypatch):
         calls[0] += 1
         return inner(normals, vec)
 
-    for module in (prframes.ratlin, prframes.frames, prframes.subspaces):
+    for module in (prframes.ratlin, prframes.frames, prframes.lifting, prframes.subspaces):
         monkeypatch.setattr(module, "off_span", counting)
     return calls

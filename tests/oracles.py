@@ -77,6 +77,26 @@ def brute_is_exact_pr(frame: Frame) -> bool:
     return True
 
 
+def brute_s2_witness_exists(frame: Frame, lam) -> bool:
+    """Does some rank-<=2 kernel element of the subfamily lam miss a vector outside it?
+
+    Scans every 2-colouring (A, B) of lam, and for each every index i outside
+    lam: True iff f_i lies outside both span A and span B (then u normal to A
+    and v normal to B with <u,f_i> <v,f_i> != 0 give x = u+v, y = u-v).
+    """
+    vecs = frame.vectors
+    lam = sorted(set(lam))
+    comp = [i for i in range(frame.N) if i not in set(lam)]
+    for bits in range(2 ** len(lam)):
+        a = [vecs[j] for k, j in enumerate(lam) if bits >> k & 1]
+        b = [vecs[j] for k, j in enumerate(lam) if not bits >> k & 1]
+        ra, rb = _rank(a), _rank(b)
+        for i in comp:
+            if _rank(a + [vecs[i]]) > ra and _rank(b + [vecs[i]]) > rb:
+                return True
+    return False
+
+
 def brute_min_support(sub_vectors, basis_vectors) -> int:
     """Smallest dual-coordinate support over the subspace, by full enumeration."""
     n = len(basis_vectors)

@@ -2,13 +2,16 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_has_cp
+from oracles import _rank as oracle_rank, brute_has_cp, brute_s2_witness_exists
 from prframes import (
     CapExceeded,
+    curated,
     Frame,
     NotAFrame,
     S2Witness,
@@ -175,3 +178,105 @@ def test_exactness_and_redundancy_agree_for_pr_frames():
             continue
         checked += 1
         assert has_exact_pr_redundancy(f) == is_exact_pr_frame(f).exact
+
+
+# ---------------------------------------------------------------------------
+# Property tests against the sympy oracles, on degenerate families.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def degenerate_families(draw):
+    """(n, vectors, lam): n <= 4, N <= 8, with zero and parallel columns.
+
+    lam is a non-empty subset of the indices given as a sorted list.
+    """
+    n = draw(st.integers(1, 4))
+    vecs = []
+    for _ in range(draw(st.integers(n, 8))):
+        kind = draw(st.sampled_from(("free", "free", "zero", "parallel")))
+        if kind == "zero":
+            vecs.append([0] * n)
+        elif kind == "parallel" and vecs:
+            k = draw(st.sampled_from((-2, -1, 2)))
+            vecs.append([k * x for x in draw(st.sampled_from(vecs))])
+        else:
+            vecs.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    lam = draw(st.sets(st.integers(0, len(vecs) - 1), min_size=1))
+    return n, vecs, sorted(lam)
+
+
+def _frame_of(n, vecs):
+    try:
+        return Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_families())
+def test_s2_element_agrees_with_cp_oracle(family):
+    n, vecs, lam = family
+    f = _frame_of(n, vecs)
+    for sub in (list(range(f.N)), lam):
+        w = find_s2_element(f, sub)
+        vs = [vecs[j] for j in sub]
+        # a subfamily that does not span fails CP with everything in one class
+        cp = oracle_rank(vs) == n and brute_has_cp(Frame.from_vectors(vs, dim=n))
+        assert (w is None) == cp
+        if w is not None:
+            assert w.validate(f, sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_families())
+def test_s2_witness_agrees_with_oracle(family):
+    n, vecs, lam = family
+    f = _frame_of(n, vecs)
+    assume(len(lam) < f.N)
+    w = find_s2_witness(f, lam)
+    assert (w is not None) == brute_s2_witness_exists(f, lam)
+    if w is not None:
+        assert w.differing_index not in lam
+        assert w.validate(f, lam)
+
+
+# ---------------------------------------------------------------------------
+# Work ceilings: span membership tests, counted by the span_tests fixture
+# (tests/conftest.py), and no nullspace kernel on the redundancy paths.
+# ---------------------------------------------------------------------------
+
+# CP fails: the five plane vectors and {e3, e1+e3} both have rank 2
+NON_PR_3_7 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (2, 1, 0), (1, 0, 1)]
+
+
+def test_redundancy_work_ceiling_r3_example(span_tests):
+    f = curated.r3_example_frame()
+    span_tests[0] = 0
+    assert pr_redundancy(f) == 1
+    assert span_tests[0] <= 118
+
+
+def test_redundancy_work_ceiling_non_pr_3_7(span_tests):
+    f = Frame.from_vectors(NON_PR_3_7, dim=3)
+    span_tests[0] = 0
+    assert pr_redundancy(f) == Fraction(7, 5)
+    assert span_tests[0] <= 3180
+
+
+def test_redundancy_paths_take_no_nullspace(monkeypatch):
+    calls = [0]
+    inner = sys.modules["prframes.ratlin"].int_nullspace
+
+    def counting(rows, ncols):
+        calls[0] += 1
+        return inner(rows, ncols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prframes") and hasattr(module, "int_nullspace"):
+            monkeypatch.setattr(module, "int_nullspace", counting)
+    f = Frame.from_vectors(NON_PR_3_7, dim=3)
+    assert find_s2_element(f, range(f.N)).validate(f, range(f.N))
+    assert pr_redundancy(f) == Fraction(7, 5)
+    assert pr_redundancy(curated.r3_example_frame()) == 1
+    assert calls[0] == 0

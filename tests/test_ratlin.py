@@ -1,5 +1,6 @@
 """Exact linear algebra and seeded sampling primitives."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -136,6 +137,24 @@ def test_clear_denominators_primitive():
     v = clear_denominators((Fraction(1, 2), Fraction(3, 4), Fraction(0)))
     assert v == (2, 3, 0)
     assert clear_denominators((Fraction(4), Fraction(6))) == (2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30)
+        | st.just(Fraction(0)),
+        max_size=6,
+    )
+)
+def test_clear_denominators_matches_fraction_scaling(vec):
+    # reference: scale by the lcm of the denominators as Fractions, then trim
+    den = math.lcm(*(x.denominator for x in vec))
+    ref = [int(x * den) for x in vec]
+    g = math.gcd(*ref)
+    if g > 1:
+        ref = [x // g for x in ref]
+    assert clear_denominators(tuple(vec)) == tuple(ref)
 
 
 def test_int_rank_degenerate():
