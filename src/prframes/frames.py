@@ -9,8 +9,11 @@ as soon as one class exceeds rank t; and a column already in the span of one
 class goes to that class only (dominance: it costs that class no rank, and
 keeping it out of the other class can only lower that one's rank).  The
 reported failing subset is therefore one valid witness, not the first one in
-bitmask order.  The complement property is t = n - 1; exactness, removal,
-the subspace tools' d(F) and ``lifting``'s rank-<=2 kernel elements reuse it.  ``spark`` is a depth-first search over
+bitmask order.  The complement property is t = n - 1; exactness, removal
+and ``lifting``'s rank-<=2 kernel elements reuse it.  d(F) is one run with a
+stopping floor below t: each partition found lowers t to one below its
+larger class rank until that rank reaches the floor (n + 1) // 2, and the
+value is cached on the ``Frame``.  ``spark`` is a depth-first search over
 independent subfamilies that shares each prefix's span; it runs on bare
 integer columns as ``_spark(cols)``, so the subspace tools reuse it for the
 minimum support.  Both searches hold every span as its integer normals and
@@ -60,7 +63,7 @@ class Frame:
             raise NotAFrame("vector length does not match dim")
         if len(self.vectors) < n:
             raise NotAFrame(f"need at least {n} vectors, got {len(self.vectors)}")
-        if int_rank([clear_denominators(v) for v in self.vectors]) < n:
+        if int_rank(self._int_cols) < n:
             raise NotAFrame("vectors do not span R^n")
 
     @classmethod
@@ -92,6 +95,16 @@ class Frame:
     def _int_cols(self) -> Tuple[IntVec, ...]:
         # per-vector scaling to primitive integer vectors; rank-neutral
         return tuple(clear_denominators(v) for v in self.vectors)
+
+    @cached_property
+    def _d(self) -> int:
+        # d(F): the larger class rank of the partition the bounded search
+        # ends on, or n when no partition has both ranks <= n - 1
+        n = self.dim
+        a = _partition(self._int_cols, n - 1, (n + 1) // 2)
+        if a is None:
+            return n
+        return max(span_dim(self, a), span_dim(self, (j for j in range(self.N) if j not in a)))
 
     def drop(self, i: int) -> Tuple[IntVec, ...]:
         cols = self._int_cols
@@ -125,7 +138,7 @@ class ExactnessResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
+def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> Optional[IndexSet]:
     """Class A of a 2-colouring of the columns with both class ranks <= t, or None.
 
     Each class is held as the integer normals of its span (``ratlin``), so a
@@ -138,6 +151,13 @@ def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
     branches, trying B before A, and a branch dies the moment either class
     exceeds rank t.  The returned class is one valid witness, not the first
     failing subset in bitmask order.
+
+    The search stops at the first partition whose larger class rank r is at
+    most ``floor`` (default t, so every caller asking whether a partition
+    exists stops at the first one).  Below that it keeps looking with
+    t = r - 1, dropping the stacked branches that already exceed the new t,
+    and returns the last partition found: with floor (n + 1) // 2, the
+    least any partition can reach, that one has the least larger class rank.
     """
     ncols = len(cols)
     if ncols == 0:
@@ -149,12 +169,21 @@ def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
     start_a = span_of(cols[:1], n)
     if len(start_a) < keep:
         return None
+    if floor is None:
+        floor = t
+    best = None
     # stack entries: (next index, normals of A, normals of B, bitmask of A's members)
     stack = [(1, start_a, empty, 1)]
     while stack:
         i, na, nb, amask = stack.pop()
         if i == ncols:
-            return frozenset(j for j in range(ncols) if amask >> j & 1)
+            best = amask
+            r = n - min(len(na), len(nb))
+            if r <= floor:
+                break
+            keep = n - r + 1  # go on with t = r - 1
+            stack = [e for e in stack if len(e[1]) >= keep and len(e[2]) >= keep]
+            continue
         col = cols[i]
         off_a = off_span(na, col)
         if off_a is None:
@@ -168,7 +197,9 @@ def _partition(cols: Sequence[IntVec], t: int) -> Optional[IndexSet]:
             stack.append((i + 1, extend_span(na, col, off_a), nb, amask | 1 << i))
         if len(nb) > keep:
             stack.append((i + 1, na, extend_span(nb, col, off_b), amask))
-    return None
+    if best is None:
+        return None
+    return frozenset(j for j in range(ncols) if best >> j & 1)
 
 
 # ---------------------------------------------------------------------------

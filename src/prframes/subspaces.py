@@ -8,7 +8,10 @@ property) agrees.  d_max(F) is the exact min over index subsets of
 max(rank of the subset, rank of the complement); it equals the largest
 dimension of any PR subspace.  Both run on the partition search of
 ``frames._partition``: the projected complement property is threshold
-k - 1, and d_max is the least threshold that admits a partition.  The
+k - 1, and d_max is one search that lowers its threshold after each
+partition it finds, run once per frame (``Frame._d``).  The coordinate
+family is computed on integers, from primitive integer basis columns and
+frame vectors; ``project_frame`` gives its rational form.  The
 minimum dual-basis support of M, which decides maximality for a basis, is
 the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``.  A subspace and a frame of different
@@ -20,6 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -37,6 +42,7 @@ from .ratlin import (
     IntVec,
     RatMatrix,
     Seed,
+    _vec_gcd_reduce,
     clear_denominators,
     derive_seed,
     extend_span,
@@ -67,7 +73,7 @@ class Subspace:
             raise ValueError("basis row count does not match ambient_dim")
         if self.dim < 1:
             raise ValueError("need at least one basis column")
-        if int_rank([clear_denominators(self.basis.column(j)) for j in range(self.dim)]) < self.dim:
+        if int_rank(self._int_cols) < self.dim:
             raise ValueError("basis columns are dependent")
 
     @property
@@ -81,12 +87,17 @@ class Subspace:
         data = tuple(tuple(col[i] for col in cols) for i in range(n))
         return cls(n, RatMatrix(n, len(cols), data))
 
+    @cached_property
+    def _int_cols(self) -> Tuple[IntVec, ...]:
+        # basis columns scaled to primitive integer vectors; rank-neutral
+        return tuple(clear_denominators(self.basis.column(j)) for j in range(self.dim))
+
     def vectors(self) -> List[Tuple[Fraction, ...]]:
         return self.basis.columns()
 
     def contains(self, x: Sequence[Fraction]) -> bool:
-        cols = [clear_denominators(self.basis.column(j)) for j in range(self.dim)]
-        return int_rank(cols + [clear_denominators(tuple(Fraction(v) for v in x))]) == self.dim
+        xv = _vector_in(x, self.ambient_dim)
+        return int_rank(self._int_cols + (clear_denominators(xv),)) == self.dim
 
 
 class MaximalityVerdict(NamedTuple):
@@ -113,12 +124,28 @@ def project_frame(frame: Frame, sub: Subspace) -> List[Tuple[Fraction, ...]]:
 
 
 def _projected_int_cols(frame: Frame, sub: Subspace) -> List[IntVec]:
-    return [clear_denominators(v) for v in project_frame(frame, sub)]
+    """``project_frame`` on integers: <b_j, f_i> over primitive integer b_j and f_i.
+
+    Scaling basis column b_j by a positive number scales coordinate j of
+    every projected vector, an invertible diagonal change of coordinates in
+    R^k, so every subset rank (and hence every partition search and the
+    kernel that ``min_support`` takes) is unchanged.
+    """
+    bcols = sub._int_cols
+    return [tuple(_vec_gcd_reduce([sum(map(mul, b, f)) for b in bcols])) for f in frame._int_cols]
 
 
 def _require_same_space(frame: Frame, sub: Subspace) -> None:
     if sub.ambient_dim != frame.dim:
         raise BadInput(f"subspace lives in R^{sub.ambient_dim}, the frame in R^{frame.dim}")
+
+
+def _vector_in(x: Sequence, n: int) -> Tuple[Fraction, ...]:
+    """x as rationals, which must be a vector of R^n."""
+    xv = tuple(Fraction(v) for v in x)
+    if len(xv) != n:
+        raise BadInput(f"vector has {len(xv)} entries, expected {n} for R^{n}")
+    return xv
 
 
 def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
@@ -135,19 +162,16 @@ def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
 def d_max(frame: Frame, cap: int = DEFAULT_CAP) -> int:
     """Largest dimension of a PR subspace: min over subsets of the larger rank.
 
-    Computed as the smallest threshold t admitting a partition with both
-    sides of rank <= t; the complement-property check disposes of t = n first.
+    One partition search: each partition it finds lowers the threshold to
+    one below its larger class rank, and it stops at (n+1)//2, which no
+    partition beats because the two class ranks add up to at least n.  With
+    no partition of both ranks <= n - 1 (the complement property) d = n.
+    The value is computed once per frame and kept on it; the cap is checked
+    first on every call.
     """
     if frame.N > cap:
         raise CapExceeded(f"N={frame.N} exceeds enumeration cap {cap}")
-    n = frame.dim
-    cols = frame._int_cols
-    if _partition(cols, n - 1) is None:
-        return n
-    for t in range((n + 1) // 2, n):
-        if _partition(cols, t) is not None:
-            return t
-    return n
+    return frame._d
 
 
 def random_pr_subspace(
@@ -163,10 +187,10 @@ def random_pr_subspace(
         raise OutOfRange(f"no PR subspace of dimension {ell}: admissible range is 1..{d}")
     n = frame.dim
     for attempt in range(max_retries + 1):
-        m = sample_int_matrix(n, ell, range_max, derive_seed(seed, attempt))
-        if int_rank([clear_denominators(m.column(j)) for j in range(ell)]) < ell:
+        try:
+            sub = Subspace(n, sample_int_matrix(n, ell, range_max, derive_seed(seed, attempt)))
+        except ValueError:  # dependent columns
             continue
-        sub = Subspace(n, m)
         if is_pr_subspace(frame, sub):
             return sub
     raise RetriesExhausted(f"no PR subspace of dimension {ell} found in {max_retries + 1} draws")
@@ -180,7 +204,7 @@ def _require_basis(b: Frame) -> None:
 def support(x: Sequence, b: Frame) -> FrozenSet[int]:
     """Dual-basis coordinate support {i : <x, b_i> != 0}; 0-based indices."""
     _require_basis(b)
-    xv = tuple(Fraction(v) for v in x)
+    xv = _vector_in(x, b.dim)
     return frozenset(
         i
         for i, bi in enumerate(b.vectors)
@@ -223,7 +247,7 @@ def _extension_probe(
 ) -> Optional[Subspace]:
     """Try to certify a strictly larger PR subspace containing M."""
     n = sub.ambient_dim
-    us = [clear_denominators(sub.basis.column(j)) for j in range(sub.dim)]
+    us = sub._int_cols
     rng = random.Random(derive_seed(seed, 9001))
     for _ in range(budget):
         u = _orthogonal_sample(us, n, rng, range_max)

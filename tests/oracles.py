@@ -21,8 +21,12 @@ def _rank(vectors) -> int:
 
 def brute_has_cp(frame: Frame) -> bool:
     """Complement property by scanning every subset."""
-    n, N = frame.dim, frame.N
-    vecs = frame.vectors
+    return brute_family_has_cp(frame.vectors, frame.dim)
+
+
+def brute_family_has_cp(vecs, n: int) -> bool:
+    """Complement property of any family in R^n; one that does not span fails it."""
+    N = len(vecs)
     for bits in range(2 ** N):
         lam = [i for i in range(N) if bits >> i & 1]
         comp = [i for i in range(N) if not bits >> i & 1]

@@ -17,6 +17,7 @@ from prframes import (
     Frame,
     NotAFrame,
     curated,
+    d_max,
     generate_exact_pr,
     has_complement_property,
     is_exact_pr_frame,
@@ -176,6 +177,26 @@ def test_partition_agrees_with_oracles(family):
         assert oracle_rank([frame.vectors[i] for i in comp]) < n
     d = next(t for t in range(n + 1) if _partition(cols, t) is not None)
     assert d == brute_d_value(frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families)
+def test_bounded_search_finds_d(family):
+    # one search, tightened after each partition it finds, ends on d(F)
+    n, vecs = family
+    try:
+        frame = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    d = brute_d_value(frame)
+    assert d_max(frame) == d
+    a = _partition(frame._int_cols, n - 1, (n + 1) // 2)
+    if a is None:
+        assert d == n
+    else:
+        comp = [i for i in range(frame.N) if i not in a]
+        ranks = [oracle_rank([frame.vectors[i] for i in idxs]) for idxs in (sorted(a), comp)]
+        assert max(ranks) == d
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import brute_d_value, brute_min_support, brute_stage_accepts
+import prframes.subspaces
+from oracles import brute_d_value, brute_family_has_cp, brute_min_support, brute_stage_accepts
 from prframes import (
     BadInput,
     CapExceeded,
@@ -45,6 +46,22 @@ def random_frame(rng, n, N):
             continue
 
 
+# sparse frames shaped like the benchmark's subspace workload: two and three
+# nonzeros per vector, N = 2n
+SPARSE_7_14 = [
+    (0, 0, 0, 5, 0, 9, 1), (0, 0, 4, 8, 0, 0, 6), (0, 2, 5, 0, 3, 0, 0), (0, 0, 0, 0, 3, 5, 2),
+    (9, 0, 2, 0, 0, 8, 0), (0, 0, 4, 9, 0, 0, 8), (0, 0, 1, 1, 9, 0, 0), (1, 0, 0, 6, 0, 8, 0),
+    (0, 2, 4, 0, 0, 4, 0), (0, 8, 0, 0, 2, 0, 2), (0, 0, 2, 9, 5, 0, 0), (9, 0, 9, 0, 0, 6, 0),
+    (0, 5, 0, 0, 8, 2, 0), (0, 0, 3, 5, 4, 0, 0),
+]
+SPARSE_8_16 = [
+    (0, 0, 0, 0, 6, 9, 0, 0), (8, 0, 0, 0, 0, 0, 4, 0), (2, 6, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 7, 4),
+    (0, 4, 0, 0, 1, 0, 0, 0), (0, 0, 0, 5, 0, 0, 0, 3), (0, 3, 0, 0, 0, 0, 2, 0), (0, 1, 0, 0, 0, 0, 0, 3),
+    (4, 3, 0, 0, 0, 0, 0, 0), (0, 0, 6, 0, 0, 0, 0, 4), (0, 7, 0, 4, 0, 0, 0, 0), (7, 0, 0, 0, 6, 0, 0, 0),
+    (0, 2, 5, 0, 0, 0, 0, 0), (0, 0, 6, 0, 0, 1, 0, 0), (0, 6, 5, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 3, 0, 6),
+]
+
+
 def example_subspace_r4():
     return Subspace.from_vectors([(1, 1, 1, 0), (1, -1, 0, 1)], ambient_dim=4)
 
@@ -56,6 +73,13 @@ def test_subspace_validation():
     assert s.dim == 2
     assert s.contains((3, -2, 0))
     assert not s.contains((0, 0, 1))
+
+
+def test_contains_rejects_wrong_length():
+    s = Subspace.from_vectors([(1, 0, 0)], ambient_dim=3)
+    for x in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(BadInput, match=r"vector has \d entries, expected 3"):
+            s.contains(x)
 
 
 def test_project_frame_slice():
@@ -125,6 +149,59 @@ def test_d_max_cap():
         d_max(Frame.from_vectors(vecs, dim=3))
 
 
+def test_d_max_cached_per_frame(span_tests):
+    f = Frame.from_vectors(SPARSE_7_14, dim=7)
+    assert d_max(f) == 6
+    span_tests[0] = 0
+    assert d_max(f) == 6
+    assert span_tests[0] == 0
+    # the cap is checked before the cached value is read
+    with pytest.raises(CapExceeded):
+        d_max(f, cap=13)
+
+
+def test_subspace_chain_reuses_cached_d(monkeypatch):
+    # with d(F) on the frame, sampling and the maximality ladder only search
+    # projected families, whose columns live in R^d, never the frame in R^n
+    f = Frame.from_vectors(SPARSE_7_14, dim=7)
+    d = d_max(f)
+    dims = []
+    inner = prframes.subspaces._partition
+
+    def recording(cols, t, *rest):
+        dims.append(len(cols[0]))
+        return inner(cols, t, *rest)
+
+    monkeypatch.setattr(prframes.subspaces, "_partition", recording)
+    sub = random_pr_subspace(f, d, seed=3)
+    assert is_maximal_pr_subspace(f, sub).status == "Maximal"
+    assert dims and set(dims) == {d}
+
+
+@st.composite
+def frames_and_subspaces(draw):
+    """A family of n..7 rational vectors in R^n (n <= 4) and k rational vectors, 1 <= k <= n."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    frame = draw(st.lists(vec, min_size=n, max_size=7))
+    sub = draw(st.lists(vec, min_size=k, max_size=k))
+    return n, frame, sub
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames_and_subspaces())
+def test_is_pr_subspace_agrees_with_oracle(case):
+    n, frame_vecs, sub_vecs = case
+    try:
+        f = Frame.from_vectors(frame_vecs, dim=n)
+        m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
+    except (NotAFrame, ValueError):
+        assume(False)
+    assert is_pr_subspace(f, m) == brute_family_has_cp(project_frame(f, m), m.dim)
+
+
 def test_random_pr_subspace():
     f = Frame.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)], dim=3)
     s = random_pr_subspace(f, 2, seed=1)
@@ -147,6 +224,12 @@ def test_support_duality():
     assert support((1, 0), skew) == frozenset({0, 1})
     with pytest.raises(NotABasis):
         support((1, 0), Frame.from_vectors([(1, 0), (0, 1), (1, 1)], dim=2))
+
+
+def test_support_rejects_wrong_length():
+    for x in ((1, 0, 5), (1,)):
+        with pytest.raises(BadInput, match=r"vector has \d entries, expected 2"):
+            support(x, std_basis(2))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -330,6 +413,16 @@ def test_min_support_work_ceiling_vandermonde(span_tests):
     span_tests[0] = 0
     assert min_support(m, b) == 7
     assert span_tests[0] <= 1860
+
+
+@pytest.mark.parametrize("vecs, d, ceiling", [(SPARSE_7_14, 6, 1300), (SPARSE_8_16, 6, 1350)])
+def test_d_max_work_ceiling_sparse(span_tests, vecs, d, ceiling):
+    # one bounded search: 1,038 and 1,087 tests (1,451 and 1,371 with one
+    # search per threshold)
+    f = Frame.from_vectors(vecs, dim=len(vecs[0]))
+    span_tests[0] = 0
+    assert d_max(f) == d
+    assert span_tests[0] <= ceiling
 
 
 def test_extend_to_maximal_work_ceiling(span_tests):
