@@ -353,13 +353,10 @@ def instantiate(
     pat: PatternMatrix, range_max: int, seed: Seed
 ) -> Frame:
     """Draw the free cells, pin the 1-cells, return the column frame."""
-    m = sample_pattern(pat.mask, range_max, seed)
-    data = [list(row) for row in m.entries]
+    rows = [list(row) for row in sample_pattern(pat.mask, range_max, seed)]
     for i, j in pat.ones:
-        data[i][j] = Fraction(1)
-    return Frame.from_vectors(
-        [[data[i][j] for i in range(pat.n)] for j in range(pat.N)]
-    )
+        rows[i][j] = 1
+    return Frame.from_vectors(zip(*rows), dim=pat.n)
 
 
 def generate_exact_pr(
@@ -381,7 +378,7 @@ def generate_exact_pr(
         raise OutOfRange(f"exact PR frames require 2n-1 <= N <= n(n+1)/2, got (n={n}, N={N})")
     if N == 2 * n - 1:
         steps, what = ["full_spark"], "full-spark sampling"
-        draw = lambda s: Frame.from_matrix(sample_int_matrix(n, N, range_max, s))
+        draw = lambda s: Frame.from_vectors(zip(*sample_int_matrix(n, N, range_max, s)), dim=n)
     else:
         p = plan(n, N)
         steps, what, pat = list(p.steps), "pattern instantiation", build_pattern(p)
@@ -412,10 +409,10 @@ def _as_identity_leading(cf: CertifiedFrame) -> Frame:
     Exactness and PR-redundancy are invariant under an invertible change of
     coordinates, so the certificate carries over.
     """
-    frame = cf.frame
-    lead = frame.matrix.col_submatrix(range(frame.dim))
+    n = cf.frame.dim
+    rows = tuple(zip(*cf.frame.vectors))
     try:
-        return Frame.from_matrix(solve(lead, frame.matrix))
+        return Frame.from_vectors(zip(*solve([r[:n] for r in rows], rows)), dim=n)
     except ValueError:
         # not expected: the leading block is the identity or full spark
         raise RetriesExhausted("leading block not invertible") from None
@@ -433,8 +430,8 @@ def _redundancy_component(dim: int, length: int, seed: Seed, max_retries: int = 
     if length < dim:
         raise OutOfRange(f"component length {length} below dimension {dim}")
     for attempt in range(max_retries + 1):
-        m = sample_int_matrix(dim, length, DEFAULT_RANGE_MAX, derive_seed(seed, 57 + attempt))
-        frame = Frame.from_matrix(m)
+        rows = sample_int_matrix(dim, length, DEFAULT_RANGE_MAX, derive_seed(seed, 57 + attempt))
+        frame = Frame.from_vectors(zip(*rows), dim=dim)
         if is_full_spark(frame) and has_exact_pr_redundancy(frame):
             return frame
     raise RetriesExhausted(f"short component ({dim}, {length}) failed to certify")
@@ -546,14 +543,14 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
     return basis, sub
 
 
-def _full_spark_fill(k: int, seed: Seed, max_retries: int = 5) -> List[Tuple[Fraction, ...]]:
+def _full_spark_fill(k: int, seed: Seed, max_retries: int = 5) -> List[Tuple[int, ...]]:
     """k-1 extra vectors making {e_1..e_k, extras} full spark in R^k."""
     if k == 1:
         return []
     for attempt in range(max_retries + 1):
-        m = sample_int_matrix(k, k - 1, DEFAULT_RANGE_MAX, derive_seed(seed, 7 + attempt))
-        cand = [tuple(Fraction(x) for x in m.column(j)) for j in range(k - 1)]
-        eye = [tuple(Fraction(int(i == t)) for i in range(k)) for t in range(k)]
+        rows = sample_int_matrix(k, k - 1, DEFAULT_RANGE_MAX, derive_seed(seed, 7 + attempt))
+        cand = list(zip(*rows))
+        eye = [tuple(int(i == t) for i in range(k)) for t in range(k)]
         if is_full_spark(Frame.from_vectors(eye + cand, dim=k)):
             return cand
     raise RetriesExhausted("full-spark fill failed")

@@ -31,7 +31,6 @@ from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NotAFrame
 from .ratlin import (
-    RatMatrix,
     IntVec,
     clear_denominators,
     extend_span,
@@ -73,23 +72,9 @@ class Frame:
             raise NotAFrame("empty vector list")
         return cls(dim if dim is not None else len(vecs[0]), vecs)
 
-    @classmethod
-    def from_matrix(cls, m: RatMatrix) -> "Frame":
-        """Columns of an n x N matrix become the frame vectors."""
-        return cls(m.rows, tuple(m.column(j) for j in range(m.cols)))
-
     @property
     def N(self) -> int:
         return len(self.vectors)
-
-    @property
-    def matrix(self) -> RatMatrix:
-        """The n x N column matrix."""
-        return RatMatrix(
-            self.dim,
-            self.N,
-            tuple(tuple(v[i] for v in self.vectors) for i in range(self.dim)),
-        )
 
     @cached_property
     def _int_cols(self) -> Tuple[IntVec, ...]:

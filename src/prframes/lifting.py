@@ -32,7 +32,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .frames import Frame, _partition, is_exact_pr_frame, has_complement_property
-from .ratlin import RatMatrix, extend_span, off_span, rank, span_normals, span_of
+from .ratlin import extend_span, int_rank, off_span, span_normals, span_of
 
 
 def sym_pairs(n: int) -> List[Tuple[int, int]]:
@@ -50,18 +50,6 @@ def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
 def vech(x: Sequence[Fraction], y: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
     """Upper-triangle coordinates of x (x)^T - y (y)^T in sym_pairs order."""
     return tuple(x[a] * x[b] - y[a] * y[b] for a, b in sym_pairs(n))
-
-
-@dataclass(frozen=True)
-class LiftedSystem:
-    """The N x n(n+1)/2 matrix of the lifted analysis operator."""
-
-    frame: Frame
-    matrix: RatMatrix
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.matrix.cols - rank(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -96,14 +84,14 @@ class S2Witness:
         return True
 
 
-def lifted_operator(frame: Frame) -> LiftedSystem:
-    rows = tuple(lifted_row(v, frame.dim) for v in frame.vectors)
-    return LiftedSystem(frame, RatMatrix(frame.N, len(rows[0]), rows))
-
-
 def lifted_independent(frame: Frame) -> bool:
-    """True iff the lifted vectors are linearly independent."""
-    return rank(lifted_operator(frame).matrix) == frame.N
+    """True iff the lifted vectors are linearly independent.
+
+    The rows are lifted from the primitive integer columns: scaling f by
+    c > 0 scales its row by c^2, so the rank is unchanged.
+    """
+    n = frame.dim
+    return int_rank([lifted_row(f, n) for f in frame._int_cols]) == frame.N
 
 
 def _witness(u: Sequence[int], v: Sequence[int], idx: Optional[int]) -> S2Witness:

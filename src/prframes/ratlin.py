@@ -2,10 +2,12 @@
 
 Everything downstream (complement-property scans, kernel searches, pattern
 instantiation) runs on top of this module, and this module is the only place
-that eliminates.  All arithmetic is exact: matrices hold
-``fractions.Fraction`` entries, and every kernel clears denominators and
-works fraction-free on Python integers with gcd trimming.  No floating point
-appears anywhere.
+that eliminates.  All arithmetic is exact, and every kernel works
+fraction-free on Python integers with gcd trimming.  A vector family is a
+tuple of rows or columns; ``fractions.Fraction`` appears only where input is
+parsed, where output is printed, and in ``solve``'s result.  ``RatMatrix``
+is the rational container that ``Subspace.basis`` and the JSON layer hold.
+No floating point appears anywhere.
 
 There are two kernels.  The span step holds a span of rank r in R^n as
 n - r independent primitive integer normals, starting from the n identity
@@ -93,52 +95,11 @@ class RatMatrix:
             raise ValueError("need at least one row")
         return cls(len(data), len(data[0]), data)
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_rows(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
-
-    def transpose(self) -> "RatMatrix":
-        if self.cols == 0:
-            raise ValueError("cannot transpose a 0-column matrix")
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
     def column(self, j: int) -> Tuple[Fraction, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def columns(self) -> List[Tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def col_submatrix(self, js: Sequence[int]) -> "RatMatrix":
-        js = list(js)
-        return RatMatrix(
-            self.rows, len(js), tuple(tuple(row[j] for j in js) for row in self.entries)
-        )
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        data = tuple(
-            tuple(
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                    Fraction(0))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return RatMatrix(self.rows, other.cols, data)
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(
-            sum((row[k] * v[k] for k in range(self.cols)), Fraction(0)) for row in self.entries
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -271,67 +232,37 @@ def clear_denominators(vec: Sequence[Fraction]) -> IntVec:
     return tuple(_vec_gcd_reduce(iv))
 
 
-def _int_rows(m: RatMatrix) -> List[List[int]]:
-    return [list(clear_denominators(row)) for row in m.entries]
+def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Rows of X with aX = b, for an invertible square a; ValueError if a is singular.
 
-
-# ---------------------------------------------------------------------------
-# Public operations on RatMatrix.
-# ---------------------------------------------------------------------------
-
-
-def rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals."""
-    return int_rank(_int_rows(m))
-
-
-def nullspace(m: RatMatrix) -> RatMatrix:
-    """Rational basis of {x : Mx = 0}, one column per free variable.
-
-    Returns an m.cols x (m.cols - rank) matrix; zero columns count when the
-    kernel is trivial (the result then has 0 columns).
+    a and b are sequences of rational (or integer) rows.
     """
-    basis = int_nullspace(_int_rows(m), m.cols)
-    ncols = len(basis)
-    data = tuple(tuple(Fraction(basis[j][i]) for j in range(ncols)) for i in range(m.cols))
-    if m.cols == 0:
-        return RatMatrix(1, 0, ((),))
-    return RatMatrix(m.cols, ncols, data)
-
-
-def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """X with aX = b, for an invertible square a; ValueError if a is singular."""
-    n = a.rows
-    if a.cols != n or b.rows != n:
+    n = len(a)
+    if any(len(r) != n for r in a) or len(b) != n:
         raise ValueError("shape mismatch")
-    aug = [clear_denominators(ra + rb) for ra, rb in zip(a.entries, b.entries)]
+    aug = [clear_denominators(tuple(ra) + tuple(rb)) for ra, rb in zip(a, b)]
     red, pivots = _gauss_jordan(aug, n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    data = tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
-    return RatMatrix(n, b.cols, data)
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
 
 
 def sample_pattern(
     pattern: Sequence[Sequence[bool]], range_max: int, seed: Seed
-) -> RatMatrix:
+) -> Tuple[IntVec, ...]:
     """Instantiate a zero/nonzero mask with uniform integers in [1, range_max].
 
-    Entries are 0 exactly where the mask is falsy; elsewhere drawn row-major
-    from ``random.Random(seed)``.  Deterministic in the seed.
+    Returns integer rows: 0 exactly where the mask is falsy, elsewhere drawn
+    row-major from ``random.Random(seed)``.  Deterministic in the seed.
     """
     if range_max < 2:
         raise ValueError("range_max must be >= 2")
     rng = random.Random(seed)
-    data = tuple(
-        tuple(Fraction(rng.randint(1, range_max)) if cell else Fraction(0) for cell in row)
-        for row in pattern
-    )
-    return RatMatrix(len(data), len(data[0]) if data else 0, data)
+    return tuple(tuple(rng.randint(1, range_max) if cell else 0 for cell in row) for row in pattern)
 
 
-def sample_int_matrix(rows: int, cols: int, range_max: int, seed: Seed) -> RatMatrix:
-    """Dense positive-integer matrix, row-major draws from the seeded RNG."""
+def sample_int_matrix(rows: int, cols: int, range_max: int, seed: Seed) -> Tuple[IntVec, ...]:
+    """Dense positive-integer rows, row-major draws from the seeded RNG."""
     return sample_pattern([[True] * cols for _ in range(rows)], range_max, seed)
 
 

@@ -119,8 +119,9 @@ def project_frame(frame: Frame, sub: Subspace) -> List[Tuple[Fraction, ...]]:
     For any index set the rank of these vectors equals the rank of the true
     projected vectors (the coordinate map differs by an invertible factor).
     """
-    bt = sub.basis.transpose()
-    return [bt.mul_vec(v) for v in frame.vectors]
+    _require_same_space(frame, sub)
+    bs = sub.vectors()
+    return [tuple(sum(map(mul, b, f), Fraction(0)) for b in bs) for f in frame.vectors]
 
 
 def _projected_int_cols(frame: Frame, sub: Subspace) -> List[IntVec]:
@@ -187,8 +188,9 @@ def random_pr_subspace(
         raise OutOfRange(f"no PR subspace of dimension {ell}: admissible range is 1..{d}")
     n = frame.dim
     for attempt in range(max_retries + 1):
+        rows = sample_int_matrix(n, ell, range_max, derive_seed(seed, attempt))
         try:
-            sub = Subspace(n, sample_int_matrix(n, ell, range_max, derive_seed(seed, attempt)))
+            sub = Subspace(n, RatMatrix.from_rows(rows))
         except ValueError:  # dependent columns
             continue
         if is_pr_subspace(frame, sub):
@@ -201,15 +203,16 @@ def _require_basis(b: Frame) -> None:
         raise NotABasis(f"expected {b.dim} vectors, got {b.N}")
 
 
-def support(x: Sequence, b: Frame) -> FrozenSet[int]:
-    """Dual-basis coordinate support {i : <x, b_i> != 0}; 0-based indices."""
+def _dual_coords(x: Sequence, b: Frame) -> Tuple[Fraction, ...]:
+    """Dual-basis coordinates (<x, b_i>)_i of x, for a basis b and x in R^n."""
     _require_basis(b)
     xv = _vector_in(x, b.dim)
-    return frozenset(
-        i
-        for i, bi in enumerate(b.vectors)
-        if sum((a * c for a, c in zip(xv, bi)), Fraction(0)) != 0
-    )
+    return tuple(sum(map(mul, xv, bi), Fraction(0)) for bi in b.vectors)
+
+
+def support(x: Sequence, b: Frame) -> FrozenSet[int]:
+    """Dual-basis coordinate support {i : <x, b_i> != 0}; 0-based indices."""
+    return frozenset(i for i, c in enumerate(_dual_coords(x, b)) if c)
 
 
 def min_support(sub: Subspace, b: Frame) -> int:
@@ -352,13 +355,9 @@ def extend_to_maximal(
     the rule under which ``is_maximal_pr_subspace`` returns Maximal, so these
     two checks certify maximality.
     """
-    _require_basis(b)
+    coords = _dual_coords(x, b)
     n = b.dim
-    xv = tuple(Fraction(v) for v in x)
-    if len(xv) != n:
-        raise OutOfRange("vector length does not match the basis dimension")
-    coords = b.matrix.transpose().mul_vec(xv)
-    supp = frozenset(i for i, c in enumerate(coords) if c != 0)
+    supp = frozenset(i for i, c in enumerate(coords) if c)
     if not supp:
         raise OutOfRange("cannot extend the zero vector")
     k = len(supp)
@@ -386,8 +385,7 @@ def extend_to_maximal(
         if not ok:
             continue
         # back from dual-basis coordinates: columns v with B^T v = u
-        coords = RatMatrix.from_rows(zip(*us))
-        sub = Subspace(n, solve(b.matrix.transpose(), coords))
+        sub = Subspace(n, RatMatrix(n, k, solve(b.vectors, tuple(zip(*us)))))
         if is_pr_subspace(b, sub) and min_support(sub, b) == k:
             return sub
     raise RetriesExhausted(f"extension failed after {max_retries + 1} attempts")

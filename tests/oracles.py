@@ -145,6 +145,21 @@ def brute_sdr(mask, i: int) -> bool:
     )
 
 
+def brute_lifted_independent(frame: Frame) -> bool:
+    """Are the lifted vectors (f_a f_b)_{a <= b} linearly independent?
+
+    Each row is built here from the rational frame vector, products taken in
+    sympy; the off-diagonal factor 2 of the library's rows only scales a
+    column, so the rank is the same.
+    """
+    n = frame.dim
+    rows = []
+    for f in frame.vectors:
+        g = [sympy.Rational(x.numerator, x.denominator) for x in f]
+        rows.append([g[a] * g[b] for a in range(n) for b in range(a, n)])
+    return _rank(rows) == frame.N
+
+
 def greedy_lifted_completion(frame: Frame, rng, tries: int = 200) -> Frame:
     """Extend a frame until its lifted vectors form a basis of the symmetric space.
 

@@ -208,6 +208,14 @@ def test_subspace_extend(capsys, tmp_path):
     assert d["meta"]["certified"] == {"pr": True, "min_support": 2, "maximal": True}
 
 
+def test_subspace_extend_wrong_length_exits_2(capsys, tmp_path):
+    f = write_frame(tmp_path, "I4.json", [tuple(int(i == j) for i in range(4)) for j in range(4)], 4)
+    code, out, err = run(capsys, "subspace", f, "--action", "extend", "--vector", "1,2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
+
+
 def test_subspace_missing_option_exits_2(capsys, pr_frame_file):
     code, _, err = run(capsys, "subspace", pr_frame_file, "--action", "random")
     assert code == 2 and "--dim" in err

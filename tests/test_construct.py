@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import brute_is_exact_pr, brute_sdr
@@ -31,7 +32,7 @@ from prframes import (
     step_II,
     step_III,
 )
-from prframes.construct import PatternMatrix
+from prframes.construct import CertifiedFrame, PatternMatrix, _as_identity_leading
 
 
 def test_base_pattern_structure():
@@ -220,6 +221,31 @@ def test_direct_sum_embedding():
         assert all(x == 0 for x in f.vectors[j][3:])
     for j in range(6, 9):
         assert all(x == 0 for x in f.vectors[j][:3])
+
+
+@st.composite
+def rational_frames(draw):
+    """n vectors of R^n (n <= 4) then up to 3 more; entries p/q with q in 1..4."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    vec = st.lists(entry, min_size=n, max_size=n)
+    return n, draw(st.lists(vec, min_size=n, max_size=n + 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_frames())
+def test_as_identity_leading_agrees_with_sympy(case):
+    # the similar frame lead^-1 F, whose first n vectors are e_1 .. e_n
+    n, vecs = case
+    cols = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in vecs]).T
+    lead = cols[:, :n]
+    assume(lead.det() != 0)
+    g = _as_identity_leading(CertifiedFrame(Frame.from_vectors(vecs, dim=n), {}))
+    assert g.vectors[:n] == tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    expected = lead.inv() * cols
+    assert g.vectors == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in expected.col(j)) for j in range(len(vecs))
+    )
 
 
 @pytest.mark.parametrize(

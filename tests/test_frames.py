@@ -54,7 +54,10 @@ def test_constructor_rejects_non_spanning():
 def test_matrix_column_roundtrip():
     f = Frame.from_vectors([(1, 2), (3, 4), (5, 6)], dim=2)
     assert f.N == 3
-    g = Frame.from_matrix(f.matrix)
+    # the row form the generators draw, and back to columns
+    rows = tuple(zip(*f.vectors))
+    assert rows == ((1, 3, 5), (2, 4, 6))
+    g = Frame.from_vectors(zip(*rows), dim=2)
     assert g.vectors == f.vectors
 
 

@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import _rank as oracle_rank, brute_has_cp, brute_s2_witness_exists
+from oracles import (
+    _rank as oracle_rank,
+    brute_has_cp,
+    brute_lifted_independent,
+    brute_s2_witness_exists,
+)
 from prframes import (
     CapExceeded,
     curated,
@@ -21,7 +26,6 @@ from prframes import (
     is_exact_pr_frame,
     is_phase_retrievable,
     lifted_independent,
-    lifted_operator,
     pr_redundancy,
 )
 from prframes.lifting import lifted_row, sym_pairs, vech
@@ -58,10 +62,9 @@ def test_sym_pairs_order():
 
 def test_lifted_operator_shape():
     f = Frame.from_vectors([(1, 0), (0, 1), (1, 1)], dim=2)
-    sys = lifted_operator(f)
-    assert sys.matrix.rows == 3 and sys.matrix.cols == 3
+    # three rows of length n(n+1)/2 = 3, independent: a trivial kernel
+    assert all(len(lifted_row(v, 2)) == 3 for v in f.vectors)
     assert lifted_independent(f)
-    assert sys.kernel_dim == 0
 
 
 def test_lifted_dependence_beyond_dimension():
@@ -239,6 +242,33 @@ def test_s2_witness_agrees_with_oracle(family):
     if w is not None:
         assert w.differing_index not in lam
         assert w.validate(f, lam)
+
+
+@st.composite
+def rational_spanning_families(draw):
+    """(n, vectors): n <= 4, n <= N <= 11, entries p/q with q in 1..4, zero and parallel columns."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    vecs = []
+    for _ in range(draw(st.integers(n, 11))):
+        kind = draw(st.sampled_from(("free", "free", "zero", "parallel")))
+        if kind == "zero":
+            vecs.append([Fraction(0)] * n)
+        elif kind == "parallel" and vecs:
+            k = draw(st.sampled_from((Fraction(-2), Fraction(1, 3), Fraction(3, 2))))
+            vecs.append([k * x for x in draw(st.sampled_from(vecs))])
+        else:
+            vecs.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return n, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_spanning_families())
+def test_lifted_independent_agrees_with_oracle(family):
+    # the integer lifted rows have the rank of the rational ones
+    n, vecs = family
+    f = _frame_of(n, vecs)
+    assert lifted_independent(f) == brute_lifted_independent(f)
 
 
 # ---------------------------------------------------------------------------

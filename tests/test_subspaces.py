@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 import prframes.subspaces
@@ -16,7 +17,6 @@ from prframes import (
     NotAFrame,
     NotPRSubspace,
     OutOfRange,
-    RatMatrix,
     Subspace,
     SupportTooLarge,
     d_max,
@@ -100,8 +100,9 @@ def test_projected_rank_invariant_under_basis_change():
             m = Subspace.from_vectors(vecs, ambient_dim=4)
         except ValueError:
             continue
-        g = RatMatrix.from_rows([[1, 1], [0, 1]])
-        m2 = Subspace(4, m.basis @ g)
+        # the basis times g = [[1, 1], [0, 1]]: columns b0 and b0 + b1
+        b0, b1 = m.vectors()
+        m2 = Subspace.from_vectors([b0, tuple(x + y for x, y in zip(b0, b1))], ambient_dim=4)
         p1 = [clear_denominators(v) for v in project_frame(f, m)]
         p2 = [clear_denominators(v) for v in project_frame(f, m2)]
         for idxs in [(0, 1), (2, 3, 4), tuple(range(6))]:
@@ -200,6 +201,53 @@ def test_is_pr_subspace_agrees_with_oracle(case):
     except (NotAFrame, ValueError):
         assume(False)
     assert is_pr_subspace(f, m) == brute_family_has_cp(project_frame(f, m), m.dim)
+
+
+def _sympy_cols(vecs):
+    """The matrix whose columns are the given rational vectors."""
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in vecs]).T
+
+
+def _fractions(col):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames_and_subspaces())
+def test_project_frame_agrees_with_oracle(case):
+    # project_frame(f, M) is B^T f for every frame vector f
+    n, frame_vecs, sub_vecs = case
+    try:
+        f = Frame.from_vectors(frame_vecs, dim=n)
+        m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
+    except (NotAFrame, ValueError):
+        assume(False)
+    bt = _sympy_cols(m.vectors()).T
+    expected = [_fractions(bt * _sympy_cols([v])) for v in f.vectors]
+    assert project_frame(f, m) == expected
+
+
+@st.composite
+def skew_bases_and_vectors(draw):
+    """A rational basis of R^n (n <= 4, entries p/q with q in 1..4) and a rational x with zeros."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    basis = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    x = draw(st.lists(entry | st.just(Fraction(0)), min_size=n, max_size=n))
+    return n, basis, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_bases_and_vectors())
+def test_support_agrees_with_oracle(case):
+    # support(x, b) is the nonzero set of b_i^T x
+    n, basis_vecs, x = case
+    try:
+        b = Frame.from_vectors(basis_vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    coords = _fractions(_sympy_cols(b.vectors).T * _sympy_cols([x]))
+    assert support(x, b) == frozenset(i for i, c in enumerate(coords) if c != 0)
 
 
 def test_random_pr_subspace():
@@ -346,6 +394,13 @@ def test_extend_support_too_large():
         extend_to_maximal(std_basis(4), (0, 0, 0, 0), seed=0)
 
 
+def test_extend_rejects_wrong_length():
+    # the same BadInput as support and Subspace.contains
+    for x in ((1, 2), (1, 0, 0, 0, 0)):
+        with pytest.raises(BadInput, match=r"vector has \d entries, expected 4"):
+            extend_to_maximal(std_basis(4), x, seed=0)
+
+
 def test_extend_with_skew_basis():
     # support is measured against the dual basis, and the result transfers back
     b = Frame.from_vectors([(1, 0, 0), (1, 1, 0), (0, 0, 1)], dim=3)
@@ -377,6 +432,7 @@ def test_wrong_ambient_dimension_is_bad_input():
         lambda: is_pr_subspace(f3, sub2),
         lambda: is_maximal_pr_subspace(f3, sub2),
         lambda: min_support(sub2, b3),
+        lambda: project_frame(f3, sub2),
     ):
         with pytest.raises(BadInput, match=r"subspace lives in R\^2, the frame in R\^3"):
             call()
