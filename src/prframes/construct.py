@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotPRSubspace, OutOfRange, PatternViolation, RearrangeFailure, RetriesExhausted
@@ -343,10 +344,16 @@ def _plan_steps(n: int, N: int, _memo={}):
 
 
 def build_pattern(p: ConstructionPlan) -> PatternMatrix:
-    pat = base_pattern_36()
-    for step in p.steps[1:]:
-        pat = _STEP_FNS[step](pat)
-    return pat
+    return _pattern(p.steps)
+
+
+@lru_cache(maxsize=None)
+def _pattern(steps: Tuple[str, ...]) -> PatternMatrix:
+    # one build per derivation prefix; PatternMatrix is frozen, so callers
+    # share it, and there are as many prefixes as admissible plans
+    if len(steps) == 1:
+        return base_pattern_36()
+    return _STEP_FNS[steps[-1]](_pattern(steps[:-1]))
 
 
 def instantiate(

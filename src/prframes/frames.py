@@ -9,8 +9,11 @@ as soon as one class exceeds rank t; and a column already in the span of one
 class goes to that class only (dominance: it costs that class no rank, and
 keeping it out of the other class can only lower that one's rank).  The
 reported failing subset is therefore one valid witness, not the first one in
-bitmask order.  The complement property is t = n - 1; exactness, removal
-and ``lifting``'s rank-<=2 kernel elements reuse it.  d(F) is one run with a
+bitmask order.  The complement property is t = n - 1; removal and
+``lifting``'s rank-<=2 kernel elements reuse it.  Exactness is one CP proof
+and then N removals: a PR frame of length 2n - 1 is exact by counting, and
+otherwise one table of coordinate axes per frame settles most removals, so
+only the rest run the partition search.  d(F) is one run with a
 stopping floor below t: each partition found lowers t to one below its
 larger class rank until that rank reaches the floor (n + 1) // 2, and the
 value is cached on the ``Frame``.  ``spark`` is a depth-first search over
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import NotAFrame
 from .ratlin import (
@@ -250,20 +253,34 @@ def _spark(cols: Sequence[IntVec]) -> int:
     return best
 
 
-def _removal_failure(cols: Sequence[IntVec], n: int) -> Optional[FrozenSet[int]]:
-    """Failing subset for the reduced family, or None if it is still PR.
+def _axis_settled(cols: Sequence[IntVec], n: int) -> Set[int]:
+    """Indices whose removal from a PR frame a coordinate hyperplane breaks.
 
-    Cheap pass first: for each coordinate axis, the columns vanishing on it
-    sit inside a hyperplane, so if the remaining columns do not span we are
-    done.  The full partition scan only runs when no axis witness exists.
+    For each axis r, Lambda_r is the set of columns nonzero on r; the others
+    lie in the hyperplane x_r = 0.  Dropping an i in Lambda_r therefore
+    leaves the failing partition (Lambda_r minus i, the rest) whenever
+    Lambda_r minus i does not span.  That holds outright when
+    |Lambda_r| <= n, as on every axis of a pattern frame (n nonzeros per
+    row); otherwise it takes one ``int_rank``.  An axis with no zero column
+    is skipped: a removal it settles leaves a family that does not span,
+    which the partition search rejects at its first leaf.  An i outside
+    Lambda_r never fails this way, since in a PR frame Lambda_r spans
+    whenever some column is zero on r.
     """
+    settled: Set[int] = set()
     for r in range(n):
         lam = [j for j, c in enumerate(cols) if c[r] != 0]
-        if lam and int_rank([cols[j] for j in lam]) < n:
-            comp = [j for j in range(len(cols)) if cols[j][r] == 0]
-            if comp:
-                return frozenset(lam)
-    return _partition(cols, n - 1)
+        if len(lam) == len(cols):
+            continue
+        if len(lam) <= n:
+            settled.update(lam)
+            continue
+        settled.update(
+            i
+            for i in lam
+            if i not in settled and int_rank([cols[j] for j in lam if j != i]) < n
+        )
+    return settled
 
 
 def is_exact_pr_frame(frame: Frame) -> ExactnessResult:
@@ -271,12 +288,22 @@ def is_exact_pr_frame(frame: Frame) -> ExactnessResult:
 
     Only single removals are tested: kernels only grow when more vectors are
     dropped, so failing on every co-singleton already fails on every proper
-    subset.
+    subset.  A PR frame of length 2n - 1 is exact by counting: the 2n - 2
+    vectors left after any removal split into two classes of n - 1, neither
+    of which spans.  Otherwise one axis table per frame (``_axis_settled``)
+    settles most removals, and only the rest run the partition search on the
+    reduced family.
     """
+    n, N = frame.dim, frame.N
     if not is_phase_retrievable(frame):
         return ExactnessResult(False, ())
+    if N == 2 * n - 1:
+        return ExactnessResult(True, ())
+    settled = _axis_settled(frame._int_cols, n)
     removable = tuple(
-        i for i in range(frame.N) if _removal_failure(frame.drop(i), frame.dim) is None
+        i
+        for i in range(N)
+        if i not in settled and _partition(frame.drop(i), n - 1) is None
     )
     return ExactnessResult(len(removable) == 0, removable)
 

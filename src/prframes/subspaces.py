@@ -82,8 +82,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Iterable], ambient_dim: Optional[int] = None) -> "Subspace":
-        cols = [tuple(Fraction(x) for x in v) for v in vectors]
-        n = ambient_dim if ambient_dim is not None else len(cols[0])
+        vecs = [tuple(v) for v in vectors]
+        if not vecs:
+            raise BadInput("empty vector list")
+        n = ambient_dim if ambient_dim is not None else len(vecs[0])
+        cols = [_vector_in(v, n) for v in vecs]
         data = tuple(tuple(col[i] for col in cols) for i in range(n))
         return cls(n, RatMatrix(n, len(cols), data))
 

@@ -5,18 +5,30 @@ explicitly and ranks are computed by sympy over exact rationals, giving a
 second, unrelated code path to compare the library against.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from prframes import Frame
 
 
 def _rank(vectors) -> int:
+    return _rank_of(tuple(tuple(v) for v in vectors))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _rank_of(vectors) -> int:
+    # the subset scans ask for the same subfamilies over and over (every
+    # co-singleton family's subsets are subsets of the frame), so the sympy
+    # rank of each distinct list of vectors is computed once
     if not vectors:
         return 0
-    return sympy.Matrix([[sympy.Rational(x) for x in v] for v in vectors]).rank()
+    rows = [[QQ(Fraction(x).numerator, Fraction(x).denominator) for x in v] for v in vectors]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), QQ).rank()
 
 
 def brute_has_cp(frame: Frame) -> bool:
@@ -79,6 +91,20 @@ def brute_is_exact_pr(frame: Frame) -> bool:
         if brute_has_cp(reduced):
             return False
     return True
+
+
+def brute_exactness(frame: Frame):
+    """(exact, removable) by definition, as ``is_exact_pr_frame`` reports it.
+
+    removable lists every i whose co-singleton family still has the
+    complement property; a family that does not span fails it, and no
+    co-singleton of a frame without the property has it.
+    """
+    vecs, n = frame.vectors, frame.dim
+    removable = tuple(
+        i for i in range(frame.N) if brute_family_has_cp(vecs[:i] + vecs[i + 1 :], n)
+    )
+    return brute_has_cp(frame) and not removable, removable
 
 
 def brute_s2_witness_exists(frame: Frame, lam) -> bool:

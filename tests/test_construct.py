@@ -194,6 +194,8 @@ def test_generate_exact_work_ceiling_7_13(span_tests):
     cert = generate_exact_pr(7, 13, 0)
     assert cert.certificate["plan"] == ["full_spark"]
     assert span_tests[0] <= 6050
+    # a PR frame of length 2n - 1 is exact by counting: no removal search
+    assert span_tests[0] <= 3800
 
 
 def test_generate_exact_deterministic():

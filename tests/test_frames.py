@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     _rank as oracle_rank,
     brute_d_value,
+    brute_exactness,
     brute_has_cp,
     brute_has_cp_halved,
     brute_is_exact_pr,
@@ -16,13 +17,16 @@ from oracles import (
 from prframes import (
     Frame,
     NotAFrame,
+    build_pattern,
     curated,
     d_max,
     generate_exact_pr,
     has_complement_property,
+    instantiate,
     is_exact_pr_frame,
     is_full_spark,
     is_phase_retrievable,
+    plan,
     span_dim,
     spark,
 )
@@ -213,18 +217,41 @@ def test_spark_agrees_with_oracle(family):
     assert spark(frame) == brute_spark(frame)
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_families)
+@st.composite
+def sparse_families(draw):
+    # columns drawn from a small pool, so zero and repeated columns are common
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from((0, 0, 1, -1, 2))
+    pool = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=6))
+    if draw(st.booleans()):
+        pool.append([0] * n)
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=10 - len(pool)))
+    return n, draw(st.permutations(pool + repeats))
+
+
+# pattern frames with entries in 1..3: exact frames, which the other
+# families rarely give, and now and then one that is not PR
+pattern_families = st.integers(3, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(2 * n, min(n * (n + 1) // 2, 10)),
+        st.integers(0, 1 << 32),
+    )
+).map(lambda t: (t[0], instantiate(build_pattern(plan(t[0], t[1])), 3, t[2]).vectors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_families, sparse_families(), pattern_families))
 def test_exactness_agrees_with_oracle(family):
+    # the whole result, removable indices included: pattern frames have every
+    # removal settled by the axis table, the other families also reach the
+    # ranks in the table and the partition search behind it
     n, vecs = family
     try:
         frame = Frame.from_vectors(vecs, dim=n)
     except NotAFrame:
         assume(False)
-    # the oracle builds every co-singleton family as a Frame, so it needs
-    # each of them to span (only a line with a zero vector breaks that)
-    assume(all(oracle_rank(vecs[:i] + vecs[i + 1 :]) == n for i in range(len(vecs))))
-    assert is_exact_pr_frame(frame).exact == brute_is_exact_pr(frame)
+    assert is_exact_pr_frame(frame) == brute_exactness(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +277,15 @@ def test_cp_work_ceiling_generated_6_21(span_tests):
     assert span_tests[0] <= 2850
     # exact, not just bounded: search order and pruning fix the questions asked
     assert span_tests[0] == 2278
+
+
+def test_exactness_work_ceiling_generated_6_21(span_tests):
+    # the CP proof and the removals: each row of a pattern frame has n
+    # nonzeros, so the axis table settles every removal without a rank
+    frame = generate_exact_pr(6, 21, 0).frame
+    span_tests[0] = 0
+    assert is_exact_pr_frame(frame).exact
+    assert span_tests[0] <= 2400
 
 
 def test_spark_work_ceiling_generated_6_11(span_tests):

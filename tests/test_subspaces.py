@@ -82,6 +82,21 @@ def test_contains_rejects_wrong_length():
             s.contains(x)
 
 
+@pytest.mark.parametrize(
+    "vecs, ambient_dim, match",
+    [
+        ([], None, "empty vector list"),
+        ([(1, 0)], 3, "vector has 2 entries, expected 3"),
+        ([(1, 0, 0)], 2, "vector has 3 entries, expected 2"),
+        ([(1, 0), (0, 1, 5)], None, "vector has 3 entries, expected 2"),
+    ],
+    ids=["empty", "short", "long", "ragged"],
+)
+def test_from_vectors_rejects_wrong_shape(vecs, ambient_dim, match):
+    with pytest.raises(BadInput, match=match):
+        Subspace.from_vectors(vecs, ambient_dim=ambient_dim)
+
+
 def test_project_frame_slice():
     f = Frame.from_vectors([(1, 2, 3), (4, 5, 6), (7, 8, 10)], dim=3)
     m = Subspace.from_vectors([(1, 0, 0), (0, 1, 0)], ambient_dim=3)
