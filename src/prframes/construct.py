@@ -27,6 +27,7 @@ from .ratlin import (
     sample_pattern,
     solve,
 )
+from .subspaces import Subspace, d_max, is_maximal_pr_subspace
 
 Cell = Tuple[int, int]
 
@@ -457,8 +458,6 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed, max_retries: int = 5)
     (verified per instance) fill the remaining low-length corner.  The value
     of d is always re-computed exactly on the assembled frame.
     """
-    from .subspaces import d_max  # deferred: subspaces imports frames only
-
     lo_k = (n + 1) // 2
     hi_N = k * (k + 1) // 2 + (n - k) * (n - k + 1) // 2
     if not (lo_k <= k <= n):
@@ -520,8 +519,6 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
     and tilts basis vectors e_{k+1}..e_{2k-1} into M so the projected basis
     is that frame.  Valid exactly for 1 <= k <= [(n+1)/2].
     """
-    from .subspaces import Subspace, is_maximal_pr_subspace
-
     if not (1 <= k <= (n + 1) // 2):
         raise OutOfRange(f"maximal PR subspaces of a basis need 1 <= k <= [(n+1)/2]")
     phis = _full_spark_fill(k, seed)

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 from .errors import BadInput
 from .frames import Frame
 from .lifting import S2Witness
-from .ratlin import RatMatrix, format_rational, parse_rational
+from .ratlin import format_rational, parse_rational
 from .subspaces import MaximalityVerdict, Subspace
 
 
@@ -63,7 +63,7 @@ def subspace_to_dict(sub: Subspace, meta: Optional[dict] = None) -> dict:
     out = {
         "n": sub.ambient_dim,
         "dim": sub.dim,
-        "basis": [_vec_out(row) for row in sub.basis.entries],
+        "basis": [_vec_out(row) for row in zip(*sub.basis)],
     }
     if meta is not None:
         out["meta"] = meta
@@ -71,7 +71,11 @@ def subspace_to_dict(sub: Subspace, meta: Optional[dict] = None) -> dict:
 
 
 def subspace_from_dict(d: dict) -> Subspace:
-    return Subspace(_dim_field(d), RatMatrix.from_rows(_rows_field(d, "basis")))
+    n = _dim_field(d)
+    rows = _rows_field(d, "basis")
+    if len(rows) != n or len({len(r) for r in rows}) > 1:
+        raise BadInput(f"'basis' must be {n} rows of equal length, one per coordinate")
+    return Subspace.from_vectors(zip(*rows), ambient_dim=n)
 
 
 def witness_to_dict(w: S2Witness) -> dict:

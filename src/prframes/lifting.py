@@ -199,13 +199,15 @@ def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
 
     Preservation is monotone under inclusion, so exactness (no co-singleton
     preserves) settles the answer at 1 without scanning all subsets.
+    Otherwise some co-singleton preserves, so the scan stops at size N - 2
+    and the answer is N/(N - 1) when no smaller subfamily preserves.
     """
     if frame.N > max_n:
         raise CapExceeded(f"N={frame.N} exceeds exhaustive cap {max_n}")
     if has_exact_pr_redundancy(frame):
         return Fraction(1)
-    for k in range(1, frame.N):
+    for k in range(1, frame.N - 1):
         for lam in itertools.combinations(range(frame.N), k):
             if find_s2_witness(frame, lam) is None:
                 return Fraction(frame.N, k)
-    return Fraction(frame.N, frame.N)
+    return Fraction(frame.N, frame.N - 1)

@@ -2,22 +2,21 @@
 
 Everything downstream (complement-property scans, kernel searches, pattern
 instantiation) runs on top of this module, and this module is the only place
-that eliminates.  All arithmetic is exact, and every kernel works
+that eliminates.  All arithmetic is exact, and the one kernel works
 fraction-free on Python integers with gcd trimming.  A vector family is a
-tuple of rows or columns; ``fractions.Fraction`` appears only where input is
-parsed, where output is printed, and in ``solve``'s result.  ``RatMatrix``
-is the rational container that ``Subspace.basis`` and the JSON layer hold.
-No floating point appears anywhere.
+tuple of integer or rational vectors; there is no matrix class.
+``fractions.Fraction`` appears only where input is parsed, where output is
+printed, and in ``solve``'s result.  No floating point appears anywhere.
 
-There are two kernels.  The span step holds a span of rank r in R^n as
-n - r independent primitive integer normals, starting from the n identity
-rows (``span_normals``).  A vector lies in the span iff it is orthogonal to
+The kernel is the span step.  A span of rank r in R^n is held as n - r
+independent primitive integer normals, starting from the n identity rows
+(``span_normals``).  A vector lies in the span iff it is orthogonal to
 every normal (``off_span``: dot products only, no new list); adding one
 that is not (``extend_span``) reuses the first nonzero dot product d_k and
 replaces each other normal h_i by the gcd-trimmed d_k h_i - d_i h_k.  Ranks
 and the searches in ``frames``, ``lifting`` and ``subspaces`` run on this
-step alone.
-Nullspaces and solves run on fraction-free Gauss-Jordan (``_gauss_jordan``).
+step, and so do nullspaces and solves: the normals of a row span are a
+kernel basis, one per free column (``int_nullspace``, ``solve``).
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
@@ -27,10 +26,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -68,38 +66,6 @@ def format_rational(x: Fraction):
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable matrix of exact rationals.
-
-    Entries are normalized by Fraction itself (lowest terms, positive
-    denominator).  rows >= 1, cols >= 0.
-    """
-
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 0:
-            raise ValueError("need rows >= 1 and cols >= 0")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry shape does not match rows/cols")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not data:
-            raise ValueError("need at least one row")
-        return cls(len(data), len(data[0]), data)
-
-    def column(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self) -> List[Tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +126,26 @@ def extend_span(normals: Normals, vec: Sequence[int], off: Tuple[int, int]) -> N
     return tuple(out)
 
 
-def span_of(vecs: Iterable[Sequence[int]], n: int) -> Normals:
-    """Normals of the span of integer vectors in R^n, adding them one by one."""
-    normals = span_normals(n)
+def _span_and_free(vecs: Iterable[Sequence[int]], n: int) -> Tuple[Normals, List[int]]:
+    """Normals of the span of integer vectors in R^n, adding them one by one, and their free columns.
+
+    Normal i starts as the identity row e_i, so it owns column i; each
+    ``extend_span`` drops normal k and with it ``free[k]``.  Every kept
+    normal stays nonzero on its own free column and zero on the other kept
+    ones (both it and the dropped normal are zero there).
+    """
+    normals, free = span_normals(n), list(range(n))
     for vec in vecs:
         off = off_span(normals, vec)
         if off is not None:
             normals = extend_span(normals, vec, off)
-    return normals
+            del free[off[0]]
+    return normals, free
+
+
+def span_of(vecs: Iterable[Sequence[int]], n: int) -> Normals:
+    """Normals of the span of integer vectors in R^n, adding them one by one."""
+    return _span_and_free(vecs, n)[0]
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -178,49 +156,15 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return n - len(span_of(rows, n))
 
 
-def _gauss_jordan(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free reduced echelon form, pivots taken among the first ncols columns.
-
-    Returns (pivot rows, pivot columns): row r is the only one nonzero in
-    column pivots[r].  Rows may run past ncols (an augmented right-hand
-    side); those entries are carried along but never pivoted on.
-    """
-    work = [_vec_gcd_reduce(list(row)) for row in rows]
-    pivots: List[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        prow = work[r]
-        a = prow[c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if i != r and f:
-                work[i] = _vec_gcd_reduce([a * x - f * y for x, y in zip(row, prow)])
-        pivots.append(c)
-        if len(pivots) == len(work):
-            break
-    return work[: len(pivots)], pivots
-
-
 def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[IntVec]:
     """Integer basis of {x : rows . x = 0}, one primitive vector per free column.
 
-    The vector for free column c is the reduced-echelon kernel vector with a
-    1 at c, scaled to a primitive integer vector with positive entry at c.
+    The normals of the row span are that basis.  The vector for free column
+    c is zero on every other free column, which makes it the reduced-echelon
+    kernel vector with a 1 at c, up to scale; it is signed positive at c.
     """
-    red, pivots = _gauss_jordan(rows, ncols)
-    basis: List[IntVec] = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        den = lcm(*(abs(row[pc]) for row, pc in zip(red, pivots) if row[fc]))
-        v = [0] * ncols
-        v[fc] = den
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc] * den // row[pc]
-        basis.append(tuple(_vec_gcd_reduce(v)))
-    return basis
+    normals, free = _span_and_free(rows, ncols)
+    return [h if h[c] > 0 else tuple(-x for x in h) for h, c in zip(normals, free)]
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> IntVec:
@@ -235,16 +179,21 @@ def clear_denominators(vec: Sequence[Fraction]) -> IntVec:
 def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
     """Rows of X with aX = b, for an invertible square a; ValueError if a is singular.
 
-    a and b are sequences of rational (or integer) rows.
+    a and b are sequences of rational (or integer) rows, b of width m.  The
+    normals of the row span of [a | b] are the kernel of [a | b], which
+    holds the m columns of [X; -I].  a is invertible iff their free columns
+    are exactly the last m, and then normal j is a multiple of column j of
+    [X; -I]: X[i][j] = -h_j[i] / h_j[n + j].
     """
     n = len(a)
-    if any(len(r) != n for r in a) or len(b) != n:
+    m = len(b[0]) if b else 0
+    if any(len(r) != n for r in a) or len(b) != n or any(len(r) != m for r in b):
         raise ValueError("shape mismatch")
     aug = [clear_denominators(tuple(ra) + tuple(rb)) for ra, rb in zip(a, b)]
-    red, pivots = _gauss_jordan(aug, n)
-    if len(pivots) < n:
+    normals, free = _span_and_free(aug, n + m)
+    if free != list(range(n, n + m)):
         raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
+    return tuple(tuple(Fraction(-h[i], h[n + j]) for j, h in enumerate(normals)) for i in range(n))
 
 
 def sample_pattern(

@@ -40,7 +40,6 @@ from .frames import Frame, _partition, _spark
 from .ratlin import (
     DEFAULT_RANGE_MAX,
     IntVec,
-    RatMatrix,
     Seed,
     _vec_gcd_reduce,
     clear_denominators,
@@ -52,6 +51,7 @@ from .ratlin import (
     sample_int_matrix,
     solve,
     span_normals,
+    span_of,
 )
 
 DEFAULT_CAP = 24
@@ -59,44 +59,46 @@ DEFAULT_CAP = 24
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of R^n given by an n x k basis matrix of full column rank.
+    """A subspace of R^n given by k independent basis columns in R^n.
 
-    Columns produced by the extension algorithm are orthogonal but left
-    unnormalized; every criterion used downstream is scale-invariant.
+    ``basis`` is a tuple of rational columns, as ``Frame.vectors`` is.
+    Dependent columns, a column of the wrong length, or no columns at all
+    raise ``BadInput``.  Columns produced by the extension algorithm have
+    orthogonal dual-basis coordinates but are left unnormalized; every
+    criterion used downstream is scale-invariant.
     """
 
     ambient_dim: int
-    basis: RatMatrix
+    basis: Tuple[Tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
-            raise ValueError("basis row count does not match ambient_dim")
-        if self.dim < 1:
-            raise ValueError("need at least one basis column")
+        if not self.basis:
+            raise BadInput("need at least one basis column")
+        for col in self.basis:
+            _require_length(col, self.ambient_dim)
         if int_rank(self._int_cols) < self.dim:
-            raise ValueError("basis columns are dependent")
+            raise BadInput("basis columns are dependent")
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.basis)
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Iterable], ambient_dim: Optional[int] = None) -> "Subspace":
-        vecs = [tuple(v) for v in vectors]
-        if not vecs:
-            raise BadInput("empty vector list")
-        n = ambient_dim if ambient_dim is not None else len(vecs[0])
-        cols = [_vector_in(v, n) for v in vecs]
-        data = tuple(tuple(col[i] for col in cols) for i in range(n))
-        return cls(n, RatMatrix(n, len(cols), data))
+        vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        if ambient_dim is None:
+            if not vecs:
+                raise BadInput("empty vector list")
+            ambient_dim = len(vecs[0])
+        return cls(ambient_dim, vecs)
 
     @cached_property
     def _int_cols(self) -> Tuple[IntVec, ...]:
         # basis columns scaled to primitive integer vectors; rank-neutral
-        return tuple(clear_denominators(self.basis.column(j)) for j in range(self.dim))
+        return tuple(clear_denominators(col) for col in self.basis)
 
     def vectors(self) -> List[Tuple[Fraction, ...]]:
-        return self.basis.columns()
+        return list(self.basis)
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         xv = _vector_in(x, self.ambient_dim)
@@ -144,11 +146,15 @@ def _require_same_space(frame: Frame, sub: Subspace) -> None:
         raise BadInput(f"subspace lives in R^{sub.ambient_dim}, the frame in R^{frame.dim}")
 
 
+def _require_length(x: Sequence, n: int) -> None:
+    if len(x) != n:
+        raise BadInput(f"vector has {len(x)} entries, expected {n} for R^{n}")
+
+
 def _vector_in(x: Sequence, n: int) -> Tuple[Fraction, ...]:
     """x as rationals, which must be a vector of R^n."""
     xv = tuple(Fraction(v) for v in x)
-    if len(xv) != n:
-        raise BadInput(f"vector has {len(xv)} entries, expected {n} for R^{n}")
+    _require_length(xv, n)
     return xv
 
 
@@ -193,8 +199,8 @@ def random_pr_subspace(
     for attempt in range(max_retries + 1):
         rows = sample_int_matrix(n, ell, range_max, derive_seed(seed, attempt))
         try:
-            sub = Subspace(n, RatMatrix.from_rows(rows))
-        except ValueError:  # dependent columns
+            sub = Subspace.from_vectors(zip(*rows), ambient_dim=n)
+        except BadInput:  # dependent columns
             continue
         if is_pr_subspace(frame, sub):
             return sub
@@ -234,7 +240,7 @@ def min_support(sub: Subspace, b: Frame) -> int:
     _require_same_space(b, sub)
     n = b.dim
     rows = _projected_int_cols(b, sub)
-    checks = int_nullspace(list(zip(*rows)), n)
+    checks = span_of(zip(*rows), n)
     return _spark([tuple(h[i] for h in checks) for i in range(n)])
 
 
@@ -259,10 +265,7 @@ def _extension_probe(
         u = _orthogonal_sample(us, n, rng, range_max)
         if u is None or all(t == 0 for t in u):
             return None
-        bigger = Subspace.from_vectors(
-            [sub.basis.column(j) for j in range(sub.dim)] + [tuple(Fraction(t) for t in u)],
-            ambient_dim=n,
-        )
+        bigger = Subspace.from_vectors(sub.basis + (u,), ambient_dim=n)
         if is_pr_subspace(frame, bigger):
             return bigger
     return None
@@ -388,7 +391,7 @@ def extend_to_maximal(
         if not ok:
             continue
         # back from dual-basis coordinates: columns v with B^T v = u
-        sub = Subspace(n, RatMatrix(n, k, solve(b.vectors, tuple(zip(*us)))))
+        sub = Subspace.from_vectors(zip(*solve(b.vectors, tuple(zip(*us)))), ambient_dim=n)
         if is_pr_subspace(b, sub) and min_support(sub, b) == k:
             return sub
     raise RetriesExhausted(f"extension failed after {max_retries + 1} attempts")

@@ -21,6 +21,7 @@ from prframes import (
     witness_from_dict,
     witness_to_dict,
 )
+from prframes.cli import main
 
 
 def test_frame_roundtrip_with_fractions():
@@ -51,7 +52,7 @@ def test_subspace_roundtrip():
     json.dumps(d)
     t = subspace_from_dict(d)
     assert t.ambient_dim == 4 and t.dim == 2
-    assert t.basis.entries == s.basis.entries
+    assert t.basis == s.basis
 
 
 def test_witness_roundtrip():
@@ -102,6 +103,24 @@ def test_save_load_file(tmp_path):
 def test_subspace_from_dict_rejects_malformed_shapes(d):
     with pytest.raises(BadInput):
         subspace_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [[[1, 0], [0]], [[1], [0], [0]], [[1]]],
+    ids=["ragged", "extra-row", "missing-row"],
+)
+def test_subspace_file_of_wrong_basis_shape_is_bad_input(tmp_path, capsys, basis):
+    d = {"n": 2, "dim": 1, "basis": basis}
+    with pytest.raises(BadInput, match="'basis' must be 2 rows of equal length"):
+        subspace_from_dict(d)
+    frame_path, sub_path = tmp_path / "f.json", tmp_path / "s.json"
+    save_json(frame_to_dict(Frame.from_vectors([(1, 0), (0, 1), (1, 1)], dim=2)), str(frame_path))
+    save_json(d, str(sub_path))
+    code = main(["subspace", str(frame_path), "--action", "check", "--subspace-file", str(sub_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
 
 
 @pytest.mark.parametrize("entry", ["0.5", "1e3", "1_000", " 1", "inf", "1/-2", "1/", ""])

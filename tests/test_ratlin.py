@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import _rank as oracle_rank
 from prframes import BadInput
 from prframes.ratlin import (
-    RatMatrix,
     clear_denominators,
     derive_seed,
     extend_span,
@@ -41,15 +40,6 @@ def test_parse_format_roundtrip():
     for bad in [True, 0.5, "1/0", "x", None, [1]]:
         with pytest.raises(BadInput):
             parse_rational(bad)
-
-
-def test_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        RatMatrix(2, 2, ((Fraction(1),),))
-    m = RatMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.rows == 2 and m.cols == 2
-    assert m.columns() == [(Fraction(1), Fraction(3)), (Fraction(2), Fraction(4))]
-    assert m.column(1) == (Fraction(2), Fraction(4))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -183,6 +173,35 @@ def test_span_normals_agree_with_sympy(family):
     assert (off_span(normals, probe) is None) == (oracle_rank(cols + [probe]) == r)
     if cols:
         assert int_rank(cols) == r
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_families())
+def test_nullspace_agrees_with_sympy_on_families(family):
+    # the columns as the rows of a matrix; sympy's reduced-echelon basis, made primitive
+    n, cols, _ = family
+    expected = [
+        clear_denominators(tuple(Fraction(int(x.p), int(x.q)) for x in v))
+        for v in sympy.Matrix(len(cols), n, [x for col in cols for x in col]).nullspace()
+    ]
+    assert int_nullspace(cols, n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_families())
+def test_solve_agrees_with_sympy_on_families(family):
+    # a: n rows taken from the family (the probe pads it), b: the family as columns
+    n, cols, probe = family
+    assume(n > 0)
+    a_rows = (cols + [probe] * n)[:n]
+    b_rows = [[col[i] for col in cols] for i in range(n)]
+    a_sym = sympy.Matrix(a_rows)
+    if a_sym.rank() < n:
+        with pytest.raises(ValueError):
+            solve(a_rows, b_rows)
+        return
+    expected = a_sym.inv() * sympy.Matrix(n, len(cols), [x for row in b_rows for x in row])
+    assert solve(a_rows, b_rows) == sympy_to_fractions(expected)
 
 
 def test_sample_pattern_respects_mask_and_seed():

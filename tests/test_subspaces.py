@@ -67,8 +67,12 @@ def example_subspace_r4():
 
 
 def test_subspace_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match="basis columns are dependent"):
         Subspace.from_vectors([(1, 0), (2, 0)], ambient_dim=2)
+    with pytest.raises(BadInput, match="need at least one basis column"):
+        Subspace(2, ())
+    with pytest.raises(BadInput, match="vector has 3 entries, expected 2"):
+        Subspace(2, ((Fraction(1), Fraction(0), Fraction(0)),))
     s = Subspace.from_vectors([(1, 0, 0), (0, 1, 0)], ambient_dim=3)
     assert s.dim == 2
     assert s.contains((3, -2, 0))
@@ -113,7 +117,7 @@ def test_projected_rank_invariant_under_basis_change():
         vecs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
         try:
             m = Subspace.from_vectors(vecs, ambient_dim=4)
-        except ValueError:
+        except BadInput:
             continue
         # the basis times g = [[1, 1], [0, 1]]: columns b0 and b0 + b1
         b0, b1 = m.vectors()
@@ -213,7 +217,7 @@ def test_is_pr_subspace_agrees_with_oracle(case):
     try:
         f = Frame.from_vectors(frame_vecs, dim=n)
         m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
-    except (NotAFrame, ValueError):
+    except (NotAFrame, BadInput):
         assume(False)
     assert is_pr_subspace(f, m) == brute_family_has_cp(project_frame(f, m), m.dim)
 
@@ -235,7 +239,7 @@ def test_project_frame_agrees_with_oracle(case):
     try:
         f = Frame.from_vectors(frame_vecs, dim=n)
         m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
-    except (NotAFrame, ValueError):
+    except (NotAFrame, BadInput):
         assume(False)
     bt = _sympy_cols(m.vectors()).T
     expected = [_fractions(bt * _sympy_cols([v])) for v in f.vectors]
@@ -275,7 +279,7 @@ def test_random_pr_subspace():
         random_pr_subspace(f, 3, seed=1)
     a = random_pr_subspace(f, 2, seed=5)
     b = random_pr_subspace(f, 2, seed=5)
-    assert a.basis.entries == b.basis.entries
+    assert a.basis == b.basis
 
 
 def test_support_duality():
@@ -303,7 +307,7 @@ def test_min_support_matches_bruteforce(seed):
     vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
     try:
         m = Subspace.from_vectors(vecs, ambient_dim=n)
-    except ValueError:
+    except BadInput:
         return
     got = min_support(m, std_basis(n))
     assert got == brute_min_support(vecs, [tuple(int(i == j) for i in range(n)) for j in range(n)])
@@ -341,7 +345,7 @@ def test_min_support_agrees_with_oracle(case):
     try:
         b = Frame.from_vectors(basis_vecs, dim=n)
         m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
-    except (NotAFrame, ValueError):
+    except (NotAFrame, BadInput):
         assume(False)
     assert min_support(m, b) == brute_min_support(sub_vecs, basis_vecs)
 
