@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -299,11 +301,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _glue_vector(argv: List[str]) -> List[str]:
+    """Join "--vector -2,1,0" into "--vector=-2,1,0", abbreviations too.
+
+    argparse reads a separate value that starts with a minus sign as an
+    option, unless it is a single negative number.
+    """
+    out: List[str] = []
+    for a in argv:
+        if out and len(out[-1]) > 2 and "--vector".startswith(out[-1]) and re.match(r"-\d", a):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_vector(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`prframes ... | head`); point it at
+        # devnull so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except USAGE_ERRORS as exc:
         return _fail(exc)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:

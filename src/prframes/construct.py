@@ -319,29 +319,24 @@ def plan(n: int, N: int) -> ConstructionPlan:
     steps = _plan_steps(n, N)
     if steps is None:
         raise OutOfRange(f"no derivation path to (n={n}, N={N})")
-    return ConstructionPlan(tuple(steps), (n, N))
+    return ConstructionPlan(steps, (n, N))
 
 
-def _plan_steps(n: int, N: int, _memo={}):
+@lru_cache(maxsize=None)
+def _plan_steps(n: int, N: int) -> Optional[Tuple[str, ...]]:
     if not (3 <= n and 2 * n <= N <= n * (n + 1) // 2):
         return None
-    if (n, N) in _memo:
-        return _memo[(n, N)]
     if (n, N) == (3, 6):
-        out = ["base36"]
-    else:
-        out = None
-        for step, prev_N in (
-            ("step_III", N - 2),
-            ("step_II", N - (n - 1)),
-            ("step_I", N - n),
-        ):
-            prev = _plan_steps(n - 1, prev_N)
-            if prev is not None:
-                out = prev + [step]
-                break
-    _memo[(n, N)] = out
-    return out
+        return ("base36",)
+    for step, prev_N in (
+        ("step_III", N - 2),
+        ("step_II", N - (n - 1)),
+        ("step_I", N - n),
+    ):
+        prev = _plan_steps(n - 1, prev_N)
+        if prev is not None:
+            return prev + (step,)
+    return None
 
 
 def build_pattern(p: ConstructionPlan) -> PatternMatrix:

@@ -89,14 +89,19 @@ class Frame:
         # d(F): the larger class rank of the partition the bounded search
         # ends on, or n when no partition has both ranks <= n - 1
         n = self.dim
-        a = _partition(self._int_cols, n - 1, (n + 1) // 2)
-        if a is None:
-            return n
-        return max(span_dim(self, a), span_dim(self, (j for j in range(self.N) if j not in a)))
+        found = _partition(self._int_cols, n - 1, (n + 1) // 2)
+        return n if found is None else found.rank
 
     def drop(self, i: int) -> Tuple[IntVec, ...]:
         cols = self._int_cols
         return cols[:i] + cols[i + 1 :]
+
+
+class Split(NamedTuple):
+    """A 2-colouring found by ``_partition``: class A and the larger class rank."""
+
+    a: IndexSet
+    rank: int
 
 
 class CPResult(NamedTuple):
@@ -126,8 +131,8 @@ class ExactnessResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> Optional[IndexSet]:
-    """Class A of a 2-colouring of the columns with both class ranks <= t, or None.
+def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> Optional[Split]:
+    """A 2-colouring of the columns with both class ranks <= t, or None.
 
     Each class is held as the integer normals of its span (``ratlin``), so a
     node asks two membership questions, one dot-product pass each, and a
@@ -145,12 +150,13 @@ def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> O
     exists stops at the first one).  Below that it keeps looking with
     t = r - 1, dropping the stacked branches that already exceed the new t,
     and returns the last partition found: with floor (n + 1) // 2, the
-    least any partition can reach, that one has the least larger class rank.
+    least any partition can reach, that one has the least larger class rank,
+    which it carries as ``rank``.
     """
     ncols = len(cols)
     if ncols == 0:
         # the empty family: both classes empty, of rank 0
-        return frozenset()
+        return Split(frozenset(), 0)
     n = len(cols[0])
     keep = n - t  # fewest normals a class of rank <= t still has
     empty = span_normals(n)
@@ -165,8 +171,8 @@ def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> O
     while stack:
         i, na, nb, amask = stack.pop()
         if i == ncols:
-            best = amask
             r = n - min(len(na), len(nb))
+            best = amask, r
             if r <= floor:
                 break
             keep = n - r + 1  # go on with t = r - 1
@@ -187,7 +193,8 @@ def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> O
             stack.append((i + 1, na, extend_span(nb, col, off_b), amask))
     if best is None:
         return None
-    return frozenset(j for j in range(ncols) if best >> j & 1)
+    amask, r = best
+    return Split(frozenset(j for j in range(ncols) if amask >> j & 1), r)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +210,8 @@ def span_dim(frame: Frame, idxs: Iterable[int]) -> int:
 
 def has_complement_property(frame: Frame) -> CPResult:
     """Decide the complement property; on failure return one failing subset."""
-    failing = _partition(frame._int_cols, frame.dim - 1)
-    return CPResult(failing is None, failing)
+    found = _partition(frame._int_cols, frame.dim - 1)
+    return CPResult(found is None, None if found is None else found.a)
 
 
 def is_phase_retrievable(frame: Frame) -> bool:

@@ -111,9 +111,10 @@ def find_s2_element(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
         raise ValueError("lam must be non-empty")
     n, cols = frame.dim, frame._int_cols
     sub = [cols[j] for j in lam]
-    a = _partition(sub, n - 1)
-    if a is None:
+    found = _partition(sub, n - 1)
+    if found is None:
         return None
+    a = found.a
     # both classes have rank <= n - 1, so each span keeps a nonzero normal
     u = span_of((c for j, c in enumerate(sub) if j in a), n)[0]
     v = span_of((c for j, c in enumerate(sub) if j not in a), n)[0]

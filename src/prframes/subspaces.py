@@ -355,11 +355,25 @@ def extend_to_maximal(
     Works in dual-basis coordinates, where the target dimension is the
     support size k of x.  Each stage samples an integer vector orthogonal to
     the ones already kept and accepts it when every square row subset of the
-    running size that meets the support is invertible.  The finished subspace
-    is re-verified from scratch, so a bad draw can only cost a retry, never
-    a wrong certificate: for a basis, PR plus minimum support k is exactly
-    the rule under which ``is_maximal_pr_subspace`` returns Maximal, so these
-    two checks certify maximality.
+    running size that meets the support is invertible.  The last stage's
+    acceptance is the certificate.  Let U = [x, u_2..u_k] be the n x k
+    matrix of dual coordinates and S = supp(x), so every k-row subset of U
+    that meets S is invertible.  For a basis, PR plus minimum support k is
+    exactly the rule under which ``is_maximal_pr_subspace`` returns Maximal,
+    and both follow:
+
+    * CP of U's rows in R^k.  Since n >= 2k - 1, one class of any
+      2-colouring has at least k rows.  If that class meets S, it spans.
+      If it does not, S lies in the other class, and S itself spans.
+    * Minimum support k.  Take y = Uc != 0 and let Z be the set of rows
+      orthogonal to c; any k rows of Z are dependent.  So if Z meets S,
+      then |Z| <= k - 1 and |supp y| >= n - k + 1 >= k.  Otherwise
+      supp y contains S.  And x itself attains k.
+    * k = 1.  There is no stage: span{x} has CP (x is nonzero on S) and
+      every nonzero multiple of x has support S.
+
+    ``solve`` is exact, so the returned subspace has exactly U as its
+    dual coordinates, and the result needs no second proof.
     """
     coords = _dual_coords(x, b)
     n = b.dim
@@ -373,7 +387,6 @@ def extend_to_maximal(
     for attempt in range(max_retries + 1):
         rng = random.Random(derive_seed(seed, 31 + attempt))
         us: List[IntVec] = [x0]
-        ok = True
         for _m in range(1, k):
             got = None
             for _ in range(40):
@@ -385,13 +398,9 @@ def extend_to_maximal(
                     got = u
                     break
             if got is None:
-                ok = False
                 break
             us.append(got)
-        if not ok:
-            continue
-        # back from dual-basis coordinates: columns v with B^T v = u
-        sub = Subspace.from_vectors(zip(*solve(b.vectors, tuple(zip(*us)))), ambient_dim=n)
-        if is_pr_subspace(b, sub) and min_support(sub, b) == k:
-            return sub
+        else:
+            # back from dual-basis coordinates: columns v with B^T v = u
+            return Subspace.from_vectors(zip(*solve(b.vectors, tuple(zip(*us)))), ambient_dim=n)
     raise RetriesExhausted(f"extension failed after {max_retries + 1} attempts")

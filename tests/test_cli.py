@@ -208,6 +208,39 @@ def test_subspace_extend(capsys, tmp_path):
     assert d["meta"]["certified"] == {"pr": True, "min_support": 2, "maximal": True}
 
 
+def test_subspace_extend_vector_with_leading_minus(capsys, tmp_path):
+    # a comma list that starts with a minus sign is the value of --vector,
+    # given separately or after "="
+    f = write_frame(tmp_path, "b5.json", [tuple(int(i == j) for i in range(5)) for j in range(5)], 5)
+    spaced = run(capsys, "subspace", f, "--action", "extend", "--vector", "-2,1,0,0,0")
+    glued = run(capsys, "subspace", f, "--action", "extend", "--vector=-2,1,0,0,0")
+    abbreviated = run(capsys, "subspace", f, "--action", "extend", "--vec", "-2,1,0,0,0")
+    assert spaced == glued == abbreviated
+    assert spaced[0] == 0 and json.loads(spaced[1])["dim"] == 2
+
+
+def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, tmp_path, pr_frame_file):
+    # the reader of a pipe went away (`prframes ... | head`)
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(sink.fileno()))
+        code = main(["verify", pr_frame_file])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_subspace_extend_wrong_length_exits_2(capsys, tmp_path):
     f = write_frame(tmp_path, "I4.json", [tuple(int(i == j) for i in range(4)) for j in range(4)], 4)
     code, out, err = run(capsys, "subspace", f, "--action", "extend", "--vector", "1,2")

@@ -175,9 +175,10 @@ def test_partition_agrees_with_oracles(family):
     except NotAFrame:
         assume(False)
     cols = frame._int_cols
-    failing = _partition(cols, n - 1)
-    assert (failing is None) == brute_has_cp(frame)
-    if failing is not None:
+    found = _partition(cols, n - 1)
+    assert (found is None) == brute_has_cp(frame)
+    if found is not None:
+        failing = found.a
         comp = [i for i in range(frame.N) if i not in failing]
         assert 0 in failing
         assert oracle_rank([frame.vectors[i] for i in failing]) < n
@@ -197,13 +198,13 @@ def test_bounded_search_finds_d(family):
         assume(False)
     d = brute_d_value(frame)
     assert d_max(frame) == d
-    a = _partition(frame._int_cols, n - 1, (n + 1) // 2)
-    if a is None:
+    found = _partition(frame._int_cols, n - 1, (n + 1) // 2)
+    if found is None:
         assert d == n
     else:
-        comp = [i for i in range(frame.N) if i not in a]
-        ranks = [oracle_rank([frame.vectors[i] for i in idxs]) for idxs in (sorted(a), comp)]
-        assert max(ranks) == d
+        comp = [i for i in range(frame.N) if i not in found.a]
+        ranks = [oracle_rank([frame.vectors[i] for i in idxs]) for idxs in (sorted(found.a), comp)]
+        assert found.rank == max(ranks) == d
 
 
 @settings(max_examples=100, deadline=None)
