@@ -28,16 +28,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .frames import Frame, _partition, is_exact_pr_frame, has_complement_property
-from .ratlin import extend_span, int_rank, off_span, span_normals, span_of
-
-
-def sym_pairs(n: int) -> List[Tuple[int, int]]:
-    """Coordinate order for symmetric matrices: diagonal first, then a < b."""
-    return [(a, a) for a in range(n)] + list(itertools.combinations(range(n), 2))
+from .ratlin import IntVec, extend_span, int_rank, off_span, span_normals, span_of
 
 
 def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
@@ -45,11 +40,6 @@ def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
     row = [f[a] * f[a] for a in range(n)]
     row += [2 * f[a] * f[b] for a, b in itertools.combinations(range(n), 2)]
     return tuple(row)
-
-
-def vech(x: Sequence[Fraction], y: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
-    """Upper-triangle coordinates of x (x)^T - y (y)^T in sym_pairs order."""
-    return tuple(x[a] * x[b] - y[a] * y[b] for a, b in sym_pairs(n))
 
 
 @dataclass(frozen=True)
@@ -126,6 +116,13 @@ def find_s2_witness(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
 
     Returns None exactly when dropping the complement does not enlarge the
     rank-<=2 part of the kernel.  Requires a proper, non-empty subfamily.
+    """
+    found = _seen_colouring(frame, lam)
+    return None if found is None else _witness(*found)
+
+
+def _seen_colouring(frame: Frame, lam: Iterable[int]) -> Optional[Tuple[IntVec, IntVec, int]]:
+    """(u, v, i): normals of the two class spans and the complement index they see.
 
     The search is ``frames._partition``'s over the subfamily, with "some
     complement vector lies outside both class spans" in place of the rank
@@ -157,7 +154,7 @@ def find_s2_witness(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
         if p == len(lam):
             f = cols[live[0]]
             ka, kb = off_span(na, f)[0], off_span(nb, f)[0]
-            return _witness(na[ka], nb[kb], live[0])
+            return na[ka], nb[kb], live[0]
         col = cols[lam[p]]
         off_a = off_span(na, col)
         if off_a is None:
@@ -196,19 +193,75 @@ def has_exact_pr_redundancy(frame: Frame) -> bool:
 
 
 def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
-    """N/k for the smallest subfamily preserving the rank-<=2 kernel part.
+    """N/k for the smallest subfamily Lambda preserving the rank-<=2 kernel part.
 
-    Preservation is monotone under inclusion, so exactness (no co-singleton
-    preserves) settles the answer at 1 without scanning all subsets.
-    Otherwise some co-singleton preserves, so the scan stops at size N - 2
-    and the answer is N/(N - 1) when no smaller subfamily preserves.
+    Two facts fix where the search runs, and preservation is monotone under
+    inclusion, so the answer is 1 exactly when no co-singleton preserves.
+
+    * A preserving Lambda spans R^n: otherwise (Lambda, empty) is a kernel
+      colouring, and some frame vector outside span Lambda sees it.  So k >= n.
+    * On a phase-retrievable frame the rank-<=2 kernel part is {0}, so Lambda
+      preserves iff Lambda is itself phase-retrievable: a colouring of Lambda
+      with both class ranks <= n - 1 that no vector outside Lambda sees would
+      extend to one of the whole frame.  So k >= 2n - 1.
+
+    So the direction of the search depends on the frame.  A
+    phase-retrievable frame is settled by exactness (answer 1) or scanned by
+    size from 2n - 1 with the partition search on each subfamily.  Any other
+    frame, every one shorter than 2n - 1 among them, is searched top-down
+    over removal sets, in increasing index order, descending only into sets
+    whose complement preserves; each such set is visited once.  A branch
+    that cannot remove more than the best set found so far is cut, and the
+    search stops once N - n are removed.  Both answer N/(N - 1) when some
+    co-singleton preserves but nothing smaller does.
     """
-    if frame.N > max_n:
-        raise CapExceeded(f"N={frame.N} exceeds exhaustive cap {max_n}")
-    if has_exact_pr_redundancy(frame):
-        return Fraction(1)
-    for k in range(1, frame.N - 1):
-        for lam in itertools.combinations(range(frame.N), k):
-            if find_s2_witness(frame, lam) is None:
-                return Fraction(frame.N, k)
-    return Fraction(frame.N, frame.N - 1)
+    n, N = frame.dim, frame.N
+    if N > max_n:
+        raise CapExceeded(f"N={N} exceeds exhaustive cap {max_n}")
+    if N >= 2 * n - 1:  # a shorter frame is never phase-retrievable
+        exactness = is_exact_pr_frame(frame)
+        if exactness.exact:
+            return Fraction(1)
+        if exactness.removable:
+            return Fraction(N, _least_pr_subfamily(frame))
+    removed = _most_removable(frame)
+    return Fraction(1) if removed == 0 else Fraction(N, N - removed)
+
+
+def _least_pr_subfamily(frame: Frame) -> int:
+    """Size of the smallest phase-retrievable subfamily of a PR, non-exact frame.
+
+    Such a frame has N >= 2n and a phase-retrievable co-singleton, so the scan
+    runs from 2n - 1 and answers N - 1 when nothing smaller qualifies.
+    """
+    n, N, cols = frame.dim, frame.N, frame._int_cols
+    for k in range(2 * n - 1, N - 1):
+        for lam in itertools.combinations(range(N), k):
+            if _partition([cols[j] for j in lam], n - 1) is None:
+                return k
+    return N - 1
+
+
+def _most_removable(frame: Frame) -> int:
+    """Size of the largest removal set whose complement preserves the kernel part.
+
+    Depth-first over removal sets as increasing index tuples; a preserving
+    subfamily spans, so at most N - n indices go.
+    """
+    N = frame.N
+    most, best = N - frame.dim, 0
+    # stack entries: removal sets still to test
+    stack = [(i,) for i in reversed(range(N))] if most else []
+    while stack and best < most:
+        removed = stack.pop()
+        r = len(removed)
+        # only indices above removed[-1] can join: can this branch beat best?
+        if r + N - 1 - removed[-1] <= best:
+            continue
+        kept = [j for j in range(N) if j not in removed]
+        if _seen_colouring(frame, kept) is not None:
+            continue
+        best = max(best, r)
+        if r < most:
+            stack.extend(removed + (j,) for j in reversed(range(removed[-1] + 1, N)))
+    return best

@@ -127,6 +127,20 @@ def brute_s2_witness_exists(frame: Frame, lam) -> bool:
     return False
 
 
+def brute_pr_redundancy(frame: Frame) -> Fraction:
+    """N/k for the smallest subfamily with no rank-<=2 kernel element the frame sees.
+
+    Scans the subfamilies by size from 1, each with ``brute_s2_witness_exists``;
+    1 when no proper subfamily qualifies.
+    """
+    N = frame.N
+    for k in range(1, N):
+        for lam in itertools.combinations(range(N), k):
+            if not brute_s2_witness_exists(frame, lam):
+                return Fraction(N, k)
+    return Fraction(1)
+
+
 def brute_min_support(sub_vectors, basis_vectors) -> int:
     """Smallest dual-coordinate support over the subspace, by full enumeration."""
     n = len(basis_vectors)

@@ -6,12 +6,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     _rank as oracle_rank,
+    brute_family_has_cp,
     brute_has_cp,
     brute_lifted_independent,
+    brute_pr_redundancy,
     brute_s2_witness_exists,
 )
 from prframes import (
@@ -28,7 +30,21 @@ from prframes import (
     lifted_independent,
     pr_redundancy,
 )
-from prframes.lifting import lifted_row, sym_pairs, vech
+from prframes.lifting import lifted_row
+
+
+def sym_pairs(n):
+    """Coordinate order for symmetric matrices: diagonal first, then a < b."""
+    return [(a, a) for a in range(n)] + list(itertools.combinations(range(n), 2))
+
+
+def vech(x, y, n):
+    """Upper-triangle coordinates of x x^T - y y^T in sym_pairs order."""
+    return tuple(x[a] * x[b] - y[a] * y[b] for a, b in sym_pairs(n))
+
+
+# CP fails: the five plane vectors and {e3, e1+e3} both have rank 2
+NON_PR_3_7 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (2, 1, 0), (1, 0, 1)]
 
 
 def random_frame(rng, n, N):
@@ -245,6 +261,116 @@ def test_s2_witness_agrees_with_oracle(family):
 
 
 @st.composite
+def non_spanning_subfamilies(draw):
+    """(n, vectors, lam): lam's vectors lie in the hyperplane normal to some h.
+
+    Each of them is hh * v - <h,v> h for a drawn v (zero when v is a multiple
+    of h); the other vectors are free, so the family usually spans.
+    """
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    h = draw(row.filter(any))
+    hh = sum(x * x for x in h)
+
+    def flatten(v):
+        d = sum(a * b for a, b in zip(h, v))
+        return [hh * a - d * b for a, b in zip(v, h)]
+
+    inside = draw(st.lists(row.map(flatten), min_size=1, max_size=5))
+    others = draw(st.lists(row, min_size=n, max_size=n + 2))
+    order = draw(st.permutations(range(len(inside) + len(others))))
+    vecs = [None] * len(order)
+    for pos, v in zip(order, inside + others):
+        vecs[pos] = v
+    return n, vecs, sorted(order[: len(inside)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_spanning_subfamilies())
+def test_non_spanning_subfamily_has_a_seen_witness(family):
+    # (lam, empty) is a kernel colouring, and some frame vector lies outside span lam
+    n, vecs, lam = family
+    f = _frame_of(n, vecs)
+    assert oracle_rank([vecs[j] for j in lam]) < n
+    assert find_s2_witness(f, lam) is not None
+    assert brute_s2_witness_exists(f, lam)
+
+
+@st.composite
+def pr_candidate_subfamilies(draw):
+    """(n, vectors, lam): n <= 3, 2n - 1 <= N <= 7, mostly free columns, some zero
+    or repeated; lam is a proper non-empty subset of the indices."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    vecs = []
+    for _ in range(draw(st.integers(max(2, 2 * n - 1), 7))):
+        col = draw(st.sampled_from(("free", "free", "free", "zero", "repeat")))
+        if col == "zero":
+            vecs.append([0] * n)
+        elif col == "repeat" and vecs:
+            vecs.append(list(draw(st.sampled_from(vecs))))
+        else:
+            vecs.append(draw(row))
+    lam = draw(st.sets(st.integers(0, len(vecs) - 1), min_size=1, max_size=len(vecs) - 1))
+    return n, vecs, sorted(lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pr_candidate_subfamilies())
+def test_witness_on_pr_frame_iff_subfamily_fails_cp(family):
+    # the rank-<=2 kernel part of a PR frame is {0}: lam preserves it iff lam is PR
+    n, vecs, lam = family
+    f = _frame_of(n, vecs)
+    assume(brute_has_cp(f))
+    lam_cp = brute_family_has_cp([vecs[j] for j in lam], n)
+    assert (find_s2_witness(f, lam) is None) == lam_cp
+
+
+@st.composite
+def redundancy_frames(draw):
+    """(n, vectors), n <= 4 and N <= 9, in three kinds.
+
+    Bases (N = n); dense frames of length 2n - 1 to 2n + 1, mostly
+    phase-retrievable, exact at 2n - 1 and often not beyond; and degenerate
+    frames with zero and repeated columns, mostly not phase-retrievable.
+    """
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("basis", "generic", "degenerate")))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    if kind == "basis":
+        return n, draw(st.lists(row, min_size=n, max_size=n))
+    if kind == "generic":
+        # no zero entries, so nearly every one of these is phase-retrievable
+        entry = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        dense = st.lists(entry, min_size=n, max_size=n)
+        return n, draw(st.lists(dense, min_size=2 * n - 1, max_size=min(9, 2 * n + 1)))
+    vecs = []
+    for _ in range(draw(st.integers(n, 9 if n < 4 else 8))):
+        col = draw(st.sampled_from(("free", "free", "zero", "repeat")))
+        if col == "zero":
+            vecs.append([0] * n)
+        elif col == "repeat" and vecs:
+            k = draw(st.sampled_from((-1, 1, 2)))
+            vecs.append([k * x for x in draw(st.sampled_from(vecs))])
+        else:
+            vecs.append(draw(row))
+    return n, vecs
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundancy_frames())
+@example((2, [[1, 0], [0, 1]]))
+@example((2, [[1, 0], [0, 1], [1, 1]]))
+@example((2, [[1, 0], [0, 1], [1, 1], [1, -1]]))
+@example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 1, 1], [2, 0, 0]]))
+@example((3, NON_PR_3_7))
+def test_redundancy_agrees_with_oracle(family):
+    n, vecs = family
+    f = _frame_of(n, vecs)
+    assert pr_redundancy(f) == brute_pr_redundancy(f)
+
+
+@st.composite
 def rational_spanning_families(draw):
     """(n, vectors): n <= 4, n <= N <= 11, entries p/q with q in 1..4, zero and parallel columns."""
     n = draw(st.integers(1, 4))
@@ -276,10 +402,6 @@ def test_lifted_independent_agrees_with_oracle(family):
 # (tests/conftest.py), and no nullspace kernel on the redundancy paths.
 # ---------------------------------------------------------------------------
 
-# CP fails: the five plane vectors and {e3, e1+e3} both have rank 2
-NON_PR_3_7 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (2, 1, 0), (1, 0, 1)]
-
-
 def test_redundancy_work_ceiling_r3_example(span_tests):
     f = curated.r3_example_frame()
     span_tests[0] = 0
@@ -291,7 +413,7 @@ def test_redundancy_work_ceiling_non_pr_3_7(span_tests):
     f = Frame.from_vectors(NON_PR_3_7, dim=3)
     span_tests[0] = 0
     assert pr_redundancy(f) == Fraction(7, 5)
-    assert span_tests[0] <= 3180
+    assert span_tests[0] <= 1384
 
 
 def test_redundancy_paths_take_no_nullspace(monkeypatch):
