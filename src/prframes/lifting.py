@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .frames import Frame, _partition, is_exact_pr_frame, has_complement_property
@@ -185,18 +185,15 @@ def has_exact_pr_redundancy(frame: Frame) -> bool:
     """
     if has_complement_property(frame).holds:
         return is_exact_pr_frame(frame).exact
-    for i in range(frame.N):
-        lam = [j for j in range(frame.N) if j != i]
-        if find_s2_witness(frame, lam) is None:
-            return False
-    return True
+    return not any(_keeps_s2_part(frame, _without(frame.N, (i,))) for i in range(frame.N))
 
 
 def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
     """N/k for the smallest subfamily Lambda preserving the rank-<=2 kernel part.
 
-    Two facts fix where the search runs, and preservation is monotone under
-    inclusion, so the answer is 1 exactly when no co-singleton preserves.
+    Preservation is monotone under inclusion, so the answer is 1 exactly
+    when no co-singleton preserves, and the search runs top-down over
+    removal sets.  Two facts cap how many vectors can go:
 
     * A preserving Lambda spans R^n: otherwise (Lambda, empty) is a kernel
       colouring, and some frame vector outside span Lambda sees it.  So k >= n.
@@ -205,15 +202,11 @@ def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
       with both class ranks <= n - 1 that no vector outside Lambda sees would
       extend to one of the whole frame.  So k >= 2n - 1.
 
-    So the direction of the search depends on the frame.  A
-    phase-retrievable frame is settled by exactness (answer 1) or scanned by
-    size from 2n - 1 with the partition search on each subfamily.  Any other
-    frame, every one shorter than 2n - 1 among them, is searched top-down
-    over removal sets, in increasing index order, descending only into sets
-    whose complement preserves; each such set is visited once.  A branch
-    that cannot remove more than the best set found so far is cut, and the
-    search stops once N - n are removed.  Both answer N/(N - 1) when some
-    co-singleton preserves but nothing smaller does.
+    A phase-retrievable frame is settled by exactness (answer 1) or searched
+    with the partition search on each kept subfamily, starting from the
+    removable indices exactness already found, and at most N - (2n - 1)
+    removed.  Any other frame, every one shorter than 2n - 1 among them, is
+    searched with the seen-colouring test and at most N - n removed.
     """
     n, N = frame.dim, frame.N
     if N > max_n:
@@ -223,45 +216,56 @@ def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
         if exactness.exact:
             return Fraction(1)
         if exactness.removable:
-            return Fraction(N, _least_pr_subfamily(frame))
-    removed = _most_removable(frame)
+            removed = _most_removable(frame, _is_pr_subfamily, N - (2 * n - 1), exactness.removable)
+            return Fraction(N, N - removed)
+    removed = _most_removable(frame, _keeps_s2_part, N - n)
     return Fraction(1) if removed == 0 else Fraction(N, N - removed)
 
 
-def _least_pr_subfamily(frame: Frame) -> int:
-    """Size of the smallest phase-retrievable subfamily of a PR, non-exact frame.
-
-    Such a frame has N >= 2n and a phase-retrievable co-singleton, so the scan
-    runs from 2n - 1 and answers N - 1 when nothing smaller qualifies.
-    """
-    n, N, cols = frame.dim, frame.N, frame._int_cols
-    for k in range(2 * n - 1, N - 1):
-        for lam in itertools.combinations(range(N), k):
-            if _partition([cols[j] for j in lam], n - 1) is None:
-                return k
-    return N - 1
+def _without(N: int, removed: Sequence[int]) -> List[int]:
+    return [j for j in range(N) if j not in removed]
 
 
-def _most_removable(frame: Frame) -> int:
-    """Size of the largest removal set whose complement preserves the kernel part.
+def _keeps_s2_part(frame: Frame, kept: Sequence[int]) -> bool:
+    """True iff dropping the complement of ``kept`` leaves the rank-<=2 kernel part."""
+    return _seen_colouring(frame, kept) is None
 
-    Depth-first over removal sets as increasing index tuples; a preserving
-    subfamily spans, so at most N - n indices go.
+
+def _is_pr_subfamily(frame: Frame, kept: Sequence[int]) -> bool:
+    cols = frame._int_cols
+    return _partition([cols[j] for j in kept], frame.dim - 1) is None
+
+
+def _most_removable(
+    frame: Frame,
+    keeps: Callable[[Frame, Sequence[int]], bool],
+    most: int,
+    free: Optional[Sequence[int]] = None,
+) -> int:
+    """Size of the largest removal set, at most ``most``, whose complement ``keeps``.
+
+    Every subset of a preserving removal set preserves, so only the indices
+    whose single removal preserves (``free``; tested here unless given) can
+    join one.  Depth-first over increasing tuples of them; a branch that
+    cannot beat the best size found is cut, and the search stops at ``most``.
     """
     N = frame.N
-    most, best = N - frame.dim, 0
-    # stack entries: removal sets still to test
-    stack = [(i,) for i in reversed(range(N))] if most else []
+    if most == 0:
+        return 0
+    if free is None:
+        free = [i for i in range(N) if keeps(frame, _without(N, (i,)))]
+    best = min(len(free), 1)
+    # stack entries: positions in free of a removal set whose subsets all preserve
+    stack = [(p,) for p in reversed(range(len(free)))]
     while stack and best < most:
-        removed = stack.pop()
-        r = len(removed)
-        # only indices above removed[-1] can join: can this branch beat best?
-        if r + N - 1 - removed[-1] <= best:
+        pos = stack.pop()
+        r = len(pos)
+        # only positions above pos[-1] can join: can this branch beat best?
+        if r + len(free) - 1 - pos[-1] <= best:
             continue
-        kept = [j for j in range(N) if j not in removed]
-        if _seen_colouring(frame, kept) is not None:
+        if r > 1 and not keeps(frame, _without(N, [free[p] for p in pos])):
             continue
         best = max(best, r)
         if r < most:
-            stack.extend(removed + (j,) for j in reversed(range(removed[-1] + 1, N)))
+            stack.extend(pos + (p,) for p in reversed(range(pos[-1] + 1, len(free))))
     return best

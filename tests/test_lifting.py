@@ -413,7 +413,7 @@ def test_redundancy_work_ceiling_non_pr_3_7(span_tests):
     f = Frame.from_vectors(NON_PR_3_7, dim=3)
     span_tests[0] = 0
     assert pr_redundancy(f) == Fraction(7, 5)
-    assert span_tests[0] <= 1384
+    assert span_tests[0] <= 815
 
 
 def test_redundancy_paths_take_no_nullspace(monkeypatch):
