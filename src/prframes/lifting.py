@@ -211,14 +211,14 @@ def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
     n, N = frame.dim, frame.N
     if N > max_n:
         raise CapExceeded(f"N={N} exceeds exhaustive cap {max_n}")
+    keeps, most, free = _keeps_s2_part, N - n, None
     if N >= 2 * n - 1:  # a shorter frame is never phase-retrievable
         exactness = is_exact_pr_frame(frame)
         if exactness.exact:
             return Fraction(1)
         if exactness.removable:
-            removed = _most_removable(frame, _is_pr_subfamily, N - (2 * n - 1), exactness.removable)
-            return Fraction(N, N - removed)
-    removed = _most_removable(frame, _keeps_s2_part, N - n)
+            keeps, most, free = _is_pr_subfamily, N - (2 * n - 1), exactness.removable
+    removed = _most_removable(frame, keeps, most, free)
     return Fraction(1) if removed == 0 else Fraction(N, N - removed)
 
 
@@ -255,7 +255,7 @@ def _most_removable(
     if free is None:
         free = [i for i in range(N) if keeps(frame, _without(N, (i,)))]
     best = min(len(free), 1)
-    # stack entries: positions in free of a removal set whose subsets all preserve
+    # stack entries: positions in free of a removal set one longer than a preserving one
     stack = [(p,) for p in reversed(range(len(free)))]
     while stack and best < most:
         pos = stack.pop()
