@@ -17,8 +17,7 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from . import curated, frameio
-from .construct import basis_with_maximal_subspace, generate_exact_pr, generate_with_dmax
+from . import frameio
 from .errors import (
     BadInput,
     CapExceeded,
@@ -33,16 +32,11 @@ from .errors import (
     SupportTooLarge,
 )
 from .frames import Frame, has_complement_property, is_exact_pr_frame, spark
-from .lifting import has_exact_pr_redundancy, lifted_independent, pr_redundancy
 from .ratlin import DEFAULT_RANGE_MAX, format_rational, parse_rational
-from .subspaces import (
-    d_max,
-    extend_to_maximal,
-    is_maximal_pr_subspace,
-    is_pr_subspace,
-    min_support,
-    random_pr_subspace,
-)
+
+# The modules above are the ones reading and writing a frame needs.  The rest
+# load inside the subcommand that runs them: one process answers one
+# question, and importing the whole package takes longer than many answers.
 
 USAGE_ERRORS = (
     BadInput,
@@ -79,6 +73,8 @@ def _write_or_emit(obj: dict, out: Optional[str]) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .construct import basis_with_maximal_subspace, generate_exact_pr, generate_with_dmax
+
     if args.kind == "exact":
         cert = generate_exact_pr(args.n, args.len, args.seed, range_max=args.range_max)
         obj = frameio.frame_to_dict(cert.frame, meta={"certificate": cert.certificate})
@@ -105,6 +101,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .lifting import has_exact_pr_redundancy, lifted_independent
+
     frame = _load_frame(args.frame)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     valid = {"pr", "exact", "redundancy", "lifted-independence"}
@@ -149,6 +147,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .lifting import pr_redundancy
+    from .subspaces import d_max
+
     frame = _load_frame(args.frame)
     what = [w.strip() for w in args.what.split(",") if w.strip()]
     valid = {"dmax", "spark", "redundancy"}
@@ -176,6 +177,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_subspace(args) -> int:
+    from .subspaces import (
+        extend_to_maximal,
+        is_maximal_pr_subspace,
+        is_pr_subspace,
+        random_pr_subspace,
+    )
+
     frame = _load_frame(args.frame)
     if args.action == "random":
         if args.dim is None:
@@ -220,6 +228,10 @@ def cmd_subspace(args) -> int:
 
 def cmd_paper_suite(args) -> int:
     """Regression over every embedded instance; one result record each."""
+    from . import curated
+    from .lifting import has_exact_pr_redundancy
+    from .subspaces import d_max, is_maximal_pr_subspace, is_pr_subspace, min_support
+
     t0 = time.monotonic()
     records = []
     ok = True

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .errors import BadInput
 from .frames import Frame
-from .lifting import S2Witness
 from .ratlin import format_rational, parse_rational
-from .subspaces import MaximalityVerdict, Subspace
+
+if TYPE_CHECKING:
+    # loaded by the readers that build them, so reading a frame needs neither
+    from .lifting import S2Witness
+    from .subspaces import MaximalityVerdict, Subspace
 
 
 def _vec_out(v: Sequence[Fraction]) -> List:
@@ -71,6 +74,8 @@ def subspace_to_dict(sub: Subspace, meta: Optional[dict] = None) -> dict:
 
 
 def subspace_from_dict(d: dict) -> Subspace:
+    from .subspaces import Subspace
+
     n = _dim_field(d)
     rows = _rows_field(d, "basis")
     if len(rows) != n or len({len(r) for r in rows}) > 1:
@@ -86,6 +91,8 @@ def witness_to_dict(w: S2Witness) -> dict:
 
 
 def witness_from_dict(d: dict) -> S2Witness:
+    from .lifting import S2Witness
+
     return S2Witness(
         tuple(_vec_in(d["x"])), tuple(_vec_in(d["y"])), d.get("differing_index")
     )

@@ -85,6 +85,27 @@ class Frame:
         return tuple(clear_denominators(v) for v in self.vectors)
 
     @cached_property
+    def _cp(self) -> CPResult:
+        # held so that PR, exactness and redundancy checks share one proof
+        found = _partition(self._int_cols, self.dim - 1)
+        return CPResult(found is None, None if found is None else found.a)
+
+    @cached_property
+    def _exactness(self) -> ExactnessResult:
+        n, N = self.dim, self.N
+        if not is_phase_retrievable(self):
+            return ExactnessResult(False, ())
+        if N == 2 * n - 1:
+            return ExactnessResult(True, ())
+        settled = _axis_settled(self._int_cols, n)
+        removable = tuple(
+            i
+            for i in range(N)
+            if i not in settled and _partition(self.drop(i), n - 1) is None
+        )
+        return ExactnessResult(len(removable) == 0, removable)
+
+    @cached_property
     def _d(self) -> int:
         # d(F): the larger class rank of the partition the bounded search
         # ends on, or n when no partition has both ranks <= n - 1
@@ -209,9 +230,11 @@ def span_dim(frame: Frame, idxs: Iterable[int]) -> int:
 
 
 def has_complement_property(frame: Frame) -> CPResult:
-    """Decide the complement property; on failure return one failing subset."""
-    found = _partition(frame._int_cols, frame.dim - 1)
-    return CPResult(found is None, None if found is None else found.a)
+    """Decide the complement property; on failure return one failing subset.
+
+    The result is held on the frame, so a second check costs nothing.
+    """
+    return frame._cp
 
 
 def is_phase_retrievable(frame: Frame) -> bool:
@@ -299,20 +322,10 @@ def is_exact_pr_frame(frame: Frame) -> ExactnessResult:
     vectors left after any removal split into two classes of n - 1, neither
     of which spans.  Otherwise one axis table per frame (``_axis_settled``)
     settles most removals, and only the rest run the partition search on the
-    reduced family.
+    reduced family.  The result is held on the frame, like the CP proof it
+    starts from.
     """
-    n, N = frame.dim, frame.N
-    if not is_phase_retrievable(frame):
-        return ExactnessResult(False, ())
-    if N == 2 * n - 1:
-        return ExactnessResult(True, ())
-    settled = _axis_settled(frame._int_cols, n)
-    removable = tuple(
-        i
-        for i in range(N)
-        if i not in settled and _partition(frame.drop(i), n - 1) is None
-    )
-    return ExactnessResult(len(removable) == 0, removable)
+    return frame._exactness
 
 
 def is_full_spark(frame: Frame) -> bool:

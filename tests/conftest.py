@@ -26,3 +26,22 @@ def span_tests(monkeypatch):
     for module in (prframes.ratlin, prframes.frames, prframes.lifting, prframes.subspaces):
         monkeypatch.setattr(module, "off_span", counting)
     return calls
+
+
+@pytest.fixture
+def partition_searches(monkeypatch):
+    """Record the columns of every partition search (``_partition`` call).
+
+    frames defines the search, and lifting and subspaces bind it by name, so
+    every binding is replaced by one recording wrapper around the original.
+    """
+    searched = []
+    inner = prframes.frames._partition
+
+    def recording(cols, t, floor=None):
+        searched.append(tuple(cols))
+        return inner(cols, t, floor)
+
+    for module in (prframes.frames, prframes.lifting, prframes.subspaces):
+        monkeypatch.setattr(module, "_partition", recording)
+    return searched

@@ -1,10 +1,27 @@
 """Command-line contract: subcommands, JSON reports, exit codes 0/1/2."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from importlib import import_module
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prframes import Frame, frame_from_dict, frame_to_dict, save_json, subspace_to_dict
+import prframes
+from prframes import (
+    Frame,
+    frame_from_dict,
+    frame_to_dict,
+    generate_exact_pr,
+    save_json,
+    subspace_to_dict,
+)
 from prframes.cli import main
 from prframes.subspaces import Subspace
 
@@ -264,3 +281,204 @@ def test_paper_suite_all_green(capsys):
     names = {r["instance"] for r in rep["records"]}
     assert {f"exact-(5,{N})" for N in range(10, 16)} <= names
     assert all(r["passed"] for r in rep["records"])
+
+
+def test_verify_proves_cp_and_each_removal_once(capsys, tmp_path, partition_searches):
+    # a generated exact frame under a dense change of coordinates is still
+    # exact, but no coordinate axis settles a removal, so every removal runs
+    # the partition search
+    gen = generate_exact_pr(4, 9, seed=1).frame
+    t = ((1, 2, 3, 1), (1, 1, 3, 2), (2, 1, 1, 1), (1, 3, 1, 2))
+    vectors = [[sum(a * x for a, x in zip(row, v)) for row in t] for v in gen.vectors]
+    path = write_frame(tmp_path, "exact.json", vectors, 4)
+    partition_searches.clear()
+    code, out, _ = run(capsys, "verify", path, "--checks", "pr,exact,redundancy")
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    sizes = Counter(len(cols) for cols in partition_searches)
+    assert sizes == {9: 1, 8: 9}
+    assert set(Counter(partition_searches).values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# What a process loads: one fresh interpreter per check, since this one has
+# imported every module already.
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(prframes.__file__)))
+
+
+def loaded_modules(*python_args):
+    """prframes.* modules a fresh interpreter imports, from ``-X importtime``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *python_args],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return proc.returncode, {m for m in names if m.startswith("prframes.")}
+
+
+def test_verify_loads_no_generator_or_subspace_module(pr_frame_file):
+    code, loaded = loaded_modules(
+        "-m", "prframes.cli", "verify", pr_frame_file, "--checks", "pr,exact"
+    )
+    assert code == 0
+    assert "prframes.frames" in loaded
+    assert not loaded & {"prframes.construct", "prframes.subspaces", "prframes.curated"}
+
+
+def test_bare_import_loads_no_submodule():
+    code, loaded = loaded_modules("-c", "import prframes")
+    assert code == 0
+    assert loaded <= {"prframes.errors"}
+
+
+def test_exported_names_are_their_modules_objects():
+    for name in prframes.__all__:
+        module = import_module(f"prframes.{prframes._MODULE_OF[name]}")
+        obj = getattr(prframes, name)
+        assert obj is getattr(module, name)
+        if getattr(obj, "__module__", "").startswith("prframes"):
+            assert obj.__module__ == module.__name__
+    assert set(prframes.__all__) <= set(dir(prframes))
+    with pytest.raises(AttributeError):
+        prframes.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any argument mix and any input file ends with exit code 0, 1 or 2.
+# ---------------------------------------------------------------------------
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4).map(str),
+    st.sampled_from(["1/0", "0.5", "x", True, None, [1], 2.5]),
+)
+
+
+@st.composite
+def frame_docs(draw, n):
+    """A frame file's text: a frame, a family of the wrong shape, or malformed."""
+    kinds = ("frame",) * 6 + ("family", "short", "ragged", "bad-entry", "bad-n", "other")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "other":
+        return draw(st.sampled_from(("", "{", "null", "[]", '{"n": 2}', '{"vectors": []}')))
+    entry = ENTRIES if kind == "bad-entry" else st.integers(-2, 2)
+    lengths = st.integers(n - 1, n + 1) if kind == "ragged" else st.just(n)
+    vector = lengths.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+    count = (0, n - 1) if kind == "short" else (0, n + 1)
+    vectors = draw(st.lists(vector, min_size=count[0], max_size=count[1]))
+    if kind == "frame":
+        # the unit vectors among them, so that the family spans
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        vectors = draw(st.permutations(vectors + units))
+    dim = draw(st.sampled_from((0, -1, "2", True, 5))) if kind == "bad-n" else n
+    return json.dumps({"n": dim, "vectors": vectors})
+
+
+@st.composite
+def subspace_docs(draw, n):
+    """A subspace file's text: a basis, or basis rows of any shape and entries."""
+    k = draw(st.integers(1, n))
+    if draw(st.sampled_from((True, True, True, False))):
+        # unit columns in the first k coordinates keep the basis independent
+        tail = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+        basis = [[int(i == j) for j in range(k)] for i in range(k)]
+        basis += draw(st.lists(tail, min_size=n - k, max_size=n - k))
+    else:
+        k = draw(st.integers(0, n))
+        rows = draw(st.sampled_from((n, n - 1, n + 1)))
+        entry = draw(st.sampled_from((ENTRIES, st.integers(-2, 2))))
+        row = st.lists(entry, min_size=k, max_size=k)
+        basis = draw(st.lists(row, min_size=rows, max_size=rows))
+    return json.dumps({"n": n, "dim": k, "basis": basis})
+
+
+def _options(draw, options, required=()):
+    """Each required option (dropped now and then) and about half of the others."""
+    argv = []
+    for option, values in options:
+        odds = (True,) * 15 + (False,) if option in required else (True, False)
+        if draw(st.sampled_from(odds)):
+            argv += [option, str(draw(st.sampled_from(values)))]
+    return argv
+
+
+def _joined(draw, names):
+    return [",".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))]
+
+
+@st.composite
+def cli_runs(draw, command):
+    """(argv, files): an argument list with n <= 4 and the texts of the files it names.
+
+    ``command`` is a subcommand, or "subspace ACTION" for one action of it.
+    """
+    n = draw(st.integers(1, 4))
+    sub_n = draw(st.sampled_from((n, n, n, max(n - 1, 1), n + 1)))
+    files = {"frame.json": draw(frame_docs(n)), "sub.json": draw(subspace_docs(sub_n))}
+    frame = draw(st.sampled_from(("frame.json",) * 5 + ("missing.json",)))
+    if command == "gen":
+        options = [
+            ("--n", (n, 0, -1)),
+            ("--len", (2 * n - 1, 2 * n, n, n + 2, 11, 0)),
+            ("--kind", ("exact", "dmax", "basis-subspace", "other")),
+            ("--k", (2, 1, 3, 4, 0, 5, -1)),
+            ("--seed", (0, 1, -1)),
+            ("--range-max", (65536, 2, 1, 0, -1)),
+            ("--out", ("out.json",)),
+        ]
+        return ["gen"] + _options(draw, options, required=("--n", "--len", "--kind")), files
+    if command == "verify":
+        checks = ("pr", "exact", "redundancy", "lifted-independence", "bogus")
+        options = [("--checks", _joined(draw, checks))]
+        return ["verify", frame] + _options(draw, options, required=("--checks",)), files
+    if command == "analyze":
+        what = ("dmax", "spark", "redundancy", "bogus")
+        options = [("--what", _joined(draw, what))]
+        return ["analyze", frame] + _options(draw, options, required=("--what",)), files
+    if command.startswith("subspace"):
+        entry = draw(st.sampled_from((ENTRIES, st.fractions(-3, 3, max_denominator=4))))
+        size = draw(st.sampled_from((n, n, n, 0, n + 1)))
+        vector = ",".join(map(str, draw(st.lists(entry, min_size=size, max_size=size))))
+        action = command[len("subspace ") :] or draw(st.sampled_from(("random", "other")))
+        needs = {"random": "--dim", "check": "--subspace-file", "maximal": "--subspace-file"}
+        options = [
+            ("--action", (action,)),
+            ("--dim", (1, 2, n, 0, n + 1, -1)),
+            ("--seed", (0, 3)),
+            ("--subspace-file", ("sub.json",) * 3 + ("missing.json",)),
+            ("--vector", (vector,)),
+            ("--out", ("out.json",)),
+        ]
+        required = ("--action", needs.get(action, "--vector"))
+        return ["subspace", frame] + _options(draw, options, required), files
+    return ["paper-suite"] + draw(st.sampled_from(([], [], ["--bogus"]))), files
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "gen", "verify", "analyze", "subspace", "subspace random", "subspace check",
+        "subspace maximal", "subspace extend", "paper-suite",
+    ],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_never_raises_and_exits_0_1_or_2(command, data):
+    argv, files = data.draw(cli_runs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a) if a.endswith(".json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse's usage errors; the process exits with this code
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())

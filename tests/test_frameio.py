@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from prframes import (
     BadInput,
+    NotAFrame,
     Frame,
     MaximalityVerdict,
     S2Witness,
@@ -133,3 +135,58 @@ def test_frame_from_dict_rejects_non_rational_strings(entry):
 def test_frame_from_dict_accepts_integer_and_ratio_strings(entry):
     frame = frame_from_dict({"n": 2, "vectors": [[entry, 0], [0, 1], [1, 1]]})
     assert frame.vectors[0][0] == Fraction(entry)
+
+
+# ---------------------------------------------------------------------------
+# Round-trips through JSON text, on rationals with negatives and denominators.
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=97)
+
+
+def vectors(n, min_size, max_size):
+    return st.lists(st.tuples(*[RATIONALS] * n), min_size=min_size, max_size=max_size)
+
+
+def through_json(d):
+    return json.loads(json.dumps(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), vectors(n, n, 2 * n + 1))))
+def test_frame_json_roundtrip_property(drawn):
+    n, vecs = drawn
+    try:
+        f = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    assert frame_from_dict(through_json(frame_to_dict(f))) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), vectors(n, 1, n))))
+def test_subspace_json_roundtrip_property(drawn):
+    n, vecs = drawn
+    try:
+        s = Subspace.from_vectors(vecs, ambient_dim=n)
+    except BadInput:
+        assume(False)
+    t = subspace_from_dict(through_json(subspace_to_dict(s)))
+    assert (t.ambient_dim, t.dim, t.basis) == (s.ambient_dim, s.dim, s.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.tuples(*[RATIONALS] * n),
+            st.tuples(*[RATIONALS] * n),
+            st.none() | st.integers(0, 20),
+        )
+    )
+)
+def test_witness_json_roundtrip_property(drawn):
+    x, y, idx = drawn
+    w = S2Witness(x, y, idx)
+    back = witness_from_dict(through_json(witness_to_dict(w)))
+    assert (back.x, back.y, back.differing_index) == (w.x, w.y, w.differing_index)

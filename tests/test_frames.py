@@ -271,8 +271,13 @@ def test_cp_work_ceiling_curated(span_tests, N, ceiling):
     assert span_tests[0] <= ceiling
 
 
+def fresh_generated(n, N, seed):
+    # the generator's own Frame holds the CP and exactness results already
+    return Frame.from_vectors(generate_exact_pr(n, N, seed).frame.vectors, dim=n)
+
+
 def test_cp_work_ceiling_generated_6_21(span_tests):
-    frame = generate_exact_pr(6, 21, 0).frame
+    frame = fresh_generated(6, 21, 0)
     span_tests[0] = 0
     assert has_complement_property(frame).holds
     assert span_tests[0] <= 2850
@@ -283,7 +288,7 @@ def test_cp_work_ceiling_generated_6_21(span_tests):
 def test_exactness_work_ceiling_generated_6_21(span_tests):
     # the CP proof and the removals: each row of a pattern frame has n
     # nonzeros, so the axis table settles every removal without a rank
-    frame = generate_exact_pr(6, 21, 0).frame
+    frame = fresh_generated(6, 21, 0)
     span_tests[0] = 0
     assert is_exact_pr_frame(frame).exact
     assert span_tests[0] <= 2400
