@@ -35,8 +35,9 @@ from .frames import Frame, has_complement_property, is_exact_pr_frame, spark
 from .ratlin import DEFAULT_RANGE_MAX, format_rational, parse_rational
 
 # The modules above are the ones reading and writing a frame needs.  The rest
-# load inside the subcommand that runs them: one process answers one
-# question, and importing the whole package takes longer than many answers.
+# load inside the subcommand, or the check, that runs them: one process
+# answers one question, and importing the whole package takes longer than
+# many answers.
 
 USAGE_ERRORS = (
     BadInput,
@@ -101,8 +102,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .lifting import has_exact_pr_redundancy, lifted_independent
-
     frame = _load_frame(args.frame)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     valid = {"pr", "exact", "redundancy", "lifted-independence"}
@@ -127,10 +126,14 @@ def cmd_verify(args) -> int:
                 results["exact"]["removable_indices"] = list(ex.removable)
                 ok = False
         elif c == "redundancy":
+            from .lifting import has_exact_pr_redundancy
+
             r = has_exact_pr_redundancy(frame)
             results["redundancy"] = {"passed": r}
             ok = ok and r
         elif c == "lifted-independence":
+            from .lifting import lifted_independent
+
             li = lifted_independent(frame)
             results["lifted-independence"] = {"passed": li}
             ok = ok and li
@@ -147,7 +150,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .lifting import pr_redundancy
     from .subspaces import d_max
 
     frame = _load_frame(args.frame)
@@ -165,6 +167,8 @@ def cmd_analyze(args) -> int:
         elif w == "spark":
             results["spark"] = spark(frame)
         elif w == "redundancy":
+            from .lifting import pr_redundancy
+
             results["redundancy"] = format_rational(pr_redundancy(frame))
     _emit(
         {
@@ -344,7 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except USAGE_ERRORS as exc:
         return _fail(exc)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         return _fail(exc)
     except PRFramesError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

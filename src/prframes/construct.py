@@ -11,14 +11,19 @@ measure-zero event at integer scale) is retried with a derived seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import NotPRSubspace, OutOfRange, PatternViolation, RearrangeFailure, RetriesExhausted
+from .errors import (
+    NotAFrame,
+    NotPRSubspace,
+    OutOfRange,
+    PatternViolation,
+    RearrangeFailure,
+    RetriesExhausted,
+)
 from .frames import Frame, is_exact_pr_frame, is_full_spark
-from .lifting import has_exact_pr_redundancy
 from .ratlin import (
     DEFAULT_RANGE_MAX,
     Seed,
@@ -27,13 +32,14 @@ from .ratlin import (
     sample_pattern,
     solve,
 )
-from .subspaces import Subspace, d_max, is_maximal_pr_subspace
+
+# lifting and subspaces load inside the generators that use them, so that
+# `prframes gen --kind exact` imports neither
 
 Cell = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
+class PatternMatrix(NamedTuple):
     """Zero/nonzero mask with pinned 1-cells (identity block and step glue).
 
     Structural invariants (checked by :meth:`validate`):
@@ -48,7 +54,7 @@ class PatternMatrix:
     n: int
     N: int
     mask: Tuple[Tuple[bool, ...], ...]
-    ones: frozenset = field(default_factory=frozenset)
+    ones: frozenset = frozenset()
 
     def col_nonzeros(self, j: int) -> List[int]:
         return [i for i in range(self.n) if self.mask[i][j]]
@@ -132,8 +138,7 @@ class PatternMatrix:
         return self.permute_columns(list(id_cols) + rest)
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
+class ConstructionPlan(NamedTuple):
     """Derivation path from the 3x6 base mask to a target (n, N)."""
 
     steps: Tuple[str, ...]  # "base36" followed by "step_I" / "step_II" / "step_III"
@@ -154,8 +159,7 @@ class ConstructionPlan:
         return shapes
 
 
-@dataclass(frozen=True)
-class CertifiedFrame:
+class CertifiedFrame(NamedTuple):
     """A generated frame together with its verification certificate."""
 
     frame: Frame
@@ -387,7 +391,10 @@ def generate_exact_pr(
         steps, what, pat = list(p.steps), "pattern instantiation", build_pattern(p)
         draw = lambda s: instantiate(pat, range_max, s)
     for attempt in range(max_retries + 1):
-        frame = draw(derive_seed(seed, attempt))
+        try:
+            frame = draw(derive_seed(seed, attempt))
+        except NotAFrame:  # a dense draw that does not span
+            continue
         if is_exact_pr_frame(frame).exact:
             return CertifiedFrame(
                 frame,
@@ -428,13 +435,18 @@ def _redundancy_component(dim: int, length: int, seed: Seed, max_retries: int = 
     (down to dim) cannot be phase-retrievable; there a full-spark sample is
     drawn and the redundancy property is verified directly per instance.
     """
+    from .lifting import has_exact_pr_redundancy
+
     if length >= 2 * dim - 1:
         return generate_exact_pr(dim, length, seed).frame
     if length < dim:
         raise OutOfRange(f"component length {length} below dimension {dim}")
     for attempt in range(max_retries + 1):
         rows = sample_int_matrix(dim, length, DEFAULT_RANGE_MAX, derive_seed(seed, 57 + attempt))
-        frame = Frame.from_vectors(zip(*rows), dim=dim)
+        try:
+            frame = Frame.from_vectors(zip(*rows), dim=dim)
+        except NotAFrame:  # the draw does not span
+            continue
         if is_full_spark(frame) and has_exact_pr_redundancy(frame):
             return frame
     raise RetriesExhausted(f"short component ({dim}, {length}) failed to certify")
@@ -453,6 +465,8 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed, max_retries: int = 5)
     (verified per instance) fill the remaining low-length corner.  The value
     of d is always re-computed exactly on the assembled frame.
     """
+    from .subspaces import d_max
+
     lo_k = (n + 1) // 2
     hi_N = k * (k + 1) // 2 + (n - k) * (n - k + 1) // 2
     if not (lo_k <= k <= n):
@@ -514,6 +528,8 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
     and tilts basis vectors e_{k+1}..e_{2k-1} into M so the projected basis
     is that frame.  Valid exactly for 1 <= k <= [(n+1)/2].
     """
+    from .subspaces import Subspace, is_maximal_pr_subspace
+
     if not (1 <= k <= (n + 1) // 2):
         raise OutOfRange(f"maximal PR subspaces of a basis need 1 <= k <= [(n+1)/2]")
     phis = _full_spark_fill(k, seed)

@@ -27,7 +27,6 @@ integer-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
@@ -46,18 +45,53 @@ from .ratlin import (
 IndexSet = FrozenSet[int]
 
 
-@dataclass(frozen=True)
-class Frame:
+class _Value:
+    """Value semantics over ``_fields``, as a frozen dataclass has them.
+
+    Equal fields mean equal objects of one class, the hash follows the
+    fields, and no attribute can be set or deleted.  ``cached_property``
+    still works, since it writes to the instance ``__dict__`` directly.
+    """
+
+    # not a dataclass: ``dataclasses`` imports ``inspect``, which every CLI
+    # process would pay for
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frame(_Value):
     """An ordered spanning family of N rational vectors in R^n.
 
     The constructor rejects non-spanning input: every criterion in this
     package assumes a frame for the whole space.  Indices are 0-based.
     """
 
+    _fields = ("dim", "vectors")
     dim: int
     vectors: Tuple[Tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, dim: int, vectors: Tuple[Tuple[Fraction, ...], ...]):
+        self.__dict__.update(dim=dim, vectors=vectors)
         n = self.dim
         if n < 1:
             raise NotAFrame("ambient dimension must be >= 1")

@@ -26,9 +26,8 @@ Both are exact and complete, and every witness they return is integral.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .frames import Frame, _partition, is_exact_pr_frame, has_complement_property
@@ -42,8 +41,7 @@ def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
     return tuple(row)
 
 
-@dataclass(frozen=True)
-class S2Witness:
+class S2Witness(NamedTuple):
     """A nonzero A = x (x)^T - y (y)^T annihilated by a chosen subfamily.
 
     ``differing_index`` points at a frame vector outside the subfamily where

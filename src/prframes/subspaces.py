@@ -21,7 +21,6 @@ ambient dimensions raise ``BadInput``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -36,7 +35,7 @@ from .errors import (
     RetriesExhausted,
     SupportTooLarge,
 )
-from .frames import Frame, _partition, _spark
+from .frames import Frame, _Value, _partition, _spark
 from .ratlin import (
     DEFAULT_RANGE_MAX,
     IntVec,
@@ -57,8 +56,7 @@ from .ratlin import (
 DEFAULT_CAP = 24
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Value):
     """A subspace of R^n given by k independent basis columns in R^n.
 
     ``basis`` is a tuple of rational columns, as ``Frame.vectors`` is.
@@ -68,10 +66,12 @@ class Subspace:
     criterion used downstream is scale-invariant.
     """
 
+    _fields = ("ambient_dim", "basis")
     ambient_dim: int
     basis: Tuple[Tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, basis: Tuple[Tuple[Fraction, ...], ...]):
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
         if not self.basis:
             raise BadInput("need at least one basis column")
         for col in self.basis:

@@ -113,6 +113,32 @@ def test_verify_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_file_errors_exit_2_with_one_line(capsys, tmp_path, pr_frame_file):
+    # each option that names a file, given a directory or a path through a file
+    through_file = os.path.join(pr_frame_file, "frame.json")
+    sub = ["subspace", pr_frame_file, "--action", "check", "--subspace-file"]
+    for argv, error in [
+        (["verify", str(tmp_path)], "IsADirectoryError"),
+        (sub + [str(tmp_path)], "IsADirectoryError"),
+        (["gen", "--n", "2", "--len", "3", "--out", str(tmp_path)], "IsADirectoryError"),
+        (["verify", through_file], "NotADirectoryError"),
+        (sub + [through_file], "NotADirectoryError"),
+        (["gen", "--n", "2", "--len", "3", "--out", through_file], "NotADirectoryError"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith(f"{error}: "), argv
+
+
+def test_gen_non_spanning_draws_are_retried_not_reported(capsys):
+    # a small --range-max makes some dense draws miss a dimension: the
+    # generator retries them, it does not blame the user's input
+    code, _, err = run(capsys, "gen", "--n", "5", "--len", "9", "--range-max", "2")
+    assert code == 2 and err.startswith("RetriesExhausted: "), err
+    code, out, _ = run(capsys, "gen", "--n", "3", "--len", "5", "--range-max", "3", "--seed", "28")
+    assert code == 0 and json.loads(out)["meta"]["certificate"]["retries"] == 2
+
+
 def test_verify_malformed_json_exits_2(capsys, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -307,8 +333,13 @@ def test_verify_proves_cp_and_each_removal_once(capsys, tmp_path, partition_sear
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(prframes.__file__)))
 
 
+# standard-library modules that no subcommand needs: ``dataclasses`` imports
+# ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``
+HEAVY = {"dataclasses", "inspect"}
+
+
 def loaded_modules(*python_args):
-    """prframes.* modules a fresh interpreter imports, from ``-X importtime``."""
+    """prframes.* and HEAVY modules a fresh interpreter imports, from ``-X importtime``."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *python_args],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -317,7 +348,7 @@ def loaded_modules(*python_args):
         timeout=60,
     )
     names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    return proc.returncode, {m for m in names if m.startswith("prframes.")}
+    return proc.returncode, {m for m in names if m.startswith("prframes.") or m in HEAVY}
 
 
 def test_verify_loads_no_generator_or_subspace_module(pr_frame_file):
@@ -326,7 +357,58 @@ def test_verify_loads_no_generator_or_subspace_module(pr_frame_file):
     )
     assert code == 0
     assert "prframes.frames" in loaded
-    assert not loaded & {"prframes.construct", "prframes.subspaces", "prframes.curated"}
+    modules = {"prframes.construct", "prframes.subspaces", "prframes.curated", "prframes.lifting"}
+    assert not loaded & (HEAVY | modules)
+
+
+def footprint_run(name, *argv, absent=()):
+    return pytest.param(list(argv), set(absent), id=name)
+
+
+LIFTING_SUBSPACES = ("prframes.lifting", "prframes.subspaces")
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        footprint_run("gen-exact", "gen", "--n", "3", "--len", "6", absent=LIFTING_SUBSPACES),
+        footprint_run("gen-exact-2n-1", "gen", "--n", "3", "--len", "5", absent=LIFTING_SUBSPACES),
+        footprint_run("gen-dmax", "gen", "--kind", "dmax", "--n", "4", "--k", "3", "--len", "7"),
+        footprint_run(
+            "gen-basis-subspace", "gen", "--kind", "basis-subspace", "--n", "3", "--k", "2",
+            "--len", "3",
+        ),
+        footprint_run(
+            "verify-lifted", "verify", "{frame}", "--checks", "redundancy,lifted-independence"
+        ),
+        footprint_run(
+            "analyze", "analyze", "{frame}", "--what", "dmax,spark", absent=["prframes.lifting"]
+        ),
+        footprint_run("analyze-redundancy", "analyze", "{frame}", "--what", "redundancy"),
+        footprint_run("subspace-random", "subspace", "{frame}", "--action", "random", "--dim", "1"),
+        footprint_run(
+            "subspace-check", "subspace", "{frame}", "--action", "check", "--subspace-file", "{sub}"
+        ),
+        footprint_run(
+            "subspace-maximal", "subspace", "{frame}", "--action", "maximal",
+            "--subspace-file", "{sub}",
+        ),
+        footprint_run(
+            "subspace-extend", "subspace", "{basis}", "--action", "extend", "--vector", "1,1,0"
+        ),
+        footprint_run("paper-suite", "paper-suite"),
+    ],
+)
+def test_subcommand_import_footprint(tmp_path, pr_frame_file, argv, absent):
+    files = {
+        "frame": pr_frame_file,
+        "basis": write_frame(tmp_path, "b3.json", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+        "sub": str(tmp_path / "sub.json"),
+    }
+    save_json(subspace_to_dict(Subspace.from_vectors([(1, 1)])), files["sub"])
+    code, loaded = loaded_modules("-m", "prframes.cli", *(a.format(**files) for a in argv))
+    assert code == 0
+    assert not loaded & (HEAVY | absent)
 
 
 def test_bare_import_loads_no_submodule():
@@ -415,11 +497,12 @@ def cli_runs(draw, command):
     """(argv, files): an argument list with n <= 4 and the texts of the files it names.
 
     ``command`` is a subcommand, or "subspace ACTION" for one action of it.
+    "dir.json" names a directory.
     """
     n = draw(st.integers(1, 4))
     sub_n = draw(st.sampled_from((n, n, n, max(n - 1, 1), n + 1)))
     files = {"frame.json": draw(frame_docs(n)), "sub.json": draw(subspace_docs(sub_n))}
-    frame = draw(st.sampled_from(("frame.json",) * 5 + ("missing.json",)))
+    frame = draw(st.sampled_from(("frame.json",) * 5 + ("missing.json", "dir.json")))
     if command == "gen":
         options = [
             ("--n", (n, 0, -1)),
@@ -428,7 +511,7 @@ def cli_runs(draw, command):
             ("--k", (2, 1, 3, 4, 0, 5, -1)),
             ("--seed", (0, 1, -1)),
             ("--range-max", (65536, 2, 1, 0, -1)),
-            ("--out", ("out.json",)),
+            ("--out", ("out.json", "out.json", "dir.json")),
         ]
         return ["gen"] + _options(draw, options, required=("--n", "--len", "--kind")), files
     if command == "verify":
@@ -449,9 +532,9 @@ def cli_runs(draw, command):
             ("--action", (action,)),
             ("--dim", (1, 2, n, 0, n + 1, -1)),
             ("--seed", (0, 3)),
-            ("--subspace-file", ("sub.json",) * 3 + ("missing.json",)),
+            ("--subspace-file", ("sub.json",) * 3 + ("missing.json", "dir.json")),
             ("--vector", (vector,)),
-            ("--out", ("out.json",)),
+            ("--out", ("out.json", "out.json", "dir.json")),
         ]
         required = ("--action", needs.get(action, "--vector"))
         return ["subspace", frame] + _options(draw, options, required), files
@@ -470,6 +553,7 @@ def cli_runs(draw, command):
 def test_cli_never_raises_and_exits_0_1_or_2(command, data):
     argv, files = data.draw(cli_runs(command))
     with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "dir.json"))
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)

@@ -7,12 +7,14 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_is_exact_pr, brute_sdr
+import prframes.construct
+from oracles import brute_is_exact_pr, brute_sdr, brute_spark
 from prframes import (
     Frame,
     NotAFrame,
     OutOfRange,
     PatternViolation,
+    RetriesExhausted,
     base_pattern_36,
     basis_with_maximal_subspace,
     build_pattern,
@@ -32,7 +34,12 @@ from prframes import (
     step_II,
     step_III,
 )
-from prframes.construct import CertifiedFrame, PatternMatrix, _as_identity_leading
+from prframes.construct import (
+    CertifiedFrame,
+    PatternMatrix,
+    _as_identity_leading,
+    _redundancy_component,
+)
 
 
 def test_base_pattern_structure():
@@ -196,6 +203,32 @@ def test_generate_exact_work_ceiling_7_13(span_tests):
     assert span_tests[0] <= 6050
     # a PR frame of length 2n - 1 is exact by counting: no removal search
     assert span_tests[0] <= 3800
+
+
+@pytest.mark.parametrize("n, N, range_max", [(5, 9, 2), (3, 5, 3)])
+def test_draw_that_does_not_span_is_a_failed_attempt(n, N, range_max):
+    # with entries in 1..range_max a dense draw of length 2n-1 can miss a
+    # dimension; the generator tries its next seed instead of failing
+    for seed in range(40):
+        try:
+            cert = generate_exact_pr(n, N, seed, range_max=range_max)
+        except RetriesExhausted:
+            continue
+        assert brute_is_exact_pr(cert.frame)
+
+
+def test_redundancy_component_retries_a_draw_that_does_not_span(monkeypatch):
+    draws = []
+    real = prframes.construct.sample_int_matrix
+
+    def rank_one_first(rows, cols, range_max, seed):
+        draws.append(((1,) * cols,) * rows if not draws else real(rows, cols, range_max, seed))
+        return draws[-1]
+
+    monkeypatch.setattr(prframes.construct, "sample_int_matrix", rank_one_first)
+    frame = _redundancy_component(3, 4, seed=0)
+    assert len(draws) == 2
+    assert frame == Frame.from_vectors(zip(*draws[1]), dim=3) and brute_spark(frame) == 4
 
 
 def test_generate_exact_deterministic():
