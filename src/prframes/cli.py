@@ -150,8 +150,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .subspaces import d_max
-
     frame = _load_frame(args.frame)
     what = [w.strip() for w in args.what.split(",") if w.strip()]
     valid = {"dmax", "spark", "redundancy"}
@@ -163,6 +161,8 @@ def cmd_analyze(args) -> int:
     results: dict = {}
     for w in what:
         if w == "dmax":
+            from .subspaces import d_max
+
             results["dmax"] = d_max(frame)
         elif w == "spark":
             results["spark"] = spark(frame)

@@ -383,6 +383,8 @@ def generate_exact_pr(
     """
     if n < 1 or N < 2 * n - 1 or N > n * (n + 1) // 2:
         raise OutOfRange(f"exact PR frames require 2n-1 <= N <= n(n+1)/2, got (n={n}, N={N})")
+    if range_max < 2:
+        raise OutOfRange(f"range_max must be >= 2, got {range_max}")
     if N == 2 * n - 1:
         steps, what = ["full_spark"], "full-spark sampling"
         draw = lambda s: Frame.from_vectors(zip(*sample_int_matrix(n, N, range_max, s)), dim=n)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import NotAFrame
 from .ratlin import (
@@ -146,6 +146,11 @@ class Frame(_Value):
         n = self.dim
         found = _partition(self._int_cols, n - 1, (n + 1) // 2)
         return n if found is None else found.rank
+
+    @cached_property
+    def _pr_subspaces(self) -> Dict[Tuple[IntVec, ...], bool]:
+        # subspace PR verdicts by primitive basis columns; subspaces.is_pr_subspace fills it
+        return {}
 
     def drop(self, i: int) -> Tuple[IntVec, ...]:
         cols = self._int_cols

@@ -11,7 +11,10 @@ dimension of any PR subspace.  Both run on the partition search of
 k - 1, and d_max is one search that lowers its threshold after each
 partition it finds, run once per frame (``Frame._d``).  The coordinate
 family is computed on integers, from primitive integer basis columns and
-frame vectors; ``project_frame`` gives its rational form.  The
+frame vectors; ``project_frame`` gives its rational form.  Each PR verdict
+is held on the frame (``Frame._pr_subspaces``), keyed by the subspace's
+primitive basis columns, so the sampler, the maximality ladder and the
+extension probe search one (frame, span) pair once.  The
 minimum dual-basis support of M, which decides maximality for a basis, is
 the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``.  A subspace and a frame of different
@@ -163,10 +166,17 @@ def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
 
     A family that does not span R^k fails it as well (every column in one
     class), and the partition search finds that split, so no separate rank
-    check is needed.
+    check is needed.  The verdict is held on the frame, keyed by the
+    subspace's primitive integer basis columns: whether M is PR depends only
+    on the span M, and equal keys span the same M (each column is scaled by
+    a positive rational), so one frame object searches each span once.
     """
     _require_same_space(frame, sub)
-    return _partition(_projected_int_cols(frame, sub), sub.dim - 1) is None
+    held = frame._pr_subspaces
+    key = sub._int_cols
+    if key not in held:
+        held[key] = _partition(_projected_int_cols(frame, sub), sub.dim - 1) is None
+    return held[key]
 
 
 def d_max(frame: Frame, cap: int = DEFAULT_CAP) -> int:

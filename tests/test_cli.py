@@ -23,7 +23,8 @@ from prframes import (
     subspace_to_dict,
 )
 from prframes.cli import main
-from prframes.subspaces import Subspace
+from prframes.curated import r4_example_subspace, r4_standard_basis
+from prframes.subspaces import Subspace, _projected_int_cols
 
 
 def run(capsys, *argv):
@@ -68,6 +69,12 @@ def test_gen_is_deterministic(capsys):
 def test_gen_out_of_range_exits_2(capsys):
     code, _, err = run(capsys, "gen", "--n", "3", "--len", "7")
     assert code == 2 and "OutOfRange" in err
+
+
+def test_gen_range_max_below_2_is_a_library_error(capsys):
+    code, out, err = run(capsys, "gen", "--n", "3", "--len", "6", "--range-max", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["OutOfRange: range_max must be >= 2, got 1"]
 
 
 def test_gen_dmax_requires_k(capsys):
@@ -325,6 +332,15 @@ def test_verify_proves_cp_and_each_removal_once(capsys, tmp_path, partition_sear
     assert set(Counter(partition_searches).values()) == {1}
 
 
+def test_paper_suite_searches_the_r4_family_once(capsys, partition_searches):
+    # the suite asks whether the R^4 example is PR, then whether it is
+    # maximal; the second question reads the verdict held on the basis
+    r4_family = tuple(_projected_int_cols(r4_standard_basis(), r4_example_subspace()))
+    code, _, _ = run(capsys, "paper-suite")
+    assert code == 0
+    assert partition_searches.count(r4_family) == 1
+
+
 # ---------------------------------------------------------------------------
 # What a process loads: one fresh interpreter per check, since this one has
 # imported every module already.
@@ -384,7 +400,13 @@ LIFTING_SUBSPACES = ("prframes.lifting", "prframes.subspaces")
         footprint_run(
             "analyze", "analyze", "{frame}", "--what", "dmax,spark", absent=["prframes.lifting"]
         ),
-        footprint_run("analyze-redundancy", "analyze", "{frame}", "--what", "redundancy"),
+        footprint_run(
+            "analyze-spark", "analyze", "{frame}", "--what", "spark", absent=LIFTING_SUBSPACES
+        ),
+        footprint_run(
+            "analyze-redundancy", "analyze", "{frame}", "--what", "redundancy",
+            absent=["prframes.subspaces"],
+        ),
         footprint_run("subspace-random", "subspace", "{frame}", "--action", "random", "--dim", "1"),
         footprint_run(
             "subspace-check", "subspace", "{frame}", "--action", "check", "--subspace-file", "{sub}"

@@ -244,6 +244,13 @@ def test_generate_exact_out_of_range():
         generate_exact_pr(3, 4, seed=0)
 
 
+@pytest.mark.parametrize("n, N, range_max", [(3, 5, 1), (3, 6, 0)], ids=["dense", "pattern"])
+def test_generate_exact_rejects_range_max_below_2(n, N, range_max):
+    # checked before any draw, for the dense and the pattern path alike
+    with pytest.raises(OutOfRange, match=f"range_max must be >= 2, got {range_max}"):
+        generate_exact_pr(n, N, seed=0, range_max=range_max)
+
+
 def test_direct_sum_embedding():
     f1 = generate_exact_pr(3, 6, seed=0).frame
     f2 = generate_exact_pr(2, 3, seed=0).frame

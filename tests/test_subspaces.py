@@ -1,5 +1,6 @@
 """Subspace analytics: projections, d values, supports, maximality, extension."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -198,6 +199,52 @@ def test_subspace_chain_reuses_cached_d(monkeypatch):
     assert dims and set(dims) == {d}
 
 
+def _rescaled(sub, scales):
+    """sub with column j multiplied by scales[j] (positive): the same span."""
+    return Subspace.from_vectors(
+        [tuple(x * c for x in col) for col, c in zip(sub.basis, scales)], ambient_dim=sub.ambient_dim
+    )
+
+
+def test_maximality_after_sampling_reads_the_held_verdict(partition_searches):
+    f = Frame.from_vectors(SPARSE_7_14, dim=7)
+    sub = random_pr_subspace(f, d_max(f), seed=3)
+    partition_searches.clear()
+    assert is_maximal_pr_subspace(f, sub).status == "Maximal"
+    assert partition_searches == []
+
+
+def test_rescaled_subspace_reads_the_held_verdict(partition_searches):
+    f = Frame.from_vectors(SPARSE_7_14, dim=7)
+    sub = random_pr_subspace(f, 3, seed=5)
+    partition_searches.clear()
+    scaled = _rescaled(sub, [Fraction(3, 7), Fraction(5, 2), Fraction(11)])
+    assert scaled.basis != sub.basis
+    assert is_pr_subspace(f, scaled) is True
+    assert partition_searches == []
+
+
+def test_equal_frame_built_separately_searches_again(partition_searches):
+    # verdicts live on one frame object, not in a table shared by equal frames
+    f = Frame.from_vectors(SPARSE_7_14, dim=7)
+    sub = random_pr_subspace(f, 3, seed=5)
+    twin = Frame.from_vectors(SPARSE_7_14, dim=7)
+    assert twin == f
+    partition_searches.clear()
+    assert is_pr_subspace(twin, sub) is True
+    assert len(partition_searches) == 1
+
+
+def test_held_false_still_rejects_maximality(partition_searches):
+    b2 = std_basis(2)
+    whole = Subspace.from_vectors([(1, 0), (0, 1)], ambient_dim=2)
+    assert is_pr_subspace(b2, whole) is False
+    assert len(partition_searches) == 1
+    with pytest.raises(NotPRSubspace):
+        is_maximal_pr_subspace(b2, whole)
+    assert len(partition_searches) == 1
+
+
 @st.composite
 def frames_and_subspaces(draw):
     """A family of n..7 rational vectors in R^n (n <= 4) and k rational vectors, 1 <= k <= n."""
@@ -220,6 +267,33 @@ def test_is_pr_subspace_agrees_with_oracle(case):
     except (NotAFrame, BadInput):
         assume(False)
     assert is_pr_subspace(f, m) == brute_family_has_cp(project_frame(f, m), m.dim)
+
+
+def _coordinate_subspaces(n, k):
+    """Every span of k standard basis vectors of R^n."""
+    return [
+        Subspace.from_vectors([tuple(int(i == j) for i in range(n)) for j in js], ambient_dim=n)
+        for js in itertools.combinations(range(n), k)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames_and_subspaces(),
+    st.lists(st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=7), min_size=4, max_size=4),
+)
+def test_repeated_questions_agree_with_oracle(case, scales):
+    # one frame object, asked first about every coordinate subspace of M's
+    # dimension, then about M twice and about a rescaled copy of M: every
+    # answer is the oracle's, whichever verdicts the frame already holds
+    n, frame_vecs, sub_vecs = case
+    try:
+        f = Frame.from_vectors(frame_vecs, dim=n)
+        m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
+    except (NotAFrame, BadInput):
+        assume(False)
+    for q in _coordinate_subspaces(n, m.dim) + [m, m, _rescaled(m, scales)]:
+        assert is_pr_subspace(f, q) == brute_family_has_cp(project_frame(f, q), q.dim)
 
 
 def _sympy_cols(vecs):
