@@ -9,11 +9,20 @@ verified before it is returned, and the certificate records how.
 from prframes import build_pattern, generate_exact_pr, plan
 
 
+def shapes(steps):
+    """The (n, N) after each step, from the 3x6 base: each step adds a row and some columns."""
+    out = [(3, 6)]
+    for s in steps[1:]:
+        n, N = out[-1]
+        out.append({"step_I": (n + 1, N + n + 1), "step_II": (n + 1, N + n), "step_III": (n + 1, N + 2)}[s])
+    return out
+
+
 def main():
     print("== Construction plans ==")
     for n, N in [(3, 6), (4, 8), (5, 12), (6, 21)]:
         p = plan(n, N)
-        print(f"  ({n},{N}): {' -> '.join(p.steps)}  shapes {p.replay_shapes()}")
+        print(f"  ({n},{N}): {' -> '.join(p.steps)}  shapes {shapes(p.steps)}")
 
     print("\n== The (4,9) sparsity pattern ==")
     pat = build_pattern(plan(4, 9))

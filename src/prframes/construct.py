@@ -144,20 +144,6 @@ class ConstructionPlan(NamedTuple):
     steps: Tuple[str, ...]  # "base36" followed by "step_I" / "step_II" / "step_III"
     target: Tuple[int, int]
 
-    def replay_shapes(self) -> List[Tuple[int, int]]:
-        shapes = [(3, 6)]
-        for s in self.steps[1:]:
-            n, N = shapes[-1]
-            if s == "step_I":
-                shapes.append((n + 1, N + n + 1))
-            elif s == "step_II":
-                shapes.append((n + 1, N + n))
-            elif s == "step_III":
-                shapes.append((n + 1, N + 2))
-            else:
-                raise ValueError(f"unknown step {s}")
-        return shapes
-
 
 class CertifiedFrame(NamedTuple):
     """A generated frame together with its verification certificate."""

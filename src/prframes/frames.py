@@ -16,13 +16,28 @@ otherwise one table of coordinate axes per frame settles most removals, so
 only the rest run the partition search.  d(F) is one run with a
 stopping floor below t: each partition found lowers t to one below its
 larger class rank until that rank reaches the floor (n + 1) // 2, and the
-value is cached on the ``Frame``.  ``spark`` is a depth-first search over
-independent subfamilies that shares each prefix's span; it runs on bare
-integer columns as ``_spark(cols)``, so the subspace tools reuse it for the
-minimum support.  Both searches hold every span as its integer normals and
-take one ``ratlin`` membership test (dot products only) per question,
-extending a span only where they branch.  All rank arithmetic is exact and
-integer-only.
+value is cached on the ``Frame``.
+
+The search takes its span kernel as an argument.  The CP proof
+(``Frame._cp``, and ``subspaces.is_pr_subspace`` on projected families)
+runs it first with ``ratlin``'s residue kernel, modulo the prime
+``RESIDUE_P`` below 2^30 (``ratlin.residue_first``).  That is sound: every
+rank mod p is at most the rank over Q, so a partition over Q is one mod p,
+and the pin and dominance rules hold over any field, so the search is
+complete mod p.  When the residue search finds no partition, none exists
+over Q.  When it finds one, the exact search runs and supplies the verdict
+and the witness, so every failing subset is the exact search's.  The
+residue pass runs only where Hadamard's bound lets the exact normals and
+dot products (minors of up to n columns) reach p; a narrower family holds
+one-digit numbers exactly already.  d(F), the removals and ``spark`` stay
+exact, since they need the exact values.
+
+``spark`` is a depth-first search over independent subfamilies that shares
+each prefix's span; it runs on bare integer columns as ``_spark(cols)``, so
+the subspace tools reuse it for the minimum support.  Both searches hold
+every span as its integer normals and take one ``ratlin`` membership test
+(dot products only) per question, extending a span only where they branch.
+All rank arithmetic is integer-only, and every verdict rests on exact ranks.
 """
 
 from __future__ import annotations
@@ -34,12 +49,13 @@ from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Se
 from .errors import NotAFrame
 from .ratlin import (
     IntVec,
+    Kernel,
     clear_denominators,
     extend_span,
     int_rank,
     off_span,
+    residue_first,
     span_normals,
-    span_of,
 )
 
 IndexSet = FrozenSet[int]
@@ -121,7 +137,8 @@ class Frame(_Value):
     @cached_property
     def _cp(self) -> CPResult:
         # held so that PR, exactness and redundancy checks share one proof
-        found = _partition(self._int_cols, self.dim - 1)
+        t = self.dim - 1
+        found = residue_first(lambda cols, kernel: _partition(cols, t, None, kernel), self._int_cols, t)
         return CPResult(found is None, None if found is None else found.a)
 
     @cached_property
@@ -191,10 +208,16 @@ class ExactnessResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> Optional[Split]:
+def _partition(
+    cols: Sequence[IntVec], t: int, floor: Optional[int] = None, kernel: Optional[Kernel] = None
+) -> Optional[Split]:
     """A 2-colouring of the columns with both class ranks <= t, or None.
 
-    Each class is held as the integer normals of its span (``ratlin``), so a
+    ``kernel`` is the span step (membership test, extension), the exact one
+    of ``ratlin`` by default; with the residue kernel the columns must be
+    residues, and every rank is a rank mod p.
+
+    Each class is held as the normals of its span (``ratlin``), so a
     node asks two membership questions, one dot-product pass each, and a
     class has rank <= t exactly while it keeps at least n - t normals.
     Column 0 is pinned to A (global swap symmetry).  A column in the span of
@@ -213,6 +236,7 @@ def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> O
     least any partition can reach, that one has the least larger class rank,
     which it carries as ``rank``.
     """
+    off, extend = kernel or (off_span, extend_span)
     ncols = len(cols)
     if ncols == 0:
         # the empty family: both classes empty, of rank 0
@@ -220,7 +244,8 @@ def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> O
     n = len(cols[0])
     keep = n - t  # fewest normals a class of rank <= t still has
     empty = span_normals(n)
-    start_a = span_of(cols[:1], n)
+    off0 = off(empty, cols[0])
+    start_a = empty if off0 is None else extend(empty, cols[0], off0)
     if len(start_a) < keep:
         return None
     if floor is None:
@@ -239,18 +264,18 @@ def _partition(cols: Sequence[IntVec], t: int, floor: Optional[int] = None) -> O
             stack = [e for e in stack if len(e[1]) >= keep and len(e[2]) >= keep]
             continue
         col = cols[i]
-        off_a = off_span(na, col)
+        off_a = off(na, col)
         if off_a is None:
             stack.append((i + 1, na, nb, amask | 1 << i))
             continue
-        off_b = off_span(nb, col)
+        off_b = off(nb, col)
         if off_b is None:
             stack.append((i + 1, na, nb, amask))
             continue
         if len(na) > keep:
-            stack.append((i + 1, extend_span(na, col, off_a), nb, amask | 1 << i))
+            stack.append((i + 1, extend(na, col, off_a), nb, amask | 1 << i))
         if len(nb) > keep:
-            stack.append((i + 1, na, extend_span(nb, col, off_b), amask))
+            stack.append((i + 1, na, extend(nb, col, off_b), amask))
     if best is None:
         return None
     amask, r = best

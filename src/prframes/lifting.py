@@ -14,7 +14,8 @@ Edidin ("On signal reconstruction without phase", 2006).  Both searches
 below are the pruned partition search of ``frames`` on that colouring:
 
 * ``find_s2_element`` is ``_partition(cols, n - 1)`` on the subfamily, with
-  u and v taken from the normals of the two class spans;
+  u and v taken from the normals of the two class spans; on the whole
+  frame that search is the CP proof held on the ``Frame``, so it is read;
 * ``find_s2_witness`` also needs a frame vector f_i outside the subfamily
   with <u,f_i> <v,f_i> != 0, that is, outside both class spans.  Its search
   carries the complement indices still outside both spans and prunes a
@@ -92,17 +93,22 @@ def _witness(u: Sequence[int], v: Sequence[int], idx: Optional[int]) -> S2Witnes
 def find_s2_element(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
     """A nonzero rank-<=2 symmetric kernel element of the subfamily, or None.
 
-    None is definitive: no such element exists.
+    None is definitive: no such element exists.  On the whole frame the
+    colouring is the failing subset of the frame's held CP proof, which is
+    the same search on the same columns.
     """
     lam = sorted(set(lam))
     if not lam:
         raise ValueError("lam must be non-empty")
     n, cols = frame.dim, frame._int_cols
     sub = [cols[j] for j in lam]
-    found = _partition(sub, n - 1)
-    if found is None:
+    if lam == list(range(frame.N)):
+        a = frame._cp.failing
+    else:
+        found = _partition(sub, n - 1)
+        a = None if found is None else found.a
+    if a is None:
         return None
-    a = found.a
     # both classes have rank <= n - 1, so each span keeps a nonzero normal
     u = span_of((c for j, c in enumerate(sub) if j in a), n)[0]
     v = span_of((c for j, c in enumerate(sub) if j not in a), n)[0]

@@ -18,6 +18,21 @@ and the searches in ``frames``, ``lifting`` and ``subspaces`` run on this
 step, and so do nullspaces and solves: the normals of a row span are a
 kernel basis, one per free column (``int_nullspace``, ``solve``).
 
+The residue kernel (``off_residue``, ``extend_residue``) is the same step
+over the field of ``RESIDUE_P`` elements, the largest prime below 2^30: every
+dot product and every updated normal is reduced mod p, so each residue is a
+single CPython digit however wide the exact normals grow.  It serves as a
+certificate for searches that prove a negative.  The rank of a set of
+integer vectors mod p is at most its rank over Q (a nonzero minor mod p is
+nonzero), so a search that is complete over any field and finds no
+low-rank configuration mod p has proved that none exists over Q; one that
+finds something mod p may have met a collision, and the exact search runs
+to decide.  That pass pays only on wide families: a span of rank r has
+primitive normals whose entries are r x r minors of its vectors (Cramer),
+and its dot products are (r + 1) x (r + 1) minors; while Hadamard's bound
+on those minors stays below ``RESIDUE_P`` the exact numbers fit one digit
+already (``outgrows_digit``).
+
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
 """
@@ -28,9 +43,10 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import BadInput
 
@@ -124,6 +140,93 @@ def extend_span(normals: Normals, vec: Sequence[int], off: Tuple[int, int]) -> N
             h = tuple([x // g for x in h] if g > 1 else h)
         out.append(h)
     return tuple(out)
+
+
+RESIDUE_P = 1073741789  # the largest prime below 2^30
+
+# a span step: the membership test and the extension
+Kernel = Tuple[Callable, Callable]
+
+Found = TypeVar("Found")
+
+
+def residues(vecs: Iterable[Sequence[int]]) -> Tuple[IntVec, ...]:
+    """Integer vectors reduced mod ``RESIDUE_P``, entries in [0, p)."""
+    p = RESIDUE_P
+    return tuple(tuple(x % p for x in v) for v in vecs)
+
+
+def off_residue(normals: Normals, vec: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """``off_span`` mod ``RESIDUE_P``: normals and vec are residues."""
+    for k, h in enumerate(normals):
+        d = sum(map(mul, h, vec)) % RESIDUE_P
+        if d:
+            return k, d
+    return None
+
+
+def extend_residue(normals: Normals, vec: Sequence[int], off: Tuple[int, int]) -> Normals:
+    """``extend_span`` mod ``RESIDUE_P``, given ``off = off_residue(normals, vec)``.
+
+    d_k is a unit mod p, so each d_k h_i - d_i h_k is a nonzero normal
+    orthogonal to vec and the normals stay independent; no trimming is needed.
+    """
+    p = RESIDUE_P
+    k, dk = off
+    hk = normals[k]
+    out = list(normals[:k])
+    for h in normals[k + 1 :]:
+        di = sum(map(mul, h, vec)) % p
+        if di:
+            h = tuple([(dk * x - di * y) % p for x, y in zip(h, hk)])
+        out.append(h)
+    return tuple(out)
+
+
+def outgrows_digit(vecs: Sequence[Sequence[int]], t: int) -> bool:
+    """Can the exact span step on spans of rank <= t of these vectors reach ``RESIDUE_P``?
+
+    The primitive normals of a span of rank r have r x r minors of its
+    vectors as entries (Cramer), and their dot products with a vector are
+    (r + 1) x (r + 1) minors up to that normal's gcd.  Hadamard bounds a
+    minor by the product of its vectors' Euclidean norms, so every such
+    number is at most the product of the t + 1 largest nonzero norms (all
+    of them when fewer are nonzero).  True when that bound reaches p;
+    squares are compared, on integers.  Bounding every squared norm by n
+    times the largest squared entry first settles narrow families in one
+    pass, without a sort.
+    """
+    p2 = RESIDUE_P * RESIDUE_P
+    top = max(map(abs, chain.from_iterable(vecs)), default=0)
+    if not top or (len(vecs[0]) * top * top) ** (t + 1) < p2:
+        return False
+    squares = sorted([sum(map(mul, v, v)) for v in vecs], reverse=True)
+    bound = 1
+    for s in squares[: t + 1]:
+        if not s:
+            break
+        bound *= s
+    return bound >= p2
+
+
+def residue_first(
+    search: Callable[[Sequence[IntVec], Optional[Kernel]], Found], vecs: Sequence[IntVec], t: int
+) -> Found:
+    """``search(vecs, None)``, with a residue certificate in front where it can pay.
+
+    ``search(vecs, kernel)`` looks for spans of rank <= t among the vectors
+    that ``kernel`` (exact when None) steps through, is complete over any
+    field, and returns something falsy when it finds nothing.  When
+    ``outgrows_digit(vecs, t)``, it runs on the residues first, and a falsy
+    result there is the answer: every rank mod p is at most the rank over
+    Q, so what exists over Q exists mod p.  A find mod p may be a
+    collision, so the exact search decides and supplies the witness.
+    """
+    if outgrows_digit(vecs, t):
+        found = search(residues(vecs), (off_residue, extend_residue))
+        if not found:
+            return found
+    return search(vecs, None)
 
 
 def _span_and_free(vecs: Iterable[Sequence[int]], n: int) -> Tuple[Normals, List[int]]:

@@ -19,6 +19,18 @@ minimum dual-basis support of M, which decides maximality for a basis, is
 the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``.  A subspace and a frame of different
 ambient dimensions raise ``BadInput``.
+
+Two searches here prove a negative, and each runs first modulo
+``ratlin.RESIDUE_P`` where the numbers can outgrow one digit
+(``ratlin.residue_first``): the projected complement property
+(``is_pr_subspace``) and an extension stage's "no singular row subset
+meets the support" (``_stage_accepts``).  A rank mod p is at most the rank
+over Q, and both searches are complete over any field, so a residue
+search that finds nothing proves that nothing exists over Q; one that
+finds something may have met a collision, and the exact search decides.
+The residue pass runs only where Hadamard's bound on the minors that the
+exact search meets reaches p (``ratlin.outgrows_digit``); d(F) and the
+minimum support stay exact.
 """
 
 from __future__ import annotations
@@ -45,11 +57,13 @@ from .ratlin import (
     Seed,
     _vec_gcd_reduce,
     clear_denominators,
+    Kernel,
     derive_seed,
     extend_span,
     int_nullspace,
     int_rank,
     off_span,
+    residue_first,
     sample_int_matrix,
     solve,
     span_normals,
@@ -175,7 +189,11 @@ def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
     held = frame._pr_subspaces
     key = sub._int_cols
     if key not in held:
-        held[key] = _partition(_projected_int_cols(frame, sub), sub.dim - 1) is None
+        t = sub.dim - 1
+        found = residue_first(
+            lambda cols, kernel: _partition(cols, t, None, kernel), _projected_int_cols(frame, sub), t
+        )
+        held[key] = found is None
     return held[key]
 
 
@@ -325,18 +343,33 @@ def is_maximal_pr_subspace(
 def _stage_accepts(us: List[IntVec], n: int, supp: FrozenSet[int]) -> bool:
     """Every m-row subset meeting the support is invertible, m = len(us).
 
-    Row i is (u[i] for u in us), a vector in R^m.  For m <= n and a nonempty
-    support (as ``extend_to_maximal`` guarantees) that holds iff every
-    dependent row set of size <= m has size exactly m and avoids the
-    support: a smaller one, or one meeting the support, lies in a singular
-    m-subset that meets it.  Those sets are found as in ``frames._spark``,
-    by a depth-first search over independent row sets in index order, to
-    depth m - 1, each node holding the integer normals of its span.  At
-    depth m - 1 a set that avoids the support only needs its support rows
-    tested, and any of them in the span rejects.
+    Row i is (u[i] for u in us), a vector in R^m.  Where Hadamard's bound
+    lets the exact search's minors reach ``ratlin.RESIDUE_P``, the search
+    runs mod p first: a row subset independent mod p is independent over Q,
+    so finding no dependent row set mod p accepts.  Finding one may be a
+    collision, and the exact search decides.
     """
-    m = len(us)
     rows = list(zip(*us))
+    return not residue_first(lambda rs, kernel: _dependent_rows(rs, n, supp, kernel), rows, len(us) - 1)
+
+
+def _dependent_rows(
+    rows: Sequence[IntVec], n: int, supp: FrozenSet[int], kernel: Optional[Kernel] = None
+) -> bool:
+    """Does some m-row subset meeting the support fail to be invertible?
+
+    ``kernel`` is the span step, exact by default (see ``frames._partition``).
+    For m <= n and a nonempty support (as ``extend_to_maximal`` guarantees)
+    every such subset is invertible iff every dependent row set of size
+    <= m has size exactly m and avoids the support: a smaller one, or one
+    meeting the support, lies in a singular m-subset that meets it.  Those
+    sets are found as in ``frames._spark``, by a depth-first search over
+    independent row sets in index order, to depth m - 1, each node holding
+    the normals of its span.  At depth m - 1 a set that avoids the support
+    only needs its support rows tested, and any of them in the span closes one.
+    """
+    off, extend = kernel or (off_span, extend_span)
+    m = len(rows[0])
     # stack entries: (next index, normals of an independent set's span, does it meet supp)
     stack = [(0, span_normals(m), False)]
     while stack:
@@ -345,12 +378,12 @@ def _stage_accepts(us: List[IntVec], n: int, supp: FrozenSet[int]) -> bool:
         for j in range(start, n):
             if last and not meets and j not in supp:
                 continue
-            off = off_span(normals, rows[j])
-            if off is None:
-                return False
+            found = off(normals, rows[j])
+            if found is None:
+                return True
             if not last:
-                stack.append((j + 1, extend_span(normals, rows[j], off), meets or j in supp))
-    return True
+                stack.append((j + 1, extend(normals, rows[j], found), meets or j in supp))
+    return False
 
 
 def extend_to_maximal(

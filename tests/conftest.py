@@ -10,21 +10,29 @@ import prframes.subspaces
 
 @pytest.fixture
 def span_tests(monkeypatch):
-    """Count span membership tests (``off_span`` calls) across prframes.
+    """Count span membership tests across prframes, of both kernels.
 
+    ``span_tests[0]`` counts every test, ``span_tests[1]`` the exact ones
+    (``off_span``) and ``span_tests[2]`` the residue ones (``off_residue``).
     The searches in frames, lifting and subspaces and the ranks in ratlin
-    all count.  Each of these modules binds ``off_span`` by name, so every
+    all count.  Each of these modules binds the tests by name, so every
     binding is replaced by one counting wrapper around the original.
     """
-    calls = [0]
-    inner = prframes.ratlin.off_span
+    calls = [0, 0, 0]
 
-    def counting(normals, vec):
-        calls[0] += 1
-        return inner(normals, vec)
+    def counting(inner, slot):
+        def test(normals, vec):
+            calls[0] += 1
+            calls[slot] += 1
+            return inner(normals, vec)
 
-    for module in (prframes.ratlin, prframes.frames, prframes.lifting, prframes.subspaces):
-        monkeypatch.setattr(module, "off_span", counting)
+        return test
+
+    for name, slot in (("off_span", 1), ("off_residue", 2)):
+        wrapper = counting(getattr(prframes.ratlin, name), slot)
+        for module in (prframes.ratlin, prframes.frames, prframes.lifting, prframes.subspaces):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -32,15 +40,16 @@ def span_tests(monkeypatch):
 def partition_searches(monkeypatch):
     """Record the columns of every partition search (``_partition`` call).
 
-    frames defines the search, and lifting and subspaces bind it by name, so
-    every binding is replaced by one recording wrapper around the original.
+    A residue search records its columns as residues.  frames defines the
+    search, and lifting and subspaces bind it by name, so every binding is
+    replaced by one recording wrapper around the original.
     """
     searched = []
     inner = prframes.frames._partition
 
-    def recording(cols, t, floor=None):
+    def recording(cols, t, floor=None, kernel=None):
         searched.append(tuple(cols))
-        return inner(cols, t, floor)
+        return inner(cols, t, floor, kernel)
 
     for module in (prframes.frames, prframes.lifting, prframes.subspaces):
         monkeypatch.setattr(module, "_partition", recording)

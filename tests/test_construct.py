@@ -124,11 +124,19 @@ def test_plan_known_paths():
     assert plan(4, 10).steps == ("base36", "step_I")
 
 
+def _replay_shape(steps):
+    """The (n, N) that a plan's steps reach from the 3x6 base."""
+    n, N = 3, 6
+    for s in steps[1:]:
+        n, N = {"step_I": (n + 1, N + n + 1), "step_II": (n + 1, N + n), "step_III": (n + 1, N + 2)}[s]
+    return n, N
+
+
 def test_plan_exists_for_every_target():
     for n in range(3, 9):
         for N in range(2 * n, n * (n + 1) // 2 + 1):
             p = plan(n, N)
-            assert p.replay_shapes()[-1] == (n, N)
+            assert _replay_shape(p.steps) == (n, N)
 
 
 def test_plan_out_of_range():

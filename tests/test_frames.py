@@ -285,6 +285,23 @@ def test_cp_work_ceiling_generated_6_21(span_tests):
     assert span_tests[0] == 2278
 
 
+def test_cp_proof_kernel_follows_the_width(span_tests):
+    # a generated frame's minors can reach RESIDUE_P, so its CP proof runs
+    # mod p and asks the same 2,278 questions there; a frame shaped like the
+    # lifted workload's (entries in [-4, 4], n <= 4) cannot, and stays exact
+    frame = fresh_generated(6, 21, 0)
+    span_tests[:] = [0, 0, 0]
+    assert has_complement_property(frame).holds
+    assert span_tests == [2278, 0, 2278]
+    rng = random.Random(7)
+    for n, N in [(2, 3), (3, 6), (4, 8), (4, 8), (4, 8)]:
+        small = random_frame(rng, n, N)
+        span_tests[:] = [0, 0, 0]
+        has_complement_property(small)
+        assert span_tests[2] == 0
+        assert span_tests[1] > 0
+
+
 def test_exactness_work_ceiling_generated_6_21(span_tests):
     # the CP proof and the removals: each row of a pattern frame has n
     # nonzeros, so the axis table settles every removal without a rank

@@ -30,7 +30,9 @@ from prframes import (
     lifted_independent,
     pr_redundancy,
 )
+from prframes.frames import _partition
 from prframes.lifting import lifted_row
+from prframes.ratlin import RESIDUE_P, span_of
 
 
 def sym_pairs(n):
@@ -414,6 +416,28 @@ def test_redundancy_work_ceiling_non_pr_3_7(span_tests):
     span_tests[0] = 0
     assert pr_redundancy(f) == Fraction(7, 5)
     assert span_tests[0] <= 815
+
+
+def test_s2_element_and_redundancy_search_the_frame_once(partition_searches):
+    # on the whole frame find_s2_element reads the CP proof that
+    # pr_redundancy starts from, instead of searching the columns again
+    f = Frame.from_vectors(NON_PR_3_7, dim=3)
+    assert find_s2_element(f, range(f.N)).validate(f, range(f.N))
+    assert pr_redundancy(f) == Fraction(7, 5)
+    assert partition_searches.count(f._int_cols) == 1
+
+
+@pytest.mark.parametrize("scale", [1, RESIDUE_P])
+def test_s2_element_on_the_whole_frame_is_the_search_witness(scale):
+    # the held proof's failing subset is the one the search on the same
+    # columns finds, wide frames (proved mod p first) included
+    vecs = [tuple(x * scale if i == 2 else x for i, x in enumerate(v)) for v in NON_PR_3_7]
+    f = Frame.from_vectors(vecs, dim=3)
+    a = _partition(f._int_cols, 2).a
+    u = span_of([c for j, c in enumerate(f._int_cols) if j in a], 3)[0]
+    v = span_of([c for j, c in enumerate(f._int_cols) if j not in a], 3)[0]
+    w = find_s2_element(f, range(f.N))
+    assert (w.x, w.y) == (tuple(Fraction(p + q) for p, q in zip(u, v)), tuple(Fraction(p - q) for p, q in zip(u, v)))
 
 
 def test_redundancy_paths_take_no_nullspace(monkeypatch):
