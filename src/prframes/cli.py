@@ -101,13 +101,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _names(text: str, valid: set, kind: str) -> Optional[List[str]]:
+    """The comma list's names, or None after a one-line message when one is unknown or none is given."""
+    names = [w.strip() for w in text.split(",") if w.strip()]
+    bad = set(names) - valid
+    if bad or not names:
+        print(f"unknown {kind}: {sorted(bad) or 'none requested'}", file=sys.stderr)
+        return None
+    return names
+
+
 def cmd_verify(args) -> int:
     frame = _load_frame(args.frame)
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    valid = {"pr", "exact", "redundancy", "lifted-independence"}
-    bad = set(checks) - valid
-    if bad or not checks:
-        print(f"unknown checks: {sorted(bad) or 'none requested'}", file=sys.stderr)
+    checks = _names(args.checks, {"pr", "exact", "redundancy", "lifted-independence"}, "checks")
+    if checks is None:
         return 2
     t0 = time.monotonic()
     results: dict = {}
@@ -151,11 +158,8 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     frame = _load_frame(args.frame)
-    what = [w.strip() for w in args.what.split(",") if w.strip()]
-    valid = {"dmax", "spark", "redundancy"}
-    bad = set(what) - valid
-    if bad or not what:
-        print(f"unknown analyses: {sorted(bad) or 'none requested'}", file=sys.stderr)
+    what = _names(args.what, {"dmax", "spark", "redundancy"}, "analyses")
+    if what is None:
         return 2
     t0 = time.monotonic()
     results: dict = {}

@@ -10,26 +10,26 @@ class goes to that class only (dominance: it costs that class no rank, and
 keeping it out of the other class can only lower that one's rank).  The
 reported failing subset is therefore one valid witness, not the first one in
 bitmask order.  The complement property is t = n - 1; removal and
-``lifting``'s rank-<=2 kernel elements reuse it.  Exactness is one CP proof
-and then N removals: a PR frame of length 2n - 1 is exact by counting, and
-otherwise one table of coordinate axes per frame settles most removals, so
-only the rest run the partition search.  d(F) is one run with a
-stopping floor below t: each partition found lowers t to one below its
-larger class rank until that rank reaches the floor (n + 1) // 2, and the
-value is cached on the ``Frame``.
+``lifting``'s rank-<=2 kernel elements reuse it.  Given watched columns
+(``seen``), the search also asks that one of them stay outside both class
+spans: that is ``lifting``'s S2-witness search and its redundancy test, so
+every 2-colouring search in the package is this one.  Exactness is one CP
+proof and then N removals: a PR frame of length 2n - 1 is exact by
+counting, and otherwise one table of coordinate axes per frame settles
+most removals, so only the rest run the partition search.  d(F) is one run
+with a stopping floor below t: each partition found lowers t to one below
+its larger class rank until that rank reaches the floor (n + 1) // 2, and
+the value is cached on the ``Frame``.
 
 The search takes its span kernel as an argument.  The CP proof
-(``Frame._cp``, and ``subspaces.is_pr_subspace`` on projected families)
-runs it first with ``ratlin``'s residue kernel, modulo the prime
-``RESIDUE_P`` below 2^30 (``ratlin.residue_first``).  That is sound: every
-rank mod p is at most the rank over Q, so a partition over Q is one mod p,
-and the pin and dominance rules hold over any field, so the search is
-complete mod p.  When the residue search finds no partition, none exists
-over Q.  When it finds one, the exact search runs and supplies the verdict
-and the witness, so every failing subset is the exact search's.  The
-residue pass runs only where Hadamard's bound lets the exact normals and
-dot products (minors of up to n columns) reach p; a narrower family holds
-one-digit numbers exactly already.  d(F), the removals and ``spark`` stay
+(``_certified_partition``: ``Frame._cp``, and ``subspaces.is_pr_subspace``
+on projected families) runs it first with ``ratlin``'s residue kernel,
+modulo the prime ``RESIDUE_P`` below 2^30, where the numbers can outgrow
+one digit.  The pin and dominance rules hold over any field, so the search
+is complete mod p, and finding no partition there proves that none exists
+over Q (``ratlin.residue_first``).  When it finds one, the exact search
+supplies the verdict and the witness, so every failing subset is the exact
+search's.  d(F), the removals, the watched searches and ``spark`` stay
 exact, since they need the exact values.
 
 ``spark`` is a depth-first search over independent subfamilies that shares
@@ -137,8 +137,7 @@ class Frame(_Value):
     @cached_property
     def _cp(self) -> CPResult:
         # held so that PR, exactness and redundancy checks share one proof
-        t = self.dim - 1
-        found = residue_first(lambda cols, kernel: _partition(cols, t, None, kernel), self._int_cols, t)
+        found = _certified_partition(self._int_cols, self.dim - 1)
         return CPResult(found is None, None if found is None else found.a)
 
     @cached_property
@@ -209,7 +208,11 @@ class ExactnessResult(NamedTuple):
 
 
 def _partition(
-    cols: Sequence[IntVec], t: int, floor: Optional[int] = None, kernel: Optional[Kernel] = None
+    cols: Sequence[IntVec],
+    t: int,
+    floor: Optional[int] = None,
+    kernel: Optional[Kernel] = None,
+    seen: Optional[Sequence[IntVec]] = None,
 ) -> Optional[Split]:
     """A 2-colouring of the columns with both class ranks <= t, or None.
 
@@ -235,26 +238,37 @@ def _partition(
     and returns the last partition found: with floor (n + 1) // 2, the
     least any partition can reach, that one has the least larger class rank,
     which it carries as ``rank``.
+
+    ``seen`` (watched columns, with floor t) asks in addition that some
+    watched column lie outside both class spans.  Each stack entry carries
+    those still outside both, from those outside the span of column 0 (no
+    zero column is), and a branch dies once none are left.  Adding a column
+    to a class only shrinks that set, so the pin and the dominance rule
+    still lose no answer.  At t = n - 1 a class of rank n would leave none,
+    and the rank test prunes it before it is built.
     """
     off, extend = kernel or (off_span, extend_span)
     ncols = len(cols)
     if ncols == 0:
-        # the empty family: both classes empty, of rank 0
-        return Split(frozenset(), 0)
+        # the empty family: both classes empty, of rank 0, and every nonzero
+        # watched column outside both
+        return Split(frozenset(), 0) if seen is None or any(map(any, seen)) else None
     n = len(cols[0])
     keep = n - t  # fewest normals a class of rank <= t still has
     empty = span_normals(n)
     off0 = off(empty, cols[0])
     start_a = empty if off0 is None else extend(empty, cols[0], off0)
-    if len(start_a) < keep:
+    live = None if seen is None else [c for c in seen if off(start_a, c) is not None]
+    if len(start_a) < keep or live == []:
         return None
     if floor is None:
         floor = t
     best = None
-    # stack entries: (next index, normals of A, normals of B, bitmask of A's members)
-    stack = [(1, start_a, empty, 1)]
+    # stack entries: (next index, normals of A, normals of B, bitmask of A's
+    # members, watched columns outside both spans or None)
+    stack = [(1, start_a, empty, 1, live)]
     while stack:
-        i, na, nb, amask = stack.pop()
+        i, na, nb, amask, live = stack.pop()
         if i == ncols:
             r = n - min(len(na), len(nb))
             best = amask, r
@@ -266,20 +280,32 @@ def _partition(
         col = cols[i]
         off_a = off(na, col)
         if off_a is None:
-            stack.append((i + 1, na, nb, amask | 1 << i))
+            stack.append((i + 1, na, nb, amask | 1 << i, live))
             continue
         off_b = off(nb, col)
         if off_b is None:
-            stack.append((i + 1, na, nb, amask))
+            stack.append((i + 1, na, nb, amask, live))
             continue
+        # live is None when nothing is watched and never empty on the stack
         if len(na) > keep:
-            stack.append((i + 1, extend(na, col, off_a), nb, amask | 1 << i))
+            grown = extend(na, col, off_a)
+            left = live and [c for c in live if off(grown, c) is not None]
+            if left != []:
+                stack.append((i + 1, grown, nb, amask | 1 << i, left))
         if len(nb) > keep:
-            stack.append((i + 1, na, extend(nb, col, off_b), amask))
+            grown = extend(nb, col, off_b)
+            left = live and [c for c in live if off(grown, c) is not None]
+            if left != []:
+                stack.append((i + 1, na, grown, amask, left))
     if best is None:
         return None
     amask, r = best
     return Split(frozenset(j for j in range(ncols) if amask >> j & 1), r)
+
+
+def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
+    """``_partition(cols, t)``, run mod ``RESIDUE_P`` first where that can pay: the CP proof."""
+    return residue_first(lambda vecs, kernel: _partition(vecs, t, None, kernel), cols, t)
 
 
 # ---------------------------------------------------------------------------

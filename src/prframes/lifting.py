@@ -10,29 +10,32 @@ the element vanishes on a subfamily exactly when every member is orthogonal
 to u or to v: it is a 2-colouring (A, B) of the subfamily with u normal to
 span A and v normal to span B, which exists iff both classes have rank
 <= n - 1.  This is the complement-property argument of Balan, Casazza and
-Edidin ("On signal reconstruction without phase", 2006).  Both searches
-below are the pruned partition search of ``frames`` on that colouring:
+Edidin ("On signal reconstruction without phase", 2006).  Both witness
+searches and the preservation test behind the redundancy measures are
+``frames._partition`` calls, t = n - 1, on the subfamily's columns:
 
-* ``find_s2_element`` is ``_partition(cols, n - 1)`` on the subfamily, with
-  u and v taken from the normals of the two class spans; on the whole
-  frame that search is the CP proof held on the ``Frame``, so it is read;
+* ``find_s2_element`` runs the plain search, with u and v taken from the
+  normals of the two class spans; on the whole frame that search is the CP
+  proof held on the ``Frame``, so it is read;
 * ``find_s2_witness`` also needs a frame vector f_i outside the subfamily
-  with <u,f_i> <v,f_i> != 0, that is, outside both class spans.  Its search
-  carries the complement indices still outside both spans and prunes a
-  branch when none are left.
+  with <u,f_i> <v,f_i> != 0, that is, outside both class spans, so its
+  search watches the complement columns (``seen``);
+* the preservation test of ``pr_redundancy`` and
+  ``has_exact_pr_redundancy`` is the witness search finding nothing, or on
+  a phase-retrievable frame the plain search on the kept subfamily.
 
-Both are exact and complete, and every witness they return is integral.
+All are exact and complete, and every witness they return is integral.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CapExceeded
-from .frames import Frame, _partition, is_exact_pr_frame, has_complement_property
-from .ratlin import IntVec, extend_span, int_rank, off_span, span_normals, span_of
+from .errors import BadInput, CapExceeded
+from .frames import Frame, IndexSet, _partition, is_exact_pr_frame, has_complement_property
+from .ratlin import int_rank, off_span, span_of
 
 
 def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
@@ -83,10 +86,49 @@ def lifted_independent(frame: Frame) -> bool:
     return int_rank([lifted_row(f, n) for f in frame._int_cols]) == frame.N
 
 
-def _witness(u: Sequence[int], v: Sequence[int], idx: Optional[int]) -> S2Witness:
-    """x = u + v, y = u - v: the quadratic at f is 4 <u,f> <v,f>."""
-    x = tuple(Fraction(a + b) for a, b in zip(u, v))
-    y = tuple(Fraction(a - b) for a, b in zip(u, v))
+def _subfamily(frame: Frame, lam: Iterable[int]) -> List[int]:
+    """lam as sorted distinct frame indices; empty raises ValueError, out of range BadInput."""
+    lam = sorted(set(lam))
+    if not lam:
+        raise ValueError("lam must be non-empty")
+    if lam[0] < 0 or lam[-1] >= frame.N:
+        raise BadInput(f"subfamily index out of range 0..{frame.N - 1}: {lam}")
+    return lam
+
+
+def _colouring(frame: Frame, lam: Sequence[int], watched: Optional[Sequence[int]]) -> Optional[IndexSet]:
+    """Class A (positions in lam) of a kernel colouring of the subfamily, or None.
+
+    Both class ranks are <= n - 1, and when ``watched`` indices are given,
+    one of them lies outside both class spans.
+    """
+    cols = frame._int_cols
+    seen = None if watched is None else [cols[i] for i in watched]
+    found = _partition([cols[j] for j in lam], frame.dim - 1, seen=seen)
+    return None if found is None else found.a
+
+
+def _witness(
+    frame: Frame, lam: Sequence[int], a: Optional[IndexSet], watched: Sequence[int] = ()
+) -> Optional[S2Witness]:
+    """x = u + v, y = u - v from normals u of span A and v of span B, built as the search builds them.
+
+    u and v are the first normals, or with watched indices the first ones off
+    the first watched vector outside both spans, the ``differing_index``.
+    """
+    if a is None:
+        return None
+    n, cols = frame.dim, frame._int_cols
+    na = span_of((cols[j] for p, j in enumerate(lam) if p in a), n)
+    nb = span_of((cols[j] for p, j in enumerate(lam) if p not in a), n)
+    u, v, idx = na[0], nb[0], None
+    for i in watched:
+        off_a, off_b = off_span(na, cols[i]), off_span(nb, cols[i])
+        if off_a is not None and off_b is not None:
+            u, v, idx = na[off_a[0]], nb[off_b[0]], i
+            break
+    x = tuple(Fraction(p + q) for p, q in zip(u, v))
+    y = tuple(Fraction(p - q) for p, q in zip(u, v))
     return S2Witness(x, y, idx)
 
 
@@ -97,22 +139,9 @@ def find_s2_element(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
     colouring is the failing subset of the frame's held CP proof, which is
     the same search on the same columns.
     """
-    lam = sorted(set(lam))
-    if not lam:
-        raise ValueError("lam must be non-empty")
-    n, cols = frame.dim, frame._int_cols
-    sub = [cols[j] for j in lam]
-    if lam == list(range(frame.N)):
-        a = frame._cp.failing
-    else:
-        found = _partition(sub, n - 1)
-        a = None if found is None else found.a
-    if a is None:
-        return None
-    # both classes have rank <= n - 1, so each span keeps a nonzero normal
-    u = span_of((c for j, c in enumerate(sub) if j in a), n)[0]
-    v = span_of((c for j, c in enumerate(sub) if j not in a), n)[0]
-    return _witness(u, v, None)
+    lam = _subfamily(frame, lam)
+    a = frame._cp.failing if len(lam) == frame.N else _colouring(frame, lam, None)
+    return _witness(frame, lam, a)
 
 
 def find_s2_witness(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
@@ -121,62 +150,11 @@ def find_s2_witness(frame: Frame, lam: Iterable[int]) -> Optional[S2Witness]:
     Returns None exactly when dropping the complement does not enlarge the
     rank-<=2 part of the kernel.  Requires a proper, non-empty subfamily.
     """
-    found = _seen_colouring(frame, lam)
-    return None if found is None else _witness(*found)
-
-
-def _seen_colouring(frame: Frame, lam: Iterable[int]) -> Optional[Tuple[IntVec, IntVec, int]]:
-    """(u, v, i): normals of the two class spans and the complement index they see.
-
-    The search is ``frames._partition``'s over the subfamily, with "some
-    complement vector lies outside both class spans" in place of the rank
-    bound.  Adding a column to a class only shrinks the set of such
-    vectors, so the dominance rule and the pin of the first column to A
-    lose no answer, and a branch dies once the set is empty.
-    """
-    lam = sorted(set(lam))
-    n, N = frame.dim, frame.N
-    if not lam or len(lam) >= N:
+    lam = _subfamily(frame, lam)
+    if len(lam) == frame.N:
         raise ValueError("lam must be a proper non-empty subset")
-    cols = frame._int_cols
-    inside = set(lam)
-
-    def outside(normals, live):
-        return tuple(i for i in live if off_span(normals, cols[i]) is not None)
-
-    empty = span_normals(n)
-    start_a = span_of([cols[lam[0]]], n)
-    # B starts empty, so this drops exactly the zero columns and those in span A
-    live = outside(start_a, (i for i in range(N) if i not in inside))
-    if not live:
-        return None
-    # stack entries: (next position in lam, normals of A, normals of B,
-    # complement indices outside both spans)
-    stack = [(1, start_a, empty, live)]
-    while stack:
-        p, na, nb, live = stack.pop()
-        if p == len(lam):
-            f = cols[live[0]]
-            ka, kb = off_span(na, f)[0], off_span(nb, f)[0]
-            return na[ka], nb[kb], live[0]
-        col = cols[lam[p]]
-        off_a = off_span(na, col)
-        if off_a is None:
-            stack.append((p + 1, na, nb, live))
-            continue
-        off_b = off_span(nb, col)
-        if off_b is None:
-            stack.append((p + 1, na, nb, live))
-            continue
-        grown = extend_span(na, col, off_a)
-        keep = outside(grown, live)
-        if keep:
-            stack.append((p + 1, grown, nb, keep))
-        grown = extend_span(nb, col, off_b)
-        keep = outside(grown, live)
-        if keep:
-            stack.append((p + 1, na, grown, keep))
-    return None
+    comp = _without(frame.N, set(lam))
+    return _witness(frame, lam, _colouring(frame, lam, comp), comp)
 
 
 def has_exact_pr_redundancy(frame: Frame) -> bool:
@@ -207,22 +185,23 @@ def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
       extend to one of the whole frame.  So k >= 2n - 1.
 
     A phase-retrievable frame is settled by exactness (answer 1) or searched
-    with the partition search on each kept subfamily, starting from the
-    removable indices exactness already found, and at most N - (2n - 1)
+    with the plain partition search on each kept subfamily, starting from
+    the removable indices exactness already found, and at most N - (2n - 1)
     removed.  Any other frame, every one shorter than 2n - 1 among them, is
-    searched with the seen-colouring test and at most N - n removed.
+    searched with the partition search that watches the complement, and at
+    most N - n removed.
     """
     n, N = frame.dim, frame.N
     if N > max_n:
         raise CapExceeded(f"N={N} exceeds exhaustive cap {max_n}")
-    keeps, most, free = _keeps_s2_part, N - n, None
+    watch, most, free = True, N - n, None
     if N >= 2 * n - 1:  # a shorter frame is never phase-retrievable
         exactness = is_exact_pr_frame(frame)
         if exactness.exact:
             return Fraction(1)
         if exactness.removable:
-            keeps, most, free = _is_pr_subfamily, N - (2 * n - 1), exactness.removable
-    removed = _most_removable(frame, keeps, most, free)
+            watch, most, free = False, N - (2 * n - 1), exactness.removable
+    removed = _most_removable(frame, watch, most, free)
     return Fraction(1) if removed == 0 else Fraction(N, N - removed)
 
 
@@ -230,23 +209,19 @@ def _without(N: int, removed: Sequence[int]) -> List[int]:
     return [j for j in range(N) if j not in removed]
 
 
-def _keeps_s2_part(frame: Frame, kept: Sequence[int]) -> bool:
-    """True iff dropping the complement of ``kept`` leaves the rank-<=2 kernel part."""
-    return _seen_colouring(frame, kept) is None
+def _keeps_s2_part(frame: Frame, kept: Sequence[int], watch: bool = True) -> bool:
+    """True iff dropping the complement of ``kept`` leaves the rank-<=2 kernel part.
+
+    ``watch=False`` tests that ``kept`` is phase-retrievable instead: the same
+    on a phase-retrievable frame (``pr_redundancy``), and cheaper there.
+    """
+    return _colouring(frame, kept, _without(frame.N, set(kept)) if watch else None) is None
 
 
-def _is_pr_subfamily(frame: Frame, kept: Sequence[int]) -> bool:
-    cols = frame._int_cols
-    return _partition([cols[j] for j in kept], frame.dim - 1) is None
+def _most_removable(frame: Frame, watch: bool, most: int, free: Optional[Sequence[int]] = None) -> int:
+    """Size of the largest removal set, at most ``most``, whose complement keeps the part.
 
-
-def _most_removable(
-    frame: Frame,
-    keeps: Callable[[Frame, Sequence[int]], bool],
-    most: int,
-    free: Optional[Sequence[int]] = None,
-) -> int:
-    """Size of the largest removal set, at most ``most``, whose complement ``keeps``.
+    Each complement is tested with ``_keeps_s2_part(frame, kept, watch)``.
 
     Every subset of a preserving removal set preserves, so only the indices
     whose single removal preserves (``free``; tested here unless given) can
@@ -257,7 +232,7 @@ def _most_removable(
     if most == 0:
         return 0
     if free is None:
-        free = [i for i in range(N) if keeps(frame, _without(N, (i,)))]
+        free = [i for i in range(N) if _keeps_s2_part(frame, _without(N, (i,)), watch)]
     best = min(len(free), 1)
     # stack entries: positions in free of a removal set one longer than a preserving one
     stack = [(p,) for p in reversed(range(len(free)))]
@@ -267,7 +242,7 @@ def _most_removable(
         # only positions above pos[-1] can join: can this branch beat best?
         if r + len(free) - 1 - pos[-1] <= best:
             continue
-        if r > 1 and not keeps(frame, _without(N, [free[p] for p in pos])):
+        if r > 1 and not _keeps_s2_part(frame, _without(N, [free[p] for p in pos]), watch):
             continue
         best = max(best, r)
         if r < most:

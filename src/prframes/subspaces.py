@@ -22,15 +22,13 @@ ambient dimensions raise ``BadInput``.
 
 Two searches here prove a negative, and each runs first modulo
 ``ratlin.RESIDUE_P`` where the numbers can outgrow one digit
-(``ratlin.residue_first``): the projected complement property
-(``is_pr_subspace``) and an extension stage's "no singular row subset
-meets the support" (``_stage_accepts``).  A rank mod p is at most the rank
-over Q, and both searches are complete over any field, so a residue
-search that finds nothing proves that nothing exists over Q; one that
-finds something may have met a collision, and the exact search decides.
-The residue pass runs only where Hadamard's bound on the minors that the
-exact search meets reaches p (``ratlin.outgrows_digit``); d(F) and the
-minimum support stay exact.
+(``ratlin.residue_first`` has the argument): the projected complement
+property (``is_pr_subspace``, through ``frames._certified_partition``) and
+an extension stage's "no singular row subset meets the support"
+(``_stage_accepts``).  Both are complete over any field, so a residue
+search that finds nothing proves that nothing exists over Q, and one that
+finds something hands over to the exact search.  d(F) and the minimum
+support stay exact.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .errors import (
     RetriesExhausted,
     SupportTooLarge,
 )
-from .frames import Frame, _Value, _partition, _spark
+from .frames import Frame, _Value, _certified_partition, _spark
 from .ratlin import (
     DEFAULT_RANGE_MAX,
     IntVec,
@@ -189,11 +187,7 @@ def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
     held = frame._pr_subspaces
     key = sub._int_cols
     if key not in held:
-        t = sub.dim - 1
-        found = residue_first(
-            lambda cols, kernel: _partition(cols, t, None, kernel), _projected_int_cols(frame, sub), t
-        )
-        held[key] = found is None
+        held[key] = _certified_partition(_projected_int_cols(frame, sub), sub.dim - 1) is None
     return held[key]
 
 

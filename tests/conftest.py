@@ -40,17 +40,19 @@ def span_tests(monkeypatch):
 def partition_searches(monkeypatch):
     """Record the columns of every partition search (``_partition`` call).
 
-    A residue search records its columns as residues.  frames defines the
-    search, and lifting and subspaces bind it by name, so every binding is
-    replaced by one recording wrapper around the original.
+    A residue search records its columns as residues, and a search that
+    watches columns (``seen``) records only its own columns.  frames defines
+    the search and lifting binds it by name, so both bindings are replaced
+    by one recording wrapper around the original; subspaces searches
+    through ``frames._certified_partition``.
     """
     searched = []
     inner = prframes.frames._partition
 
-    def recording(cols, t, floor=None, kernel=None):
+    def recording(cols, t, floor=None, kernel=None, seen=None):
         searched.append(tuple(cols))
-        return inner(cols, t, floor, kernel)
+        return inner(cols, t, floor, kernel, seen)
 
-    for module in (prframes.frames, prframes.lifting, prframes.subspaces):
+    for module in (prframes.frames, prframes.lifting):
         monkeypatch.setattr(module, "_partition", recording)
     return searched

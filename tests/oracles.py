@@ -141,6 +141,30 @@ def brute_pr_redundancy(frame: Frame) -> Fraction:
     return Fraction(1)
 
 
+def brute_is_maximal(frame: Frame, sub) -> bool:
+    """Is the PR subspace maximal among PR subspaces?  By the colouring criterion.
+
+    With k = dim M: M is maximal iff some 2-colouring (A, B) of the frame
+    has, for each class X, rank(P_M X) <= k - 1 or rank(X) <= k.  The
+    projected ranks are those of the coordinates (<b_j, f>)_j over M's basis
+    columns b_j, which differ from P_M f by an invertible factor; every
+    colouring is scanned, ranks by sympy.
+    """
+    k, N = len(sub.basis), frame.N
+    vecs = frame.vectors
+    coords = [tuple(sum((Fraction(x) * y for x, y in zip(b, f)), Fraction(0)) for b in sub.basis) for f in vecs]
+
+    def settled(cls) -> bool:
+        return _rank([coords[i] for i in cls]) <= k - 1 or _rank([vecs[i] for i in cls]) <= k
+
+    for bits in range(2 ** N):
+        a = [i for i in range(N) if bits >> i & 1]
+        b = [i for i in range(N) if not bits >> i & 1]
+        if settled(a) and settled(b):
+            return True
+    return False
+
+
 def brute_min_support(sub_vectors, basis_vectors) -> int:
     """Smallest dual-coordinate support over the subspace, by full enumeration."""
     n = len(basis_vectors)

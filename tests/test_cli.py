@@ -115,6 +115,20 @@ def test_verify_unknown_check_exits_2(capsys, pr_frame_file):
     assert code == 2 and "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify", "--checks", "bogus"], "unknown checks: ['bogus']"),
+        (["verify", "--checks", ","], "unknown checks: none requested"),
+        (["analyze", "--what", "bogus"], "unknown analyses: ['bogus']"),
+        (["analyze", "--what", ","], "unknown analyses: none requested"),
+    ],
+)
+def test_unknown_names_exit_2_with_one_line(capsys, pr_frame_file, argv, line):
+    code, out, err = run(capsys, argv[0], pr_frame_file, *argv[1:])
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_verify_missing_file_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 2

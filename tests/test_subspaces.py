@@ -6,10 +6,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-import prframes.subspaces
-from oracles import brute_d_value, brute_family_has_cp, brute_min_support, brute_stage_accepts
+import prframes.frames
+from oracles import (
+    brute_d_value,
+    brute_family_has_cp,
+    brute_is_maximal,
+    brute_min_support,
+    brute_stage_accepts,
+)
 from prframes import (
     BadInput,
     CapExceeded,
@@ -187,13 +193,13 @@ def test_subspace_chain_reuses_cached_d(monkeypatch):
     f = Frame.from_vectors(SPARSE_7_14, dim=7)
     d = d_max(f)
     dims = []
-    inner = prframes.subspaces._partition
+    inner = prframes.frames._partition
 
     def recording(cols, t, *rest):
         dims.append(len(cols[0]))
         return inner(cols, t, *rest)
 
-    monkeypatch.setattr(prframes.subspaces, "_partition", recording)
+    monkeypatch.setattr(prframes.frames, "_partition", recording)
     sub = random_pr_subspace(f, d, seed=3)
     assert is_maximal_pr_subspace(f, sub).status == "Maximal"
     assert dims and set(dims) == {d}
@@ -462,6 +468,35 @@ def test_not_maximal_with_certified_superspace():
     assert w is not None and w.dim == 2
     assert is_pr_subspace(b5, w)
     assert w.contains((1, 2, 3, 4, 5))
+
+
+@st.composite
+def frames_and_pr_subspaces(draw):
+    """A frame of N vectors in R^n (n <= 4, N <= 7; a basis about half the time) and a PR subspace."""
+    n = draw(st.integers(1, 4))
+    N = n if draw(st.booleans()) else draw(st.integers(n + 1, 7))
+    k = draw(st.integers(1, n))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    frame = draw(st.lists(vec, min_size=N, max_size=N))
+    sub = draw(st.lists(vec, min_size=k, max_size=k))
+    try:
+        f = Frame.from_vectors(frame, dim=n)
+        m = Subspace.from_vectors(sub, ambient_dim=n)
+    except (NotAFrame, BadInput):
+        assume(False)
+    assume(is_pr_subspace(f, m))
+    return f, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames_and_pr_subspaces())
+def test_maximality_verdicts_agree_with_oracle(case):
+    # every decided verdict, on bases and on other frames; Unknown decides nothing
+    f, m = case
+    status = is_maximal_pr_subspace(f, m).status
+    event(f"{status} on a {'basis' if f.N == f.dim else 'longer frame'}")
+    assume(status != "Unknown")
+    assert (status == "Maximal") == brute_is_maximal(f, m)
 
 
 def test_extend_to_maximal():
