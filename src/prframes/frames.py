@@ -34,10 +34,15 @@ exact, since they need the exact values.
 
 ``spark`` is a depth-first search over independent subfamilies that shares
 each prefix's span; it runs on bare integer columns as ``_spark(cols)``, so
-the subspace tools reuse it for the minimum support.  Both searches hold
-every span as its integer normals and take one ``ratlin`` membership test
-(dot products only) per question, extending a span only where they branch.
-All rank arithmetic is integer-only, and every verdict rests on exact ranks.
+the subspace tools reuse it for the minimum support.  Both searches ask
+about their columns in index order, so each holds every span as a
+``ratlin`` table: one row per normal, holding its dot products with the
+columns still to come and then the watched ones.  A membership question is
+a lookup in the table (``off_table``), and only a branch extends a span,
+updating its rows on the columns after the one added (``extend_table``).
+Each row stays a multiple of its normal's dot products, so every question
+gets the answer the normals would give.  All rank arithmetic is
+integer-only, and every verdict rests on exact ranks.
 """
 
 from __future__ import annotations
@@ -51,11 +56,11 @@ from .ratlin import (
     IntVec,
     Kernel,
     clear_denominators,
-    extend_span,
+    extend_table,
     int_rank,
-    off_span,
+    off_table,
     residue_first,
-    span_normals,
+    span_table,
 )
 
 IndexSet = FrozenSet[int]
@@ -220,9 +225,10 @@ def _partition(
     of ``ratlin`` by default; with the residue kernel the columns must be
     residues, and every rank is a rank mod p.
 
-    Each class is held as the normals of its span (``ratlin``), so a
-    node asks two membership questions, one dot-product pass each, and a
-    class has rank <= t exactly while it keeps at least n - t normals.
+    Each class is held as the table of its span (``ratlin``) on the
+    columns and then the watched ones, so a node asks two membership
+    questions, a lookup each, and a class has rank <= t exactly while its
+    table keeps at least n - t rows.
     Column 0 is pinned to A (global swap symmetry).  A column in the span of
     A goes to A only, and otherwise a column in the span of B goes to B only:
     any 2-colouring with both ranks <= t stays one after that move, so the
@@ -241,31 +247,33 @@ def _partition(
 
     ``seen`` (watched columns, with floor t) asks in addition that some
     watched column lie outside both class spans.  Each stack entry carries
-    those still outside both, from those outside the span of column 0 (no
-    zero column is), and a branch dies once none are left.  Adding a column
-    to a class only shrinks that set, so the pin and the dominance rule
-    still lose no answer.  At t = n - 1 a class of rank n would leave none,
-    and the rank test prunes it before it is built.
+    the table positions of those still outside both, from those outside
+    the span of column 0 (no zero column is), and a branch dies once none
+    are left.  Adding a column to a class only shrinks that set, so the pin
+    and the dominance rule still lose no answer.  At t = n - 1 a class of
+    rank n would leave none, and the rank test prunes it before it is built.
     """
-    off, extend = kernel or (off_span, extend_span)
+    off, extend = kernel or (off_table, extend_table)
     ncols = len(cols)
     if ncols == 0:
         # the empty family: both classes empty, of rank 0, and every nonzero
         # watched column outside both
         return Split(frozenset(), 0) if seen is None or any(map(any, seen)) else None
     n = len(cols[0])
-    keep = n - t  # fewest normals a class of rank <= t still has
-    empty = span_normals(n)
-    off0 = off(empty, cols[0])
-    start_a = empty if off0 is None else extend(empty, cols[0], off0)
-    live = None if seen is None else [c for c in seen if off(start_a, c) is not None]
+    keep = n - t  # fewest rows a class of rank <= t still has
+    watched = () if seen is None else tuple(seen)
+    width = ncols + len(watched)
+    empty = span_table((*cols, *watched), n)
+    off0 = off(empty, -width)
+    start_a = empty if off0 is None else extend(empty, -width, off0)
+    live = None if seen is None else [at for at in range(ncols - width, 0) if off(start_a, at) is not None]
     if len(start_a) < keep or live == []:
         return None
     if floor is None:
         floor = t
     best = None
-    # stack entries: (next index, normals of A, normals of B, bitmask of A's
-    # members, watched columns outside both spans or None)
+    # stack entries: (next index, table of A, table of B, bitmask of A's
+    # members, positions of the watched columns outside both spans or None)
     stack = [(1, start_a, empty, 1, live)]
     while stack:
         i, na, nb, amask, live = stack.pop()
@@ -277,23 +285,23 @@ def _partition(
             keep = n - r + 1  # go on with t = r - 1
             stack = [e for e in stack if len(e[1]) >= keep and len(e[2]) >= keep]
             continue
-        col = cols[i]
-        off_a = off(na, col)
+        at = i - width
+        off_a = off(na, at)
         if off_a is None:
             stack.append((i + 1, na, nb, amask | 1 << i, live))
             continue
-        off_b = off(nb, col)
+        off_b = off(nb, at)
         if off_b is None:
             stack.append((i + 1, na, nb, amask, live))
             continue
         # live is None when nothing is watched and never empty on the stack
         if len(na) > keep:
-            grown = extend(na, col, off_a)
+            grown = extend(na, at, off_a)
             left = live and [c for c in live if off(grown, c) is not None]
             if left != []:
                 stack.append((i + 1, grown, nb, amask | 1 << i, left))
         if len(nb) > keep:
-            grown = extend(nb, col, off_b)
+            grown = extend(nb, at, off_b)
             left = live and [c for c in live if off(grown, c) is not None]
             if left != []:
                 stack.append((i + 1, na, grown, amask, left))
@@ -341,8 +349,8 @@ def _spark(cols: Sequence[IntVec]) -> int:
     """Size of the smallest dependent subfamily of the columns; len+1 if none.
 
     Depth-first search over independent subfamilies in index order, each
-    node holding the integer normals of its span and extending its parent's
-    by one column.  A column in the span of an independent set I closes a
+    node holding the table of its span and extending its parent's by one
+    column.  A column in the span of an independent set I closes a
     dependent set of size |I|+1, so every circuit is found from its members
     below its largest index.  The best size so far bounds the search: a
     node is only expanded while it can still close a smaller dependent set.
@@ -352,22 +360,22 @@ def _spark(cols: Sequence[IntVec]) -> int:
     best = len(cols) + 1
     if not cols:
         return best
-    n = len(cols[0])
-    # stack entries: (next index, normals of an independent set's span)
-    stack = [(0, span_normals(n))]
+    n, width = len(cols[0]), len(cols)
+    # stack entries: (next index, table of an independent set's span)
+    stack = [(0, span_table(cols, n))]
     while stack:
-        start, normals = stack.pop()
-        size = n - len(normals)
+        start, rows = stack.pop()
+        size = n - len(rows)
         if size + 1 >= best:
             continue
         children = []
-        for j in range(start, len(cols)):
-            off = off_span(normals, cols[j])
+        for j in range(start, width):
+            off = off_table(rows, j - width)
             if off is None:
                 best = size + 1
                 break
             if size + 2 < best:
-                children.append((j + 1, extend_span(normals, cols[j], off)))
+                children.append((j + 1, extend_table(rows, j - width, off)))
         else:
             stack.extend(reversed(children))
     return best

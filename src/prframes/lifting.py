@@ -35,7 +35,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadInput, CapExceeded
 from .frames import Frame, IndexSet, _partition, is_exact_pr_frame, has_complement_property
-from .ratlin import int_rank, off_span, span_of
+from .ratlin import identity, int_rank, off_table, span_rows
 
 
 def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
@@ -113,20 +113,24 @@ def _witness(
 ) -> Optional[S2Witness]:
     """x = u + v, y = u - v from normals u of span A and v of span B, built as the search builds them.
 
-    u and v are the first normals, or with watched indices the first ones off
-    the first watched vector outside both spans, the ``differing_index``.
+    Each class span's table runs on the watched vectors and then e_1..e_n,
+    so each row ends with its primitive normal.  u and v are the first
+    normals, or with watched indices the first ones off the first watched
+    vector outside both spans, the ``differing_index``.
     """
     if a is None:
         return None
     n, cols = frame.dim, frame._int_cols
-    na = span_of((cols[j] for p, j in enumerate(lam) if p in a), n)
-    nb = span_of((cols[j] for p, j in enumerate(lam) if p not in a), n)
-    u, v, idx = na[0], nb[0], None
-    for i in watched:
-        off_a, off_b = off_span(na, cols[i]), off_span(nb, cols[i])
+    tail = [*(cols[i] for i in watched), *identity(n)]
+    na = span_rows((cols[j] for p, j in enumerate(lam) if p in a), n, tail)[0]
+    nb = span_rows((cols[j] for p, j in enumerate(lam) if p not in a), n, tail)[0]
+    ka, kb, idx = 0, 0, None
+    for at, i in zip(range(-len(tail), -n), watched):
+        off_a, off_b = off_table(na, at), off_table(nb, at)
         if off_a is not None and off_b is not None:
-            u, v, idx = na[off_a[0]], nb[off_b[0]], i
+            ka, kb, idx = off_a[0], off_b[0], i
             break
+    u, v = na[ka][-n:], nb[kb][-n:]
     x = tuple(Fraction(p + q) for p, q in zip(u, v))
     y = tuple(Fraction(p - q) for p, q in zip(u, v))
     return S2Witness(x, y, idx)

@@ -8,30 +8,39 @@ tuple of integer or rational vectors; there is no matrix class.
 ``fractions.Fraction`` appears only where input is parsed, where output is
 printed, and in ``solve``'s result.  No floating point appears anywhere.
 
-The kernel is the span step.  A span of rank r in R^n is held as n - r
-independent primitive integer normals, starting from the n identity rows
-(``span_normals``).  A vector lies in the span iff it is orthogonal to
-every normal (``off_span``: dot products only, no new list); adding one
-that is not (``extend_span``) reuses the first nonzero dot product d_k and
-replaces each other normal h_i by the gcd-trimmed d_k h_i - d_i h_k.  Ranks
-and the searches in ``frames``, ``lifting`` and ``subspaces`` run on this
-step, and so do nullspaces and solves: the normals of a row span are a
-kernel basis, one per free column (``int_nullspace``, ``solve``).
+The kernel is the span step, on a table.  Every caller knows up front the
+columns it will ask about, in the order it adds them, and the watched
+columns it tests after them.  A span of rank r in R^n has n - r independent
+integer normals, and its table holds one row per normal: that normal's dot
+products with the columns still to come.  The zero span's normals are the
+identity rows, so its table is the columns transposed (``span_table``).
+Column j lies in the span iff every row is zero at j (``off_table``: a
+lookup, no arithmetic).  Adding a column that is not (``extend_table``)
+takes the first nonzero entry d_k and replaces each other row r_i by the
+gcd-trimmed d_k r_i - d_i r_k, on the columns after j only.  That is the
+row of the normal d_k h_i - d_i h_k, up to a positive scale, because dot
+products are linear in the normal.  So each row stays a multiple of its
+normal's dot products, and every zero/nonzero answer is the one the
+normals would give.  Ranks and the searches in ``frames``, ``lifting`` and
+``subspaces`` run on this step.  So do nullspaces and solves: with the
+identity columns last, a row ends with its normal, and the normals of a
+row span are a kernel basis, one per free column (``span_rows``,
+``int_nullspace``, ``solve``).
 
 The residue kernel (``off_residue``, ``extend_residue``) is the same step
 over the field of ``RESIDUE_P`` elements, the largest prime below 2^30: every
-dot product and every updated normal is reduced mod p, so each residue is a
-single CPython digit however wide the exact normals grow.  It serves as a
-certificate for searches that prove a negative.  The rank of a set of
-integer vectors mod p is at most its rank over Q (a nonzero minor mod p is
-nonzero), so a search that is complete over any field and finds no
-low-rank configuration mod p has proved that none exists over Q; one that
-finds something mod p may have met a collision, and the exact search runs
-to decide.  That pass pays only on wide families: a span of rank r has
+table entry is reduced mod p, so each residue is a single CPython digit
+however wide the exact entries grow.  It serves as a certificate for
+searches that prove a negative.  The rank of a set of integer vectors mod
+p is at most its rank over Q (a nonzero minor mod p is nonzero), so a
+search that is complete over any field and finds no low-rank
+configuration mod p has proved that none exists over Q; one that finds
+something mod p may have met a collision, and the exact search runs to
+decide.  That pass pays only on wide families: a span of rank r has
 primitive normals whose entries are r x r minors of its vectors (Cramer),
-and its dot products are (r + 1) x (r + 1) minors; while Hadamard's bound
-on those minors stays below ``RESIDUE_P`` the exact numbers fit one digit
-already (``outgrows_digit``).
+and the exact table's entries are (r + 1) x (r + 1) minors or smaller;
+while Hadamard's bound on those minors stays below ``RESIDUE_P`` the exact
+numbers fit one digit already (``outgrows_digit``).
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
@@ -100,45 +109,52 @@ def _vec_gcd_reduce(v: List[int]) -> List[int]:
     return v
 
 
-Normals = Tuple[Tuple[int, ...], ...]
+Table = Tuple[Tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=32)
-def span_normals(n: int) -> Normals:
-    """Normals of the zero span in R^n: the n identity rows (shared, immutable)."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def span_table(cols: Sequence[Sequence[int]], n: int) -> Table:
+    """Table of the zero span in R^n on these columns: the columns transposed.
 
-
-def off_span(normals: Normals, vec: Sequence[int]) -> Optional[Tuple[int, int]]:
-    """(k, d) for the first normal h_k with d = <h_k, vec> != 0; None when vec lies in the span.
-
-    A span of rank r in R^n is held as n - r independent primitive integer
-    normals, so membership is n - r dot products and nothing else.
+    The zero span's normals are e_1..e_n, and row i holds e_i's dot products.
     """
-    for k, h in enumerate(normals):
-        d = sum(map(mul, h, vec))
+    return tuple(zip(*cols)) if cols else ((),) * n
+
+
+def off_table(rows: Table, at: int) -> Optional[Tuple[int, int]]:
+    """(k, d) for the first row with entry d = row[at] != 0; None when column ``at`` lies in the span.
+
+    ``at`` is the column's position counted from the end of the table
+    (column j of M is at j - M), which trimming a row's front never moves.
+    """
+    for k, row in enumerate(rows):
+        d = row[at]
         if d:
             return k, d
     return None
 
 
-def extend_span(normals: Normals, vec: Sequence[int], off: Tuple[int, int]) -> Normals:
-    """Normals of the span with vec added, given ``off = off_span(normals, vec)``.
+def extend_table(rows: Table, at: int, off: Tuple[int, int]) -> Table:
+    """Table of the span with column ``at`` added, given ``off = off_table(rows, at)``.
 
-    Each other normal h_i becomes the gcd-trimmed d_k h_i - d_i h_k, which is
-    orthogonal to vec; h_k itself is dropped.  Normals before k are
-    orthogonal to vec already and are kept as they are.
+    Each other row r_i with d_i = r_i[at] != 0 becomes the gcd-trimmed
+    d_k r_i - d_i r_k on the columns after ``at``: the dot products of the
+    new normal d_k h_i - d_i h_k, up to a positive scale.  Row k is dropped.
+    Every row zero at ``at`` (all rows before k among them) is kept as it
+    is, entries for passed columns included; no one reads those again.  A
+    row may come out all zero (gcd 0): its normal is orthogonal to every
+    column left, and at the last column every updated row comes out empty.
     """
     k, dk = off
-    hk = normals[k]
-    out = list(normals[:k])
-    for h in normals[k + 1 :]:
-        di = sum(map(mul, h, vec))
+    s = at + 1
+    rk = rows[k][s:] if s else ()
+    out = list(rows[:k])
+    for row in rows[k + 1 :]:
+        di = row[at]
         if di:
-            h = [dk * x - di * y for x, y in zip(h, hk)]
-            g = gcd(*h)
-            h = tuple([x // g for x in h] if g > 1 else h)
-        out.append(h)
+            row = [dk * x - di * y for x, y in zip(row[s:], rk)]
+            g = gcd(*row)
+            row = tuple([x // g for x in row] if g > 1 else row)
+        out.append(row)
     return tuple(out)
 
 
@@ -156,39 +172,37 @@ def residues(vecs: Iterable[Sequence[int]]) -> Tuple[IntVec, ...]:
     return tuple(tuple(x % p for x in v) for v in vecs)
 
 
-def off_residue(normals: Normals, vec: Sequence[int]) -> Optional[Tuple[int, int]]:
-    """``off_span`` mod ``RESIDUE_P``: normals and vec are residues."""
-    for k, h in enumerate(normals):
-        d = sum(map(mul, h, vec)) % RESIDUE_P
-        if d:
-            return k, d
-    return None
+# residue rows are reduced already, so the residue test is the exact one
+off_residue = off_table
 
 
-def extend_residue(normals: Normals, vec: Sequence[int], off: Tuple[int, int]) -> Normals:
-    """``extend_span`` mod ``RESIDUE_P``, given ``off = off_residue(normals, vec)``.
+def extend_residue(rows: Table, at: int, off: Tuple[int, int]) -> Table:
+    """``extend_table`` mod ``RESIDUE_P``, given ``off = off_residue(rows, at)``.
 
     d_k is a unit mod p, so each d_k h_i - d_i h_k is a nonzero normal
-    orthogonal to vec and the normals stay independent; no trimming is needed.
+    independent of the others, and its row needs no trimming.
     """
     p = RESIDUE_P
     k, dk = off
-    hk = normals[k]
-    out = list(normals[:k])
-    for h in normals[k + 1 :]:
-        di = sum(map(mul, h, vec)) % p
+    s = at + 1
+    rk = rows[k][s:] if s else ()
+    out = list(rows[:k])
+    for row in rows[k + 1 :]:
+        di = row[at]
         if di:
-            h = tuple([(dk * x - di * y) % p for x, y in zip(h, hk)])
-        out.append(h)
+            row = tuple([(dk * x - di * y) % p for x, y in zip(row[s:], rk)])
+        out.append(row)
     return tuple(out)
 
 
 def outgrows_digit(vecs: Sequence[Sequence[int]], t: int) -> bool:
-    """Can the exact span step on spans of rank <= t of these vectors reach ``RESIDUE_P``?
+    """Can the exact table on spans of rank <= t of these vectors reach ``RESIDUE_P``?
 
     The primitive normals of a span of rank r have r x r minors of its
     vectors as entries (Cramer), and their dot products with a vector are
-    (r + 1) x (r + 1) minors up to that normal's gcd.  Hadamard bounds a
+    (r + 1) x (r + 1) minors up to that normal's gcd.  A trimmed row of the
+    exact table is those dot products divided by their own gcd, so no entry
+    is larger (nor are the normals, with the identity columns).  Hadamard bounds a
     minor by the product of its vectors' Euclidean norms, so every such
     number is at most the product of the t + 1 largest nonzero norms (all
     of them when fewer are nonzero).  True when that bound reaches p;
@@ -229,34 +243,54 @@ def residue_first(
     return search(vecs, None)
 
 
-def _span_and_free(vecs: Iterable[Sequence[int]], n: int) -> Tuple[Normals, List[int]]:
-    """Normals of the span of integer vectors in R^n, adding them one by one, and their free columns.
+@lru_cache(maxsize=32)
+def identity(n: int) -> Tuple[IntVec, ...]:
+    """The columns e_1..e_n of R^n (shared, immutable)."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    Normal i starts as the identity row e_i, so it owns column i; each
-    ``extend_span`` drops normal k and with it ``free[k]``.  Every kept
-    normal stays nonzero on its own free column and zero on the other kept
-    ones (both it and the dropped normal are zero there).
+
+def span_rows(
+    vecs: Iterable[Sequence[int]], n: int, tail: Sequence[Sequence[int]] = ()
+) -> Tuple[Table, List[int]]:
+    """The table of the span of integer vectors in R^n, adding them one by one, on the columns ``tail``.
+
+    Also returns the free columns: normal i starts as e_i, so it owns
+    coordinate i, and each extension drops row k and with it ``free[k]``.
+    Every kept normal stays nonzero on its own free coordinate and zero on
+    the other kept ones (both it and the dropped normal are zero there).
+    With ``identity(n)`` at the end of ``tail``, each row ends with its
+    normal, whose dot products with e_1..e_n are its entries.  Every other
+    entry is an integer combination of those, so the row's gcd is the
+    normal's and the trimmed normal is the primitive one.
     """
-    normals, free = span_normals(n), list(range(n))
-    for vec in vecs:
-        off = off_span(normals, vec)
+    cols = [*vecs, *tail]
+    rows, free = span_table(cols, n), list(range(n))
+    width = len(cols)
+    for at in range(-width, -len(tail)):
+        off = off_table(rows, at)
         if off is not None:
-            normals = extend_span(normals, vec, off)
+            rows = extend_table(rows, at, off)
             del free[off[0]]
-    return normals, free
+    return rows, free
 
 
-def span_of(vecs: Iterable[Sequence[int]], n: int) -> Normals:
-    """Normals of the span of integer vectors in R^n, adding them one by one."""
-    return _span_and_free(vecs, n)[0]
+def _normals_and_free(vecs: Iterable[Sequence[int]], n: int) -> Tuple[Table, List[int]]:
+    """Primitive integer normals of the span of integer vectors in R^n, and their free columns."""
+    rows, free = span_rows(vecs, n, identity(n))
+    return tuple(row[len(row) - n :] for row in rows), free
+
+
+def span_of(vecs: Iterable[Sequence[int]], n: int) -> Table:
+    """Primitive integer normals of the span of integer vectors in R^n, adding them one by one."""
+    return _normals_and_free(vecs, n)[0]
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows: their length minus the normals of their span."""
+    """Rank of integer rows: their length minus the rows of their span's table."""
     if not rows:
         return 0
     n = len(rows[0])
-    return n - len(span_of(rows, n))
+    return n - len(span_rows(rows, n)[0])
 
 
 def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[IntVec]:
@@ -266,7 +300,7 @@ def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[IntVec]:
     c is zero on every other free column, which makes it the reduced-echelon
     kernel vector with a 1 at c, up to scale; it is signed positive at c.
     """
-    normals, free = _span_and_free(rows, ncols)
+    normals, free = _normals_and_free(rows, ncols)
     return [h if h[c] > 0 else tuple(-x for x in h) for h, c in zip(normals, free)]
 
 
@@ -293,7 +327,7 @@ def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[Tuple[Fraction,
     if any(len(r) != n for r in a) or len(b) != n or any(len(r) != m for r in b):
         raise ValueError("shape mismatch")
     aug = [clear_denominators(tuple(ra) + tuple(rb)) for ra, rb in zip(a, b)]
-    normals, free = _span_and_free(aug, n + m)
+    normals, free = _normals_and_free(aug, n + m)
     if free != list(range(n, n + m)):
         raise ValueError("singular matrix")
     return tuple(tuple(Fraction(-h[i], h[n + j]) for j, h in enumerate(normals)) for i in range(n))

@@ -17,8 +17,14 @@ primitive basis columns, so the sampler, the maximality ladder and the
 extension probe search one (frame, span) pair once.  The
 minimum dual-basis support of M, which decides maximality for a basis, is
 the spark of the parity-check columns of M's dual-basis code, so it runs on
-the spark search ``frames._spark``.  A subspace and a frame of different
-ambient dimensions raise ``BadInput``.
+the spark search ``frames._spark``; the rows of its parity-check matrix
+are the primitive normals that ``ratlin.span_of`` reads off a table whose
+last columns are e_1..e_n.  A subspace and a frame of different ambient
+dimensions raise ``BadInput``.
+
+Every search here runs on the ``ratlin`` table step.  A span is held as
+its normals' dot products with the vectors still to come, so a
+membership question is a lookup and only a branch does arithmetic.
 
 Two searches here prove a negative, and each runs first modulo
 ``ratlin.RESIDUE_P`` where the numbers can outgrow one digit
@@ -57,15 +63,15 @@ from .ratlin import (
     clear_denominators,
     Kernel,
     derive_seed,
-    extend_span,
+    extend_table,
     int_nullspace,
     int_rank,
-    off_span,
+    off_table,
     residue_first,
     sample_int_matrix,
     solve,
-    span_normals,
     span_of,
+    span_table,
 )
 
 DEFAULT_CAP = 24
@@ -359,24 +365,24 @@ def _dependent_rows(
     meeting the support, lies in a singular m-subset that meets it.  Those
     sets are found as in ``frames._spark``, by a depth-first search over
     independent row sets in index order, to depth m - 1, each node holding
-    the normals of its span.  At depth m - 1 a set that avoids the support
-    only needs its support rows tested, and any of them in the span closes one.
+    the table of its span (``ratlin``).  At depth m - 1 a set that avoids
+    the support only needs its support rows tested, and any of them in the
+    span closes one.
     """
-    off, extend = kernel or (off_span, extend_span)
-    m = len(rows[0])
-    # stack entries: (next index, normals of an independent set's span, does it meet supp)
-    stack = [(0, span_normals(m), False)]
+    off, extend = kernel or (off_table, extend_table)
+    # stack entries: (next index, table of an independent set's span, does it meet supp)
+    stack = [(0, span_table(rows, len(rows[0])), False)]
     while stack:
-        start, normals, meets = stack.pop()
-        last = len(normals) == 1
+        start, table, meets = stack.pop()
+        last = len(table) == 1
         for j in range(start, n):
             if last and not meets and j not in supp:
                 continue
-            found = off(normals, rows[j])
+            found = off(table, j - n)
             if found is None:
                 return True
             if not last:
-                stack.append((j + 1, extend(normals, rows[j], found), meets or j in supp))
+                stack.append((j + 1, extend(table, j - n, found), meets or j in supp))
     return False
 
 

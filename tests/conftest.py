@@ -8,32 +8,51 @@ import prframes.ratlin
 import prframes.subspaces
 
 
-@pytest.fixture
-def span_tests(monkeypatch):
-    """Count span membership tests across prframes, of both kernels.
+def _count_steps(monkeypatch, exact, residue):
+    """Count the calls of two ``ratlin`` steps, exact and residue, as [all, exact, residue].
 
-    ``span_tests[0]`` counts every test, ``span_tests[1]`` the exact ones
-    (``off_span``) and ``span_tests[2]`` the residue ones (``off_residue``).
     The searches in frames, lifting and subspaces and the ranks in ratlin
-    all count.  Each of these modules binds the tests by name, so every
+    all count.  Each of these modules binds the steps by name, so every
     binding is replaced by one counting wrapper around the original.
     """
     calls = [0, 0, 0]
 
     def counting(inner, slot):
-        def test(normals, vec):
+        def step(*args):
             calls[0] += 1
             calls[slot] += 1
-            return inner(normals, vec)
+            return inner(*args)
 
-        return test
+        return step
 
-    for name, slot in (("off_span", 1), ("off_residue", 2)):
+    for name, slot in ((exact, 1), (residue, 2)):
         wrapper = counting(getattr(prframes.ratlin, name), slot)
         for module in (prframes.ratlin, prframes.frames, prframes.lifting, prframes.subspaces):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+@pytest.fixture
+def span_tests(monkeypatch):
+    """Count span membership tests across prframes, of both kernels.
+
+    ``span_tests[0]`` counts every test, ``span_tests[1]`` the exact ones
+    (``off_table``) and ``span_tests[2]`` the residue ones (``off_residue``,
+    the same lookup under the residue kernel's name).
+    """
+    return _count_steps(monkeypatch, "off_table", "off_residue")
+
+
+@pytest.fixture
+def span_extensions(monkeypatch):
+    """Count span extensions across prframes, of both kernels.
+
+    Laid out as ``span_tests``: ``span_extensions[0]`` counts every
+    extension, ``[1]`` the exact ones (``extend_table``) and ``[2]`` the
+    residue ones (``extend_residue``).
+    """
+    return _count_steps(monkeypatch, "extend_table", "extend_residue")
 
 
 @pytest.fixture

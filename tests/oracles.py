@@ -1,16 +1,17 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here favors obviousness over speed: subsets are enumerated
-explicitly and ranks are computed by sympy over exact rationals, giving a
+explicitly and ranks are computed by sympy over exact integers, giving a
 second, unrelated code path to compare the library against.
 """
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
-from sympy import QQ
+from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from prframes import Frame
@@ -24,11 +25,17 @@ def _rank(vectors) -> int:
 def _rank_of(vectors) -> int:
     # the subset scans ask for the same subfamilies over and over (every
     # co-singleton family's subsets are subsets of the frame), so the sympy
-    # rank of each distinct list of vectors is computed once
+    # rank of each distinct list of vectors is computed once.  Each vector is
+    # scaled by the lcm of its denominators, which leaves the rank alone, and
+    # sympy ranks the integer rows over ZZ, which is cheaper than over QQ
     if not vectors:
         return 0
-    rows = [[QQ(Fraction(x).numerator, Fraction(x).denominator) for x in v] for v in vectors]
-    return DomainMatrix(rows, (len(rows), len(rows[0])), QQ).rank()
+    rows = []
+    for v in vectors:
+        v = [Fraction(x) for x in v]
+        den = math.lcm(*(x.denominator for x in v))
+        rows.append([ZZ(x.numerator * (den // x.denominator)) for x in v])
+    return DomainMatrix(rows, (len(rows), len(rows[0])), ZZ).rank()
 
 
 def brute_has_cp(frame: Frame) -> bool:

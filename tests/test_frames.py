@@ -1,5 +1,6 @@
 """Frame model, complement property, spark, and exactness checks."""
 
+import math
 import random
 
 import pytest
@@ -300,6 +301,18 @@ def test_cp_proof_kernel_follows_the_width(span_tests):
         has_complement_property(small)
         assert span_tests[2] == 0
         assert span_tests[1] > 0
+
+
+@pytest.mark.parametrize("n, N", [(6, 21), (7, 13)])
+def test_cp_proof_extension_count_generated(span_extensions, n, N):
+    # on a PR family the search makes C(2n-1, n) - 2 extensions in any
+    # column order, plus one for column 0: 461 at (6, 21), 1,715 at (7, 13),
+    # all of them in the residue kernel since both frames are wide
+    frame = fresh_generated(n, N, 0)
+    span_extensions[:] = [0, 0, 0]
+    assert has_complement_property(frame).holds
+    assert span_extensions == [math.comb(2 * n - 1, n) - 1, 0, math.comb(2 * n - 1, n) - 1]
+    assert span_extensions[0] == {(6, 21): 461, (7, 13): 1715}[n, N]
 
 
 def test_exactness_work_ceiling_generated_6_21(span_tests):

@@ -6,23 +6,25 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import _rank as oracle_rank
 from prframes import BadInput
 from prframes.ratlin import (
     clear_denominators,
     derive_seed,
-    extend_span,
+    extend_table,
     format_rational,
+    identity,
     int_nullspace,
     int_rank,
-    off_span,
+    off_table,
     parse_rational,
     sample_int_matrix,
     sample_pattern,
     solve,
-    span_normals,
+    span_rows,
+    span_table,
 )
 
 
@@ -157,20 +159,56 @@ def degenerate_families(draw):
     return n, cols, draw(vec)
 
 
+def _dot(h, c):
+    return sum(a * b for a, b in zip(h, c))
+
+
+def _proportional(x, y):
+    # the same zero pattern and every 2 x 2 cross product equal
+    return [bool(a) for a in x] == [bool(b) for b in y] and all(
+        x[i] * y[j] == x[j] * y[i] for i in range(len(x)) for j in range(i)
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(degenerate_families())
-def test_span_normals_agree_with_sympy(family):
+# the extension at column 0 leaves row 1 with an all-zero suffix (gcd 0)
+@example((2, [(1, 1), (1, 1)], (1, 0)))
+# zero columns first and last, and an extension at the last column (empty suffix)
+@example((3, [(0, 0, 0), (1, 2, 0), (0, 0, 0), (0, 0, 5)], (0, 1, 1)))
+# a watched column right after the last searched one, in the span and outside it
+@example((2, [(2, 0), (0, 3)], (3, 4)))
+@example((2, [(2, 4)], (-1, -2)))
+def test_span_tables_agree_with_sympy(family):
+    # two tables step through the columns side by side: the bare one on the
+    # columns alone, and one with the probe watched after the last column
+    # and then e_1..e_n, whose rows end with their normals
     n, cols, probe = family
-    normals = span_normals(n)
-    for col in cols:
-        off = off_span(normals, col)
+    m = len(cols)
+    bare = span_table(cols, n)
+    full = span_table([*cols, probe, *identity(n)], n)
+    width = m + 1 + n
+    for j, col in enumerate(cols):
+        off, off_full = off_table(bare, j - m), off_table(full, j - width)
+        assert (off is None) == (oracle_rank(cols[: j + 1]) == oracle_rank(cols[:j]))
+        assert off_full == (None if off is None else (off[0], off_full[1]))
         if off is not None:
-            normals = extend_span(normals, col, off)
+            bare = extend_table(bare, j - m, off)
+            full = extend_table(full, j - width, off_full)
+        assert len(bare) == len(full) == n - oracle_rank(cols[: j + 1])
+        left = cols[j + 1 :] + [probe]
+        for b, f in zip(bare, full):
+            h = f[len(f) - n :]
+            # the full row is exactly its normal's dot products with the
+            # columns left; the bare row is a multiple of them
+            assert f[len(f) - n - len(left) : len(f) - n] == tuple(_dot(h, c) for c in left)
+            assert _proportional(b[len(b) - len(left) + 1 :], f[len(f) - n - len(left) : len(f) - n - 1])
     r = oracle_rank(cols)
-    assert n - len(normals) == r
-    assert oracle_rank(normals) == len(normals)
-    assert all(sum(a * b for a, b in zip(h, col)) == 0 for h in normals for col in cols)
-    assert (off_span(normals, probe) is None) == (oracle_rank(cols + [probe]) == r)
+    normals = [f[len(f) - n :] for f in full]
+    assert oracle_rank(normals) == len(normals) == n - r
+    assert all(_dot(h, col) == 0 for h in normals for col in cols)
+    assert (off_table(full, -n - 1) is None) == (oracle_rank(cols + [probe]) == r)
+    assert span_rows(cols, n, [probe, *identity(n)]) == (full, span_rows(cols, n, identity(n))[1])
     if cols:
         assert int_rank(cols) == r
 

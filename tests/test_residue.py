@@ -5,7 +5,7 @@ residue search often meets a collision (a minor that vanishes mod p only)
 and the exact search has to decide.
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -18,7 +18,7 @@ from prframes.ratlin import (
     off_residue,
     outgrows_digit,
     residues,
-    span_normals,
+    span_table,
 )
 from prframes.subspaces import _dependent_rows, _stage_accepts
 
@@ -29,25 +29,46 @@ RESIDUE = (off_residue, extend_residue)
 entries = st.sampled_from((0, 0, 1, -1, 2, P, -P, 2 * P, P - 1, P + 1, -(P + 2), 3 * P + 1))
 
 
-def _residue_rank(vecs, n):
-    normals = span_normals(n)
-    for v in residues(vecs):
-        off = off_residue(normals, v)
+def _rank_mod_p(vecs, n):
+    return DomainMatrix([[GF(P)(x) for x in v] for v in vecs], (len(vecs), n), GF(P)).rank() if vecs else 0
+
+
+def _residue_table(vecs, n, watched):
+    """The residue table after stepping through vecs, on vecs and then the watched columns."""
+    cols = residues([*vecs, *watched])
+    rows = span_table(cols, n)
+    for at in range(-len(cols), -len(watched)):
+        off = off_residue(rows, at)
+        assert (off is None) == (_rank_mod_p(vecs[: at + len(cols) + 1], n) == _rank_mod_p(vecs[: at + len(cols)], n))
         if off is not None:
-            normals = extend_residue(normals, v, off)
-    return n - len(normals)
+            rows = extend_residue(rows, at, off)
+    assert all(0 <= x < P for row in rows for x in row)
+    return rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6))
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6),
+            st.lists(entries, min_size=n, max_size=n),
+        )
     )
 )
+# the last column's extension has an empty suffix; a zero column; a row
+# whose suffix turns all zero (gcd 0 over Q, a multiple of p here)
+@example((2, [[0, 0], [1, 1], [P + 1, 1]], [0, P]))
+# a watched column right after the last searched one, in the span mod p only
+@example((2, [[1, 0]], [1, P]))
 def test_residue_rank_is_the_rank_mod_p(family):
-    n, vecs = family
-    expected = DomainMatrix([[GF(P)(x) for x in v] for v in vecs], (len(vecs), n), GF(P)).rank() if vecs else 0
-    assert _residue_rank(vecs, n) == expected
+    n, vecs, probe = family
+    expected = _rank_mod_p(vecs, n)
+    # the bare table, then one with the probe watched after the last column
+    assert n - len(_residue_table(vecs, n, [])) == expected
+    rows = _residue_table(vecs, n, [probe])
+    assert n - len(rows) == expected
+    assert (off_residue(rows, -1) is None) == (_rank_mod_p(vecs + [probe], n) == expected)
     assert expected <= oracle_rank(vecs)
 
 
