@@ -18,19 +18,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import frameio
-from .errors import (
-    BadInput,
-    CapExceeded,
-    NotABasis,
-    NotAFrame,
-    NotPRSubspace,
-    OutOfRange,
-    PatternViolation,
-    PRFramesError,
-    RearrangeFailure,
-    RetriesExhausted,
-    SupportTooLarge,
-)
+from .errors import NotPRSubspace, PRFramesError
 from .frames import Frame, has_complement_property, is_exact_pr_frame, spark
 from .ratlin import DEFAULT_RANGE_MAX, format_rational, parse_rational
 
@@ -38,18 +26,6 @@ from .ratlin import DEFAULT_RANGE_MAX, format_rational, parse_rational
 # load inside the subcommand, or the check, that runs them: one process
 # answers one question, and importing the whole package takes longer than
 # many answers.
-
-USAGE_ERRORS = (
-    BadInput,
-    OutOfRange,
-    CapExceeded,
-    PatternViolation,
-    RearrangeFailure,
-    RetriesExhausted,
-    NotABasis,
-    NotAFrame,
-    SupportTooLarge,
-)
 
 
 def _emit(report: dict) -> None:
@@ -292,7 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--kind", choices=["exact", "dmax", "basis-subspace"], default="exact")
     g.add_argument("--k", type=int, default=None)
-    g.add_argument("--range-max", type=int, default=DEFAULT_RANGE_MAX)
+    g.add_argument(
+        "--range-max",
+        type=int,
+        default=DEFAULT_RANGE_MAX,
+        help="largest integer drawn for a free entry (--kind exact only)",
+    )
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_gen)
 
@@ -350,13 +331,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except USAGE_ERRORS as exc:
+    except (PRFramesError, OSError, KeyError, ValueError) as exc:
+        # every library error that reaches here is one of input or range:
+        # the one check that fails on valid input, NotPRSubspace, is
+        # reported by cmd_subspace; json.JSONDecodeError is a ValueError
         return _fail(exc)
-    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        return _fail(exc)
-    except PRFramesError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

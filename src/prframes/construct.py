@@ -26,6 +26,7 @@ from .errors import (
 from .frames import Frame, is_exact_pr_frame, is_full_spark
 from .ratlin import (
     DEFAULT_RANGE_MAX,
+    RETRIES,
     Seed,
     derive_seed,
     sample_int_matrix,
@@ -33,8 +34,8 @@ from .ratlin import (
     solve,
 )
 
-# lifting and subspaces load inside the generators that use them, so that
-# `prframes gen --kind exact` imports neither
+# subspaces loads inside the generators that use it, so that
+# `prframes gen --kind exact` does not import it
 
 Cell = Tuple[int, int]
 
@@ -353,11 +354,7 @@ def instantiate(
 
 
 def generate_exact_pr(
-    n: int,
-    N: int,
-    seed: Seed,
-    max_retries: int = 5,
-    range_max: int = DEFAULT_RANGE_MAX,
+    n: int, N: int, seed: Seed, range_max: int = DEFAULT_RANGE_MAX
 ) -> CertifiedFrame:
     """A certified exact PR frame of length N in R^n, any admissible N.
 
@@ -378,7 +375,7 @@ def generate_exact_pr(
         p = plan(n, N)
         steps, what, pat = list(p.steps), "pattern instantiation", build_pattern(p)
         draw = lambda s: instantiate(pat, range_max, s)
-    for attempt in range(max_retries + 1):
+    for attempt in range(RETRIES + 1):
         try:
             frame = draw(derive_seed(seed, attempt))
         except NotAFrame:  # a dense draw that does not span
@@ -416,31 +413,36 @@ def _as_identity_leading(cf: CertifiedFrame) -> Frame:
         raise RetriesExhausted("leading block not invertible") from None
 
 
-def _redundancy_component(dim: int, length: int, seed: Seed, max_retries: int = 5) -> Frame:
+def _redundancy_component(dim: int, length: int, seed: Seed) -> Frame:
     """A frame for R^dim of the given length with the exact-redundancy property.
 
     Lengths of at least 2*dim-1 use the exact PR generator.  Shorter lengths
     (down to dim) cannot be phase-retrievable; there a full-spark sample is
-    drawn and the redundancy property is verified directly per instance.
+    drawn, and full spark is the certificate.  Write n = dim, N = length.
+    Exact redundancy asks that every single removal enlarges the rank-<=2
+    kernel part, that is, that for each i the rest has a 2-colouring (A, B)
+    with f_i outside span A and outside span B.  Split the N - 1 <= 2n - 3
+    other vectors into A of n - 1 vectors and B of the remaining
+    N - n <= n - 2.  Under full spark any n or fewer vectors are
+    independent, so A + f_i and B + f_i both are, and f_i lies in neither
+    span.
     """
-    from .lifting import has_exact_pr_redundancy
-
     if length >= 2 * dim - 1:
         return generate_exact_pr(dim, length, seed).frame
     if length < dim:
         raise OutOfRange(f"component length {length} below dimension {dim}")
-    for attempt in range(max_retries + 1):
+    for attempt in range(RETRIES + 1):
         rows = sample_int_matrix(dim, length, DEFAULT_RANGE_MAX, derive_seed(seed, 57 + attempt))
         try:
             frame = Frame.from_vectors(zip(*rows), dim=dim)
         except NotAFrame:  # the draw does not span
             continue
-        if is_full_spark(frame) and has_exact_pr_redundancy(frame):
+        if is_full_spark(frame):
             return frame
     raise RetriesExhausted(f"short component ({dim}, {length}) failed to certify")
 
 
-def generate_with_dmax(n: int, k: int, N: int, seed: Seed, max_retries: int = 5) -> CertifiedFrame:
+def generate_with_dmax(n: int, k: int, N: int, seed: Seed) -> CertifiedFrame:
     """A certified frame with largest PR-subspace dimension k and redundancy 1.
 
     Lengths up to k(k+1)/2 plant an exact PR frame for a k-dimensional slice
@@ -450,8 +452,8 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed, max_retries: int = 5)
     into a direct sum over complementary slices of two components that each
     carry the exact-redundancy property; both components are exact PR frames
     whenever the length budget allows, and short full-spark components
-    (verified per instance) fill the remaining low-length corner.  The value
-    of d is always re-computed exactly on the assembled frame.
+    (full spark is their certificate) fill the remaining low-length corner.
+    The value of d is always re-computed exactly on the assembled frame.
     """
     from .subspaces import d_max
 
@@ -468,7 +470,7 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed, max_retries: int = 5)
         return generate_exact_pr(n, N, seed)
     n2 = n - k
     last_err = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(RETRIES + 1):
         s = derive_seed(seed, 211 + attempt)
         try:
             if N <= k * (k + 1) // 2:
@@ -546,11 +548,11 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
     return basis, sub
 
 
-def _full_spark_fill(k: int, seed: Seed, max_retries: int = 5) -> List[Tuple[int, ...]]:
+def _full_spark_fill(k: int, seed: Seed) -> List[Tuple[int, ...]]:
     """k-1 extra vectors making {e_1..e_k, extras} full spark in R^k."""
     if k == 1:
         return []
-    for attempt in range(max_retries + 1):
+    for attempt in range(RETRIES + 1):
         rows = sample_int_matrix(k, k - 1, DEFAULT_RANGE_MAX, derive_seed(seed, 7 + attempt))
         cand = list(zip(*rows))
         eye = [tuple(int(i == t) for i in range(k)) for t in range(k)]

@@ -352,6 +352,12 @@ def sample_int_matrix(rows: int, cols: int, range_max: int, seed: Seed) -> Tuple
     return sample_pattern([[True] * cols for _ in range(rows)], range_max, seed)
 
 
+# Every sample-verify loop (the generators, the subspace sampler and the
+# extension) makes RETRIES + 1 draws, each seeded through derive_seed,
+# before it raises RetriesExhausted.
+RETRIES = 5
+
+
 def derive_seed(seed: Seed, salt: int) -> Seed:
     """Stable 64-bit mix of (seed, salt) for retry chains."""
     x = (seed * 0x9E3779B97F4A7C15 + salt * 0xBF58476D1CE4E5B9 + 1) & 0xFFFFFFFFFFFFFFFF

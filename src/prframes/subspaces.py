@@ -57,6 +57,7 @@ from .errors import (
 from .frames import Frame, _Value, _certified_partition, _spark
 from .ratlin import (
     DEFAULT_RANGE_MAX,
+    RETRIES,
     IntVec,
     Seed,
     _vec_gcd_reduce,
@@ -75,6 +76,9 @@ from .ratlin import (
 )
 
 DEFAULT_CAP = 24
+
+# draws of the extension probe in one maximality verdict
+PROBE_BUDGET = 20
 
 
 class Subspace(_Value):
@@ -212,27 +216,21 @@ def d_max(frame: Frame, cap: int = DEFAULT_CAP) -> int:
     return frame._d
 
 
-def random_pr_subspace(
-    frame: Frame,
-    ell: int,
-    seed: Seed,
-    max_retries: int = 5,
-    range_max: int = DEFAULT_RANGE_MAX,
-) -> Subspace:
+def random_pr_subspace(frame: Frame, ell: int, seed: Seed) -> Subspace:
     """A certified PR subspace of dimension ell, sampled then verified exactly."""
     d = d_max(frame)
     if not 1 <= ell <= d:
         raise OutOfRange(f"no PR subspace of dimension {ell}: admissible range is 1..{d}")
     n = frame.dim
-    for attempt in range(max_retries + 1):
-        rows = sample_int_matrix(n, ell, range_max, derive_seed(seed, attempt))
+    for attempt in range(RETRIES + 1):
+        rows = sample_int_matrix(n, ell, DEFAULT_RANGE_MAX, derive_seed(seed, attempt))
         try:
             sub = Subspace.from_vectors(zip(*rows), ambient_dim=n)
         except BadInput:  # dependent columns
             continue
         if is_pr_subspace(frame, sub):
             return sub
-    raise RetriesExhausted(f"no PR subspace of dimension {ell} found in {max_retries + 1} draws")
+    raise RetriesExhausted(f"no PR subspace of dimension {ell} found in {RETRIES + 1} draws")
 
 
 def _require_basis(b: Frame) -> None:
@@ -272,43 +270,43 @@ def min_support(sub: Subspace, b: Frame) -> int:
     return _spark([tuple(h[i] for h in checks) for i in range(n)])
 
 
-def _orthogonal_sample(us: Sequence[IntVec], n: int, rng: random.Random, range_max: int) -> Optional[IntVec]:
-    """Random integer vector orthogonal to all of us, or None if none exists."""
-    basis = int_nullspace(us, n)
-    if not basis:
-        return None
+def _orthogonal_sample(
+    basis: Sequence[IntVec], n: int, rng: random.Random, range_max: int
+) -> IntVec:
+    """A combination of the integer nullspace basis with coefficients in 1..range_max.
+
+    The basis is independent and every coefficient is positive, so the
+    vector is never zero.
+    """
     coeffs = [rng.randint(1, range_max) for _ in basis]
-    v = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)]
-    return tuple(v)
+    return tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
 
 
-def _extension_probe(
-    frame: Frame, sub: Subspace, budget: int, seed: Seed, range_max: int = DEFAULT_RANGE_MAX
-) -> Optional[Subspace]:
-    """Try to certify a strictly larger PR subspace containing M."""
+def _extension_probe(frame: Frame, sub: Subspace, seed: Seed) -> Optional[Subspace]:
+    """Try to certify a strictly larger PR subspace containing M, in PROBE_BUDGET draws."""
     n = sub.ambient_dim
-    us = sub._int_cols
+    basis = int_nullspace(sub._int_cols, n)
+    if not basis:  # M is all of R^n
+        return None
     rng = random.Random(derive_seed(seed, 9001))
-    for _ in range(budget):
-        u = _orthogonal_sample(us, n, rng, range_max)
-        if u is None or all(t == 0 for t in u):
-            return None
+    for _ in range(PROBE_BUDGET):
+        u = _orthogonal_sample(basis, n, rng, DEFAULT_RANGE_MAX)
         bigger = Subspace.from_vectors(sub.basis + (u,), ambient_dim=n)
         if is_pr_subspace(frame, bigger):
             return bigger
     return None
 
 
-def is_maximal_pr_subspace(
-    frame: Frame, sub: Subspace, probe_budget: int = 20, seed: Seed = 0
-) -> MaximalityVerdict:
+def is_maximal_pr_subspace(frame: Frame, sub: Subspace, seed: Seed = 0) -> MaximalityVerdict:
     """Decision ladder for maximality of a PR subspace.
 
     (1) dimension equals d_max: Maximal outright.  (2) frame is a basis:
     minimum support equal to the dimension certifies Maximal; a strictly
     larger minimum support below the [(n+1)/2] ceiling always extends, and
     the verdict carries a verified superspace.  (3) anything else is probed;
-    a failed probe is reported as Unknown, never as Maximal.
+    a failed probe is reported as Unknown, never as Maximal.  Rungs (2) and
+    (3) run the same extension probe, once; the rung decides only what its
+    outcome means.
     """
     if not is_pr_subspace(frame, sub):
         raise NotPRSubspace("subspace is not phase-retrievable w.r.t. the frame")
@@ -319,24 +317,23 @@ def is_maximal_pr_subspace(
         d = None
     if d is not None and k == d:
         return MaximalityVerdict("Maximal", reason=f"dimension equals d_max = {d}")
+    extends = None  # the reason, when the basis rung proves that M extends
     if frame.N == frame.dim:
         s = min_support(sub, frame)
         if s == k:
             return MaximalityVerdict("Maximal", reason=f"minimum support {s} equals dimension")
         if s > k and k < (n + 1) // 2:
-            witness = _extension_probe(frame, sub, max(probe_budget, 20), seed)
-            if witness is None:
-                raise RetriesExhausted("extension exists but sampling failed to certify one")
-            return MaximalityVerdict(
-                "NotMaximal", reason=f"minimum support {s} exceeds dimension", witness=witness
-            )
-    witness = _extension_probe(frame, sub, probe_budget, seed)
+            extends = f"minimum support {s} exceeds dimension"
+    witness = _extension_probe(frame, sub, seed)
     if witness is not None:
-        return MaximalityVerdict("NotMaximal", reason="probe found a larger PR subspace", witness=witness)
+        reason = extends or "probe found a larger PR subspace"
+        return MaximalityVerdict("NotMaximal", reason=reason, witness=witness)
+    if extends:
+        raise RetriesExhausted("extension exists but sampling failed to certify one")
     return MaximalityVerdict(
         "Unknown",
         reason="no decision procedure applies",
-        probe_report={"attempts": probe_budget, "extension_found": False},
+        probe_report={"attempts": PROBE_BUDGET, "extension_found": False},
     )
 
 
@@ -387,23 +384,22 @@ def _dependent_rows(
 
 
 def extend_to_maximal(
-    b: Frame,
-    x: Sequence,
-    seed: Seed = 0,
-    max_retries: int = 5,
-    range_max: int = DEFAULT_RANGE_MAX,
+    b: Frame, x: Sequence, seed: Seed = 0, range_max: int = DEFAULT_RANGE_MAX
 ) -> Subspace:
     """Grow span{x} into a certified maximal PR subspace w.r.t. the basis b.
 
     Works in dual-basis coordinates, where the target dimension is the
     support size k of x.  Each stage samples an integer vector orthogonal to
     the ones already kept and accepts it when every square row subset of the
-    running size that meets the support is invertible.  The last stage's
-    acceptance is the certificate.  Let U = [x, u_2..u_k] be the n x k
-    matrix of dual coordinates and S = supp(x), so every k-row subset of U
-    that meets S is invertible.  For a basis, PR plus minimum support k is
-    exactly the rule under which ``is_maximal_pr_subspace`` returns Maximal,
-    and both follow:
+    running size that meets the support is invertible.  A stage computes
+    the integer nullspace basis of the kept vectors once and draws up to 40
+    combinations of it, with coefficients in 1..range_max; the kept vectors
+    are independent and fewer than n, so that basis is never empty.  The
+    last stage's acceptance is the certificate.  Let U = [x, u_2..u_k] be
+    the n x k matrix of dual coordinates and S = supp(x), so every k-row
+    subset of U that meets S is invertible.  For a basis, PR plus minimum
+    support k is exactly the rule under which ``is_maximal_pr_subspace``
+    returns Maximal, and both follow:
 
     * CP of U's rows in R^k.  Since n >= 2k - 1, one class of any
       2-colouring has at least k rows.  If that class meets S, it spans.
@@ -427,15 +423,14 @@ def extend_to_maximal(
     if k > (n + 1) // 2:
         raise SupportTooLarge(f"support size {k} exceeds [(n+1)/2] = {(n + 1) // 2}")
     x0 = clear_denominators(coords)
-    for attempt in range(max_retries + 1):
+    for attempt in range(RETRIES + 1):
         rng = random.Random(derive_seed(seed, 31 + attempt))
         us: List[IntVec] = [x0]
         for _m in range(1, k):
+            basis = int_nullspace(us, n)
             got = None
             for _ in range(40):
-                u = _orthogonal_sample(us, n, rng, range_max)
-                if u is None:
-                    break
+                u = _orthogonal_sample(basis, n, rng, range_max)
                 cand = us + [u]
                 if _stage_accepts(cand, n, supp):
                     got = u
@@ -446,4 +441,4 @@ def extend_to_maximal(
         else:
             # back from dual-basis coordinates: columns v with B^T v = u
             return Subspace.from_vectors(zip(*solve(b.vectors, tuple(zip(*us)))), ambient_dim=n)
-    raise RetriesExhausted(f"extension failed after {max_retries + 1} attempts")
+    raise RetriesExhausted(f"extension failed after {RETRIES + 1} attempts")

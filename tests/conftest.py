@@ -75,3 +75,26 @@ def partition_searches(monkeypatch):
     for module in (prframes.frames, prframes.lifting):
         monkeypatch.setattr(module, "_partition", recording)
     return searched
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """Replace ``module.name`` by a recorder and return the list of its calls' arguments.
+
+    ``record_calls(module, name)`` passes each call on to the original;
+    ``record_calls(module, name, value)`` returns ``value`` instead, so a
+    check can be made to fail every time.
+    """
+
+    def install(module, name, *value):
+        calls = []
+        inner = getattr(module, name)
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return value[0] if value else inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorder)
+        return calls
+
+    return install

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prframes
+import prframes.cli
 from prframes import (
     Frame,
     frame_from_dict,
@@ -23,6 +24,7 @@ from prframes import (
     subspace_to_dict,
 )
 from prframes.cli import main
+from prframes.errors import NotPRSubspace, PRFramesError
 from prframes.curated import r4_example_subspace, r4_standard_basis
 from prframes.subspaces import Subspace, _projected_int_cols
 
@@ -305,6 +307,23 @@ def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, tmp_path, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error",
+    [e for e in PRFramesError.__subclasses__() if e is not NotPRSubspace],
+    ids=lambda e: e.__name__,
+)
+def test_library_errors_exit_2_with_one_line(capsys, monkeypatch, error):
+    # the subspace command reports NotPRSubspace itself; every other library
+    # error that reaches main is one of usage, parsing or range
+    def raising(args):
+        raise error("stubbed")
+
+    monkeypatch.setattr(prframes.cli, "cmd_paper_suite", raising)
+    code, out, err = run(capsys, "paper-suite")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"{error.__name__}: {error('stubbed')}"]
+
+
 def test_subspace_extend_wrong_length_exits_2(capsys, tmp_path):
     f = write_frame(tmp_path, "I4.json", [tuple(int(i == j) for i in range(4)) for j in range(4)], 4)
     code, out, err = run(capsys, "subspace", f, "--action", "extend", "--vector", "1,2")
@@ -403,10 +422,13 @@ LIFTING_SUBSPACES = ("prframes.lifting", "prframes.subspaces")
     [
         footprint_run("gen-exact", "gen", "--n", "3", "--len", "6", absent=LIFTING_SUBSPACES),
         footprint_run("gen-exact-2n-1", "gen", "--n", "3", "--len", "5", absent=LIFTING_SUBSPACES),
-        footprint_run("gen-dmax", "gen", "--kind", "dmax", "--n", "4", "--k", "3", "--len", "7"),
+        footprint_run(
+            "gen-dmax", "gen", "--kind", "dmax", "--n", "4", "--k", "3", "--len", "7",
+            absent=["prframes.lifting"],
+        ),
         footprint_run(
             "gen-basis-subspace", "gen", "--kind", "basis-subspace", "--n", "3", "--k", "2",
-            "--len", "3",
+            "--len", "3", absent=["prframes.lifting"],
         ),
         footprint_run(
             "verify-lifted", "verify", "{frame}", "--checks", "redundancy,lifted-independence"

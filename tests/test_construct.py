@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import prframes.construct
-from oracles import brute_is_exact_pr, brute_sdr, brute_spark
+import prframes.subspaces
+from oracles import brute_is_exact_pr, brute_pr_redundancy, brute_sdr, brute_spark
 from prframes import (
     Frame,
     NotAFrame,
@@ -38,8 +40,10 @@ from prframes.construct import (
     CertifiedFrame,
     PatternMatrix,
     _as_identity_leading,
+    _full_spark_fill,
     _redundancy_component,
 )
+from prframes.ratlin import RETRIES
 
 
 def test_base_pattern_structure():
@@ -237,6 +241,70 @@ def test_redundancy_component_retries_a_draw_that_does_not_span(monkeypatch):
     frame = _redundancy_component(3, 4, seed=0)
     assert len(draws) == 2
     assert frame == Frame.from_vectors(zip(*draws[1]), dim=3) and brute_spark(frame) == 4
+
+
+short_families = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(n, 2 * n - 2).flatmap(
+            lambda N: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=N, max_size=N
+            )
+        ),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_families)
+def test_full_spark_short_families_have_exact_redundancy(family):
+    # why _redundancy_component certifies a short component by full spark alone
+    n, vecs = family
+    try:
+        frame = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    assume(brute_spark(frame) == n + 1)
+    assert brute_pr_redundancy(frame) == 1
+
+
+@pytest.mark.parametrize(
+    "module, check, verdict, call, message",
+    [
+        pytest.param(
+            prframes.construct, "is_exact_pr_frame", SimpleNamespace(exact=False),
+            lambda: generate_exact_pr(3, 5, 0), "full-spark sampling failed for (n=3, N=5)",
+            id="exact-dense",
+        ),
+        pytest.param(
+            prframes.construct, "is_exact_pr_frame", SimpleNamespace(exact=False),
+            lambda: generate_exact_pr(3, 6, 0), "pattern instantiation failed for (n=3, N=6)",
+            id="exact-pattern",
+        ),
+        pytest.param(
+            prframes.subspaces, "d_max", 0, lambda: generate_with_dmax(4, 3, 6, 0),
+            "generation failed for (n=4, k=3, N=6): d != 3 for the sampled instance",
+            id="dmax",
+        ),
+        pytest.param(
+            prframes.construct, "is_full_spark", False, lambda: _redundancy_component(3, 4, 0),
+            "short component (3, 4) failed to certify", id="short-component",
+        ),
+        pytest.param(
+            prframes.construct, "is_full_spark", False, lambda: _full_spark_fill(3, 0),
+            "full-spark fill failed", id="full-spark-fill",
+        ),
+    ],
+)
+def test_generator_gives_up_after_retries_plus_one_draws(
+    record_calls, module, check, verdict, call, message
+):
+    # every draw spans, so each is checked once, and every check fails
+    checks = record_calls(module, check, verdict)
+    with pytest.raises(RetriesExhausted) as exc:
+        call()
+    assert len(checks) == RETRIES + 1
+    assert str(exc.value) == message
 
 
 def test_generate_exact_deterministic():

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 import prframes.frames
+import prframes.subspaces
 from oracles import (
     brute_d_value,
     brute_family_has_cp,
@@ -24,6 +25,7 @@ from prframes import (
     NotAFrame,
     NotPRSubspace,
     OutOfRange,
+    RetriesExhausted,
     Subspace,
     SupportTooLarge,
     d_max,
@@ -37,7 +39,8 @@ from prframes import (
     random_pr_subspace,
     support,
 )
-from prframes.subspaces import _stage_accepts
+from prframes.ratlin import RETRIES
+from prframes.subspaces import PROBE_BUDGET, _stage_accepts
 
 
 def std_basis(n):
@@ -362,6 +365,14 @@ def test_random_pr_subspace():
     assert a.basis == b.basis
 
 
+def test_random_pr_subspace_gives_up_after_retries_plus_one_draws(record_calls):
+    checks = record_calls(prframes.subspaces, "is_pr_subspace", False)
+    with pytest.raises(RetriesExhausted) as exc:
+        random_pr_subspace(std_basis(3), 2, seed=0)
+    assert len(checks) == RETRIES + 1
+    assert str(exc.value) == "no PR subspace of dimension 2 found in 6 draws"
+
+
 def test_support_duality():
     b5 = std_basis(5)
     assert support((1, 0, 1, 0, 0), b5) == frozenset({0, 2})
@@ -470,6 +481,19 @@ def test_not_maximal_with_certified_superspace():
     assert w.contains((1, 2, 3, 4, 5))
 
 
+def test_probe_computes_one_nullspace(record_calls):
+    # no rung decides, and none of the probe's draws is PR: an Unknown
+    # verdict after PROBE_BUDGET draws, all from one nullspace basis
+    f = Frame.from_vectors([(-1, -2, 0), (2, 0, 0), (1, 0, 0), (0, 1, -2)], dim=3)
+    m = Subspace.from_vectors([(0, 0, 1)], ambient_dim=3)
+    bases = record_calls(prframes.subspaces, "int_nullspace")
+    draws = record_calls(prframes.subspaces, "_orthogonal_sample")
+    v = is_maximal_pr_subspace(f, m)
+    assert v.status == "Unknown"
+    assert v.probe_report == {"attempts": PROBE_BUDGET, "extension_found": False}
+    assert len(draws) == PROBE_BUDGET and len(bases) == 1
+
+
 @st.composite
 def frames_and_pr_subspaces(draw):
     """A frame of N vectors in R^n (n <= 4, N <= 7; a basis about half the time) and a PR subspace."""
@@ -537,6 +561,26 @@ def test_extend_with_skew_basis():
     assert len(s) == 1
     m = extend_to_maximal(b, x, seed=0)
     assert m.dim == 1 and m.contains(x)
+
+
+def test_extend_computes_one_nullspace_per_stage(record_calls):
+    # a draw range of 2 makes the stages reject draws; each stage combines
+    # the one nullspace basis of the vectors it has kept
+    bases = record_calls(prframes.subspaces, "int_nullspace")
+    accepts = record_calls(prframes.subspaces, "_stage_accepts")
+    m = extend_to_maximal(std_basis(7), (3, 1, 2, 1, 0, 0, 0), seed=0, range_max=2)
+    assert m.dim == 4
+    assert len(bases) == 3 < len(accepts)
+
+
+def test_extend_gives_up_after_retries_plus_one_attempts(record_calls):
+    accepts = record_calls(prframes.subspaces, "_stage_accepts", False)
+    bases = record_calls(prframes.subspaces, "int_nullspace")
+    with pytest.raises(RetriesExhausted) as exc:
+        extend_to_maximal(std_basis(5), (1, 2, 3, 0, 0), seed=0)
+    # each attempt's first stage rejects all 40 of its draws
+    assert len(bases) == RETRIES + 1 and len(accepts) == 40 * (RETRIES + 1)
+    assert str(exc.value) == "extension failed after 6 attempts"
 
 
 @st.composite
