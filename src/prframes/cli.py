@@ -65,6 +65,9 @@ def cmd_gen(args) -> int:
         if args.k is None:
             print("--k is required for kind basis-subspace", file=sys.stderr)
             return 2
+        if args.len != args.n:
+            print(f"--len must equal --n ({args.n}) for kind basis-subspace", file=sys.stderr)
+            return 2
         basis, sub = basis_with_maximal_subspace(args.n, args.k, args.seed)
         obj = frameio.frame_to_dict(
             basis,

@@ -34,8 +34,8 @@ from .ratlin import (
     solve,
 )
 
-# subspaces loads inside the generators that use it, so that
-# `prframes gen --kind exact` does not import it
+# subspaces loads inside the one generator that uses it, so that
+# `prframes gen --kind exact` and `--kind dmax` do not import it
 
 Cell = Tuple[int, int]
 
@@ -388,10 +388,8 @@ def generate_exact_pr(
     raise RetriesExhausted(f"{what} failed for (n={n}, N={N})")
 
 
-def compose_direct_sum(f1: Frame, f2: Optional[Frame]) -> Frame:
+def compose_direct_sum(f1: Frame, f2: Frame) -> Frame:
     """Embed f1 in the leading and f2 in the trailing coordinates, concatenate."""
-    if f2 is None:
-        return f1
     k, m = f1.dim, f2.dim
     vecs = [tuple(v) + (Fraction(0),) * m for v in f1.vectors]
     vecs += [(Fraction(0),) * k + tuple(v) for v in f2.vectors]
@@ -453,10 +451,10 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed) -> CertifiedFrame:
     carry the exact-redundancy property; both components are exact PR frames
     whenever the length budget allows, and short full-spark components
     (full spark is their certificate) fill the remaining low-length corner.
-    The value of d is always re-computed exactly on the assembled frame.
+    The value of d is always re-computed exactly on the assembled frame,
+    by the search that ``subspaces.d_max`` reads, without its length cap:
+    the generator admits lengths up to k(k+1)/2 + (n-k)(n-k+1)/2.
     """
-    from .subspaces import d_max
-
     lo_k = (n + 1) // 2
     hi_N = k * (k + 1) // 2 + (n - k) * (n - k + 1) // 2
     if not (lo_k <= k <= n):
@@ -501,7 +499,7 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed) -> CertifiedFrame:
         except RetriesExhausted as e:
             last_err = e
             continue
-        if d_max(frame) != k:
+        if frame._d != k:
             last_err = RetriesExhausted(f"d != {k} for the sampled instance")
             continue
         return CertifiedFrame(

@@ -46,8 +46,8 @@ def _field(d, key: str, ok, what: str):
     return d[key]
 
 
-def _dim_field(d) -> int:
-    return _field(d, "n", lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+def _int_field(d, key: str) -> int:
+    return _field(d, key, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 
 
 def _rows_field(d, key: str) -> List[List[Fraction]]:
@@ -59,7 +59,7 @@ def _rows_field(d, key: str) -> List[List[Fraction]]:
 
 
 def frame_from_dict(d: dict) -> Frame:
-    return Frame.from_vectors(_rows_field(d, "vectors"), dim=_dim_field(d))
+    return Frame.from_vectors(_rows_field(d, "vectors"), dim=_int_field(d, "n"))
 
 
 def subspace_to_dict(sub: Subspace, meta: Optional[dict] = None) -> dict:
@@ -74,12 +74,16 @@ def subspace_to_dict(sub: Subspace, meta: Optional[dict] = None) -> dict:
 
 
 def subspace_from_dict(d: dict) -> Subspace:
+    """The subspace spanned by the columns of ``basis``; a ``dim``, when given, must count them."""
     from .subspaces import Subspace
 
-    n = _dim_field(d)
+    n = _int_field(d, "n")
     rows = _rows_field(d, "basis")
     if len(rows) != n or len({len(r) for r in rows}) > 1:
         raise BadInput(f"'basis' must be {n} rows of equal length, one per coordinate")
+    k = len(rows[0]) if rows else 0
+    if "dim" in d and _int_field(d, "dim") != k:
+        raise BadInput(f"'dim' must be {k}, the number of basis columns, got {d['dim']}")
     return Subspace.from_vectors(zip(*rows), ambient_dim=n)
 
 

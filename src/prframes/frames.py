@@ -21,9 +21,9 @@ with a stopping floor below t: each partition found lowers t to one below
 its larger class rank until that rank reaches the floor (n + 1) // 2, and
 the value is cached on the ``Frame``.
 
-The search takes its span kernel as an argument.  The CP proof
+The search takes its span extension as an argument.  The CP proof
 (``_certified_partition``: ``Frame._cp``, and ``subspaces.is_pr_subspace``
-on projected families) runs it first with ``ratlin``'s residue kernel,
+on projected families) runs it first with ``ratlin``'s residue step,
 modulo the prime ``RESIDUE_P`` below 2^30, where the numbers can outgrow
 one digit.  The pin and dominance rules hold over any field, so the search
 is complete mod p, and finding no partition there proves that none exists
@@ -221,9 +221,9 @@ def _partition(
 ) -> Optional[Split]:
     """A 2-colouring of the columns with both class ranks <= t, or None.
 
-    ``kernel`` is the span step (membership test, extension), the exact one
-    of ``ratlin`` by default; with the residue kernel the columns must be
-    residues, and every rank is a rank mod p.
+    ``kernel`` is the span extension, ``extend_table`` by default; with
+    ``extend_residue`` the columns must be residues, and every rank is a
+    rank mod p.  The membership test is ``off_table`` either way.
 
     Each class is held as the table of its span (``ratlin``) on the
     columns and then the watched ones, so a node asks two membership
@@ -253,7 +253,7 @@ def _partition(
     and the dominance rule still lose no answer.  At t = n - 1 a class of
     rank n would leave none, and the rank test prunes it before it is built.
     """
-    off, extend = kernel or (off_table, extend_table)
+    off, extend = off_table, kernel or extend_table
     ncols = len(cols)
     if ncols == 0:
         # the empty family: both classes empty, of rank 0, and every nonzero

@@ -37,6 +37,8 @@ from .errors import BadInput, CapExceeded
 from .frames import Frame, IndexSet, _partition, is_exact_pr_frame, has_complement_property
 from .ratlin import identity, int_rank, off_table, span_rows
 
+REDUNDANCY_CAP = 16
+
 
 def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
     """Row representing A |-> f^T A f; off-diagonal slots carry the factor 2."""
@@ -174,7 +176,7 @@ def has_exact_pr_redundancy(frame: Frame) -> bool:
     return not any(_keeps_s2_part(frame, _without(frame.N, (i,))) for i in range(frame.N))
 
 
-def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
+def pr_redundancy(frame: Frame) -> Fraction:
     """N/k for the smallest subfamily Lambda preserving the rank-<=2 kernel part.
 
     Preservation is monotone under inclusion, so the answer is 1 exactly
@@ -193,11 +195,11 @@ def pr_redundancy(frame: Frame, max_n: int = 16) -> Fraction:
     the removable indices exactness already found, and at most N - (2n - 1)
     removed.  Any other frame, every one shorter than 2n - 1 among them, is
     searched with the partition search that watches the complement, and at
-    most N - n removed.
+    most N - n removed.  Frames longer than ``REDUNDANCY_CAP`` are refused.
     """
     n, N = frame.dim, frame.N
-    if N > max_n:
-        raise CapExceeded(f"N={N} exceeds exhaustive cap {max_n}")
+    if N > REDUNDANCY_CAP:
+        raise CapExceeded(f"N={N} exceeds exhaustive cap {REDUNDANCY_CAP}")
     watch, most, free = True, N - n, None
     if N >= 2 * n - 1:  # a shorter frame is never phase-retrievable
         exactness = is_exact_pr_frame(frame)

@@ -27,7 +27,7 @@ identity columns last, a row ends with its normal, and the normals of a
 row span are a kernel basis, one per free column (``span_rows``,
 ``int_nullspace``, ``solve``).
 
-The residue kernel (``off_residue``, ``extend_residue``) is the same step
+The residue kernel (``off_table``, ``extend_residue``) is the same step
 over the field of ``RESIDUE_P`` elements, the largest prime below 2^30: every
 table entry is reduced mod p, so each residue is a single CPython digit
 however wide the exact entries grow.  It serves as a certificate for
@@ -160,8 +160,9 @@ def extend_table(rows: Table, at: int, off: Tuple[int, int]) -> Table:
 
 RESIDUE_P = 1073741789  # the largest prime below 2^30
 
-# a span step: the membership test and the extension
-Kernel = Tuple[Callable, Callable]
+# a span step's extension, exact (``extend_table``) or mod p (``extend_residue``);
+# the membership test is ``off_table`` for both
+Kernel = Callable[[Table, int, Tuple[int, int]], Table]
 
 Found = TypeVar("Found")
 
@@ -172,12 +173,8 @@ def residues(vecs: Iterable[Sequence[int]]) -> Tuple[IntVec, ...]:
     return tuple(tuple(x % p for x in v) for v in vecs)
 
 
-# residue rows are reduced already, so the residue test is the exact one
-off_residue = off_table
-
-
 def extend_residue(rows: Table, at: int, off: Tuple[int, int]) -> Table:
-    """``extend_table`` mod ``RESIDUE_P``, given ``off = off_residue(rows, at)``.
+    """``extend_table`` mod ``RESIDUE_P``, given ``off = off_table(rows, at)``.
 
     d_k is a unit mod p, so each d_k h_i - d_i h_k is a nonzero normal
     independent of the others, and its row needs no trimming.
@@ -228,8 +225,8 @@ def residue_first(
 ) -> Found:
     """``search(vecs, None)``, with a residue certificate in front where it can pay.
 
-    ``search(vecs, kernel)`` looks for spans of rank <= t among the vectors
-    that ``kernel`` (exact when None) steps through, is complete over any
+    ``search(vecs, kernel)`` looks for spans of rank <= t among the vectors,
+    extending spans with ``kernel`` (exact when None), is complete over any
     field, and returns something falsy when it finds nothing.  When
     ``outgrows_digit(vecs, t)``, it runs on the residues first, and a falsy
     result there is the answer: every rank mod p is at most the rank over
@@ -237,7 +234,7 @@ def residue_first(
     collision, so the exact search decides and supplies the witness.
     """
     if outgrows_digit(vecs, t):
-        found = search(residues(vecs), (off_residue, extend_residue))
+        found = search(residues(vecs), extend_residue)
         if not found:
             return found
     return search(vecs, None)

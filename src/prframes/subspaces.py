@@ -75,7 +75,7 @@ from .ratlin import (
     span_table,
 )
 
-DEFAULT_CAP = 24
+D_MAX_CAP = 24
 
 # draws of the extension probe in one maximality verdict
 PROBE_BUDGET = 20
@@ -201,18 +201,18 @@ def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
     return held[key]
 
 
-def d_max(frame: Frame, cap: int = DEFAULT_CAP) -> int:
+def d_max(frame: Frame) -> int:
     """Largest dimension of a PR subspace: min over subsets of the larger rank.
 
     One partition search: each partition it finds lowers the threshold to
     one below its larger class rank, and it stops at (n+1)//2, which no
     partition beats because the two class ranks add up to at least n.  With
     no partition of both ranks <= n - 1 (the complement property) d = n.
-    The value is computed once per frame and kept on it; the cap is checked
-    first on every call.
+    The value is computed once per frame and kept on it; the cap
+    ``D_MAX_CAP`` is checked first on every call.
     """
-    if frame.N > cap:
-        raise CapExceeded(f"N={frame.N} exceeds enumeration cap {cap}")
+    if frame.N > D_MAX_CAP:
+        raise CapExceeded(f"N={frame.N} exceeds enumeration cap {D_MAX_CAP}")
     return frame._d
 
 
@@ -270,15 +270,13 @@ def min_support(sub: Subspace, b: Frame) -> int:
     return _spark([tuple(h[i] for h in checks) for i in range(n)])
 
 
-def _orthogonal_sample(
-    basis: Sequence[IntVec], n: int, rng: random.Random, range_max: int
-) -> IntVec:
-    """A combination of the integer nullspace basis with coefficients in 1..range_max.
+def _orthogonal_sample(basis: Sequence[IntVec], n: int, rng: random.Random) -> IntVec:
+    """A combination of the integer nullspace basis with coefficients in 1..DEFAULT_RANGE_MAX.
 
     The basis is independent and every coefficient is positive, so the
     vector is never zero.
     """
-    coeffs = [rng.randint(1, range_max) for _ in basis]
+    coeffs = [rng.randint(1, DEFAULT_RANGE_MAX) for _ in basis]
     return tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
 
 
@@ -290,7 +288,7 @@ def _extension_probe(frame: Frame, sub: Subspace, seed: Seed) -> Optional[Subspa
         return None
     rng = random.Random(derive_seed(seed, 9001))
     for _ in range(PROBE_BUDGET):
-        u = _orthogonal_sample(basis, n, rng, DEFAULT_RANGE_MAX)
+        u = _orthogonal_sample(basis, n, rng)
         bigger = Subspace.from_vectors(sub.basis + (u,), ambient_dim=n)
         if is_pr_subspace(frame, bigger):
             return bigger
@@ -355,7 +353,7 @@ def _dependent_rows(
 ) -> bool:
     """Does some m-row subset meeting the support fail to be invertible?
 
-    ``kernel`` is the span step, exact by default (see ``frames._partition``).
+    ``kernel`` is the span extension, exact by default (see ``frames._partition``).
     For m <= n and a nonempty support (as ``extend_to_maximal`` guarantees)
     every such subset is invertible iff every dependent row set of size
     <= m has size exactly m and avoids the support: a smaller one, or one
@@ -366,7 +364,7 @@ def _dependent_rows(
     the support only needs its support rows tested, and any of them in the
     span closes one.
     """
-    off, extend = kernel or (off_table, extend_table)
+    off, extend = off_table, kernel or extend_table
     # stack entries: (next index, table of an independent set's span, does it meet supp)
     stack = [(0, span_table(rows, len(rows[0])), False)]
     while stack:
@@ -383,9 +381,7 @@ def _dependent_rows(
     return False
 
 
-def extend_to_maximal(
-    b: Frame, x: Sequence, seed: Seed = 0, range_max: int = DEFAULT_RANGE_MAX
-) -> Subspace:
+def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:
     """Grow span{x} into a certified maximal PR subspace w.r.t. the basis b.
 
     Works in dual-basis coordinates, where the target dimension is the
@@ -393,8 +389,8 @@ def extend_to_maximal(
     the ones already kept and accepts it when every square row subset of the
     running size that meets the support is invertible.  A stage computes
     the integer nullspace basis of the kept vectors once and draws up to 40
-    combinations of it, with coefficients in 1..range_max; the kept vectors
-    are independent and fewer than n, so that basis is never empty.  The
+    combinations of it (``_orthogonal_sample``); the kept vectors are
+    independent and fewer than n, so that basis is never empty.  The
     last stage's acceptance is the certificate.  Let U = [x, u_2..u_k] be
     the n x k matrix of dual coordinates and S = supp(x), so every k-row
     subset of U that meets S is invertible.  For a basis, PR plus minimum
@@ -430,7 +426,7 @@ def extend_to_maximal(
             basis = int_nullspace(us, n)
             got = None
             for _ in range(40):
-                u = _orthogonal_sample(basis, n, rng, range_max)
+                u = _orthogonal_sample(basis, n, rng)
                 cand = us + [u]
                 if _stage_accepts(cand, n, supp):
                     got = u

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import functools
+
 import pytest
 
 import prframes.frames
@@ -8,14 +10,14 @@ import prframes.ratlin
 import prframes.subspaces
 
 
-def _count_steps(monkeypatch, exact, residue):
-    """Count the calls of two ``ratlin`` steps, exact and residue, as [all, exact, residue].
+def _count_steps(monkeypatch, *names):
+    """Count the calls of ``ratlin`` steps as [all, first name, second name, ...].
 
     The searches in frames, lifting and subspaces and the ranks in ratlin
     all count.  Each of these modules binds the steps by name, so every
     binding is replaced by one counting wrapper around the original.
     """
-    calls = [0, 0, 0]
+    calls = [0] * (len(names) + 1)
 
     def counting(inner, slot):
         def step(*args):
@@ -25,7 +27,7 @@ def _count_steps(monkeypatch, exact, residue):
 
         return step
 
-    for name, slot in ((exact, 1), (residue, 2)):
+    for slot, name in enumerate(names, 1):
         wrapper = counting(getattr(prframes.ratlin, name), slot)
         for module in (prframes.ratlin, prframes.frames, prframes.lifting, prframes.subspaces):
             if hasattr(module, name):
@@ -35,22 +37,20 @@ def _count_steps(monkeypatch, exact, residue):
 
 @pytest.fixture
 def span_tests(monkeypatch):
-    """Count span membership tests across prframes, of both kernels.
+    """Count span membership tests (``off_table``) across prframes in ``span_tests[0]``.
 
-    ``span_tests[0]`` counts every test, ``span_tests[1]`` the exact ones
-    (``off_table``) and ``span_tests[2]`` the residue ones (``off_residue``,
-    the same lookup under the residue kernel's name).
+    The exact and the residue search ask them alike; ``span_extensions``
+    tells the two apart.
     """
-    return _count_steps(monkeypatch, "off_table", "off_residue")
+    return _count_steps(monkeypatch, "off_table")
 
 
 @pytest.fixture
 def span_extensions(monkeypatch):
-    """Count span extensions across prframes, of both kernels.
+    """Count span extensions across prframes, of both steps.
 
-    Laid out as ``span_tests``: ``span_extensions[0]`` counts every
-    extension, ``[1]`` the exact ones (``extend_table``) and ``[2]`` the
-    residue ones (``extend_residue``).
+    ``span_extensions[0]`` counts every extension, ``[1]`` the exact ones
+    (``extend_table``) and ``[2]`` the residue ones (``extend_residue``).
     """
     return _count_steps(monkeypatch, "extend_table", "extend_residue")
 
@@ -83,7 +83,9 @@ def record_calls(monkeypatch):
 
     ``record_calls(module, name)`` passes each call on to the original;
     ``record_calls(module, name, value)`` returns ``value`` instead, so a
-    check can be made to fail every time.
+    check can be made to fail every time.  A ``cached_property`` of a class
+    (``record_calls(Frame, "_d")``) is replaced by a property that records
+    each read, its instance as the one argument.
     """
 
     def install(module, name, *value):
@@ -94,6 +96,8 @@ def record_calls(monkeypatch):
             calls.append(args)
             return value[0] if value else inner(*args, **kwargs)
 
+        if isinstance(inner, functools.cached_property):
+            inner, recorder = inner.func, property(recorder)
         monkeypatch.setattr(module, name, recorder)
         return calls
 

@@ -96,6 +96,15 @@ def test_gen_basis_subspace(capsys):
     assert d["meta"]["subspace"]["dim"] == 2
 
 
+def test_gen_basis_subspace_len_must_equal_n(capsys):
+    # a basis of R^n has n vectors; another --len is a usage error, not ignored
+    code, out, err = run(
+        capsys, "gen", "--n", "5", "--len", "99", "--kind", "basis-subspace", "--k", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["--len must equal --n (5) for kind basis-subspace"]
+
+
 def test_verify_pass(capsys, pr_frame_file):
     code, out, _ = run(capsys, "verify", pr_frame_file)
     assert code == 0
@@ -263,6 +272,40 @@ def test_subspace_maximal_verdict(capsys, tmp_path):
     assert json.loads(out)["verdict"]["status"] == "Maximal"
 
 
+def test_subspace_maximal_unknown_verdict(capsys, tmp_path):
+    # no rung decides and the probe finds no larger PR subspace (the case of
+    # test_subspaces.py::test_probe_computes_one_nullspace); exit 0
+    f = write_frame(tmp_path, "f.json", [(-1, -2, 0), (2, 0, 0), (1, 0, 0), (0, 1, -2)], 3)
+    sub = tmp_path / "sub.json"
+    save_json(subspace_to_dict(Subspace.from_vectors([(0, 0, 1)], ambient_dim=3)), str(sub))
+    code, out, err = run(capsys, "subspace", f, "--action", "maximal", "--subspace-file", str(sub))
+    assert (code, err) == (0, "")
+    assert out == (
+        "{\n"
+        '  "command": "subspace-maximal",\n'
+        '  "verdict": {\n'
+        '    "probe_report": {\n'
+        '      "attempts": 20,\n'
+        '      "extension_found": false\n'
+        "    },\n"
+        '    "reason": "no decision procedure applies",\n'
+        '    "status": "Unknown"\n'
+        "  }\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 0])
+def test_subspace_file_dim_must_count_the_basis_columns(capsys, tmp_path, dim):
+    f = write_frame(tmp_path, "f.json", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3)
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"n": 3, "dim": dim, "basis": [[1], [0], [0]]}))
+    for action in ("check", "maximal"):
+        code, out, err = run(capsys, "subspace", f, "--action", action, "--subspace-file", str(sub))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"BadInput: 'dim' must be 1, the number of basis columns, got {dim}"]
+
+
 def test_subspace_extend(capsys, tmp_path):
     f = write_frame(tmp_path, "b5.json", [tuple(int(i == j) for i in range(5)) for j in range(5)], 5)
     code, out, _ = run(
@@ -424,7 +467,7 @@ LIFTING_SUBSPACES = ("prframes.lifting", "prframes.subspaces")
         footprint_run("gen-exact-2n-1", "gen", "--n", "3", "--len", "5", absent=LIFTING_SUBSPACES),
         footprint_run(
             "gen-dmax", "gen", "--kind", "dmax", "--n", "4", "--k", "3", "--len", "7",
-            absent=["prframes.lifting"],
+            absent=LIFTING_SUBSPACES,
         ),
         footprint_run(
             "gen-basis-subspace", "gen", "--kind", "basis-subspace", "--n", "3", "--k", "2",

@@ -9,9 +9,10 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import prframes.construct
-import prframes.subspaces
+import prframes.frames
 from oracles import brute_is_exact_pr, brute_pr_redundancy, brute_sdr, brute_spark
 from prframes import (
+    CapExceeded,
     Frame,
     NotAFrame,
     OutOfRange,
@@ -282,7 +283,7 @@ def test_full_spark_short_families_have_exact_redundancy(family):
             id="exact-pattern",
         ),
         pytest.param(
-            prframes.subspaces, "d_max", 0, lambda: generate_with_dmax(4, 3, 6, 0),
+            prframes.frames.Frame, "_d", 0, lambda: generate_with_dmax(4, 3, 6, 0),
             "generation failed for (n=4, k=3, N=6): d != 3 for the sampled instance",
             id="dmax",
         ),
@@ -334,7 +335,6 @@ def test_direct_sum_embedding():
     assert (f.dim, f.N) == (5, 9)
     assert has_exact_pr_redundancy(f)
     assert d_max(f) == 3
-    assert compose_direct_sum(f1, None) is f1
     for j in range(6):
         assert all(x == 0 for x in f.vectors[j][3:])
     for j in range(6, 9):
@@ -383,6 +383,18 @@ def test_generate_with_dmax_targets(n, k, N):
     assert (f.dim, f.N) == (n, N)
     assert cert.certificate["d"] == k
     assert d_max(f) == k
+
+
+@pytest.mark.parametrize("n, k, N", [(9, 5, 25), (8, 7, 25)])
+def test_generate_with_dmax_past_the_d_max_cap(n, k, N):
+    # admissible lengths above d_max's cap are certified by the uncapped
+    # search that d_max reads; d_max itself still refuses them
+    cert = generate_with_dmax(n, k, N, seed=0)
+    f = cert.frame
+    assert (f.dim, f.N) == (n, N)
+    assert cert.certificate["d"] == k == f._d
+    with pytest.raises(CapExceeded, match=f"N={N} exceeds enumeration cap 24"):
+        d_max(f)
 
 
 def test_generate_with_dmax_small_redundancy_crosscheck():

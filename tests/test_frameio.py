@@ -108,6 +108,25 @@ def test_subspace_from_dict_rejects_malformed_shapes(d):
 
 
 @pytest.mark.parametrize(
+    "dim, message",
+    [
+        (7, "'dim' must be 1, the number of basis columns, got 7"),
+        (2, "'dim' must be 1, the number of basis columns, got 2"),
+        ("1", "'dim' must be an integer"),
+        (True, "'dim' must be an integer"),
+    ],
+)
+def test_subspace_from_dict_checks_a_given_dim(dim, message):
+    d = {"n": 3, "dim": dim, "basis": [[1], [0], [0]]}
+    with pytest.raises(BadInput, match=message):
+        subspace_from_dict(d)
+    d["dim"] = 1
+    assert subspace_from_dict(d).dim == 1
+    del d["dim"]
+    assert subspace_from_dict(d).dim == 1
+
+
+@pytest.mark.parametrize(
     "basis",
     [[[1, 0], [0]], [[1], [0], [0]], [[1]]],
     ids=["ragged", "extra-row", "missing-row"],

@@ -286,21 +286,22 @@ def test_cp_work_ceiling_generated_6_21(span_tests):
     assert span_tests[0] == 2278
 
 
-def test_cp_proof_kernel_follows_the_width(span_tests):
+def test_cp_proof_kernel_follows_the_width(span_extensions):
     # a generated frame's minors can reach RESIDUE_P, so its CP proof runs
-    # mod p and asks the same 2,278 questions there; a frame shaped like the
-    # lifted workload's (entries in [-4, 4], n <= 4) cannot, and stays exact
+    # mod p and makes the same 461 extensions there; a frame shaped like the
+    # lifted workload's (entries in [-4, 4], n <= 4) cannot, and stays exact:
+    # C(2n-1, n) - 1 extensions on a PR frame, 2 to find the (2, 3) frame's
+    # failing partition
     frame = fresh_generated(6, 21, 0)
-    span_tests[:] = [0, 0, 0]
+    span_extensions[:] = [0, 0, 0]
     assert has_complement_property(frame).holds
-    assert span_tests == [2278, 0, 2278]
+    assert span_extensions == [461, 0, 461]
     rng = random.Random(7)
-    for n, N in [(2, 3), (3, 6), (4, 8), (4, 8), (4, 8)]:
+    for n, N, extensions in [(2, 3, 2), (3, 6, 9), (4, 8, 34), (4, 8, 34), (4, 8, 34)]:
         small = random_frame(rng, n, N)
-        span_tests[:] = [0, 0, 0]
+        span_extensions[:] = [0, 0, 0]
         has_complement_property(small)
-        assert span_tests[2] == 0
-        assert span_tests[1] > 0
+        assert span_extensions == [extensions, extensions, 0]
 
 
 @pytest.mark.parametrize("n, N", [(6, 21), (7, 13)])

@@ -15,7 +15,7 @@ from prframes.frames import _partition
 from prframes.ratlin import (
     RESIDUE_P,
     extend_residue,
-    off_residue,
+    off_table,
     outgrows_digit,
     residues,
     span_table,
@@ -23,7 +23,7 @@ from prframes.ratlin import (
 from prframes.subspaces import _dependent_rows, _stage_accepts
 
 P = RESIDUE_P
-RESIDUE = (off_residue, extend_residue)
+RESIDUE = extend_residue
 
 # small values, multiples of p and values next to them
 entries = st.sampled_from((0, 0, 1, -1, 2, P, -P, 2 * P, P - 1, P + 1, -(P + 2), 3 * P + 1))
@@ -38,7 +38,7 @@ def _residue_table(vecs, n, watched):
     cols = residues([*vecs, *watched])
     rows = span_table(cols, n)
     for at in range(-len(cols), -len(watched)):
-        off = off_residue(rows, at)
+        off = off_table(rows, at)
         assert (off is None) == (_rank_mod_p(vecs[: at + len(cols) + 1], n) == _rank_mod_p(vecs[: at + len(cols)], n))
         if off is not None:
             rows = extend_residue(rows, at, off)
@@ -68,7 +68,7 @@ def test_residue_rank_is_the_rank_mod_p(family):
     assert n - len(_residue_table(vecs, n, [])) == expected
     rows = _residue_table(vecs, n, [probe])
     assert n - len(rows) == expected
-    assert (off_residue(rows, -1) is None) == (_rank_mod_p(vecs + [probe], n) == expected)
+    assert (off_table(rows, -1) is None) == (_rank_mod_p(vecs + [probe], n) == expected)
     assert expected <= oracle_rank(vecs)
 
 

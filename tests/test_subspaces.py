@@ -1,5 +1,6 @@
 """Subspace analytics: projections, d values, supports, maximality, extension."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -179,15 +180,16 @@ def test_d_max_cap():
         d_max(Frame.from_vectors(vecs, dim=3))
 
 
-def test_d_max_cached_per_frame(span_tests):
+def test_d_max_cached_per_frame(span_tests, monkeypatch):
     f = Frame.from_vectors(SPARSE_7_14, dim=7)
     assert d_max(f) == 6
     span_tests[0] = 0
     assert d_max(f) == 6
     assert span_tests[0] == 0
     # the cap is checked before the cached value is read
-    with pytest.raises(CapExceeded):
-        d_max(f, cap=13)
+    monkeypatch.setattr(prframes.subspaces, "D_MAX_CAP", 13)
+    with pytest.raises(CapExceeded, match="N=14 exceeds enumeration cap 13"):
+        d_max(f)
 
 
 def test_subspace_chain_reuses_cached_d(monkeypatch):
@@ -563,14 +565,37 @@ def test_extend_with_skew_basis():
     assert m.dim == 1 and m.contains(x)
 
 
+@contextlib.contextmanager
+def stage_rejections(flips):
+    """Turn down the i-th draw that ``_stage_accepts`` accepts whenever ``flips[i]``.
+
+    The stub wraps the real check and never accepts a draw it rejects, so
+    every stage ``extend_to_maximal`` keeps passed the real check.  Yields
+    the real check's verdicts, one per call.
+    """
+    inner = prframes.subspaces._stage_accepts
+    flips = iter(flips)
+    verdicts = []
+
+    def stage(us, n, supp):
+        verdicts.append(inner(us, n, supp))
+        return verdicts[-1] and not next(flips, False)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prframes.subspaces, "_stage_accepts", stage)
+        yield verdicts
+
+
 def test_extend_computes_one_nullspace_per_stage(record_calls):
-    # a draw range of 2 makes the stages reject draws; each stage combines
-    # the one nullspace basis of the vectors it has kept
+    # turned-down draws make the first two stages draw again; each stage
+    # combines the one nullspace basis of the vectors it has kept
     bases = record_calls(prframes.subspaces, "int_nullspace")
-    accepts = record_calls(prframes.subspaces, "_stage_accepts")
-    m = extend_to_maximal(std_basis(7), (3, 1, 2, 1, 0, 0, 0), seed=0, range_max=2)
+    with stage_rejections([True, True, False, True]) as verdicts:
+        m = extend_to_maximal(std_basis(7), (3, 1, 2, 1, 0, 0, 0), seed=0)
     assert m.dim == 4
-    assert len(bases) == 3 < len(accepts)
+    assert len(bases) == 3
+    # stage 1 draws 3 times, stage 2 twice, stage 3 once
+    assert verdicts == [True] * 6
 
 
 def test_extend_gives_up_after_retries_plus_one_attempts(record_calls):
@@ -585,12 +610,14 @@ def test_extend_gives_up_after_retries_plus_one_attempts(record_calls):
 
 @st.composite
 def bases_and_extendable_vectors(draw):
-    """An invertible integer basis of R^n (n <= 6), dual coordinates c of x, a draw range.
+    """An invertible integer basis of R^n (n <= 6), dual coordinates c of x, stage flips.
 
     The basis is L U with L unit lower triangular and U upper triangular with
     a nonzero diagonal, so it is always invertible and usually skew; c has
-    1 <= |supp c| <= (n+1)//2 nonzero entries.  A small draw range makes the
-    stages reject candidates often, so their acceptance test is exercised.
+    1 <= |supp c| <= (n+1)//2 nonzero entries.  The flips turn down accepted
+    stage draws (``stage_rejections``), so the stages draw again; the
+    acceptance test's own rejections are covered by
+    ``test_stage_accepts_agrees_with_oracle``.
     """
     n = draw(st.integers(1, 6))
     off = st.integers(-2, 2)
@@ -602,26 +629,27 @@ def bases_and_extendable_vectors(draw):
     basis = sympy.Matrix(lower) * sympy.Matrix(upper)
     supp = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=(n + 1) // 2))
     coords = [draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) if i in supp else 0 for i in range(n)]
-    range_max = draw(st.sampled_from((2, 3, 65536)))
-    return n, [tuple(int(v) for v in basis.col(j)) for j in range(n)], coords, range_max
+    flips = draw(st.lists(st.booleans(), max_size=8))
+    return n, [tuple(int(v) for v in basis.col(j)) for j in range(n)], coords, flips
 
 
 @settings(max_examples=100, deadline=None)
 @given(bases_and_extendable_vectors())
 # k = 1: no stage runs
-@example((5, [tuple(int(i == j) for i in range(5)) for j in range(5)], [0, 0, 7, 0, 0], 65536))
-# a skew basis with k = 2
-@example((3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)], [2, 0, -1], 2))
+@example((5, [tuple(int(i == j) for i in range(5)) for j in range(5)], [0, 0, 7, 0, 0], []))
+# a skew basis with k = 2, its first two accepted draws turned down
+@example((3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)], [2, 0, -1], [True, True]))
 def test_extend_to_maximal_agrees_with_oracles(case):
     # the last stage's acceptance is the certificate: the result contains x,
     # its coordinate family has the complement property in R^k and its
     # minimum dual-basis support is k, all checked by sympy
-    n, basis_vecs, coords, range_max = case
+    n, basis_vecs, coords, flips = case
     k = sum(1 for c in coords if c)
     bt = _sympy_cols([tuple(map(Fraction, v)) for v in basis_vecs]).T
     x = bt.solve(sympy.Matrix(coords))  # dual coordinates <x, b_i> = c_i
     b = Frame.from_vectors(basis_vecs, dim=n)
-    m = extend_to_maximal(b, _fractions(x), seed=0, range_max=range_max)
+    with stage_rejections(flips):
+        m = extend_to_maximal(b, _fractions(x), seed=0)
     assert m.dim == k
     cols = _sympy_cols(m.vectors())
     assert cols.rank() == k and cols.row_join(x).rank() == k
