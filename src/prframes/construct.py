@@ -29,6 +29,7 @@ from .ratlin import (
     RETRIES,
     Seed,
     derive_seed,
+    identity,
     sample_int_matrix,
     sample_pattern,
     solve,
@@ -531,12 +532,7 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
                 e[t] += phi[t]
         vecs.append(e)
     basis = Frame.from_vectors(vecs, dim=n)
-    m_basis = []
-    for t in range(k):
-        e = [Fraction(0)] * n
-        e[t] = Fraction(1)
-        m_basis.append(tuple(e))
-    sub = Subspace.from_vectors(m_basis, ambient_dim=n)
+    sub = Subspace.from_vectors(identity(n)[:k], ambient_dim=n)
     try:
         verdict = is_maximal_pr_subspace(basis, sub)
     except NotPRSubspace:
@@ -553,7 +549,6 @@ def _full_spark_fill(k: int, seed: Seed) -> List[Tuple[int, ...]]:
     for attempt in range(RETRIES + 1):
         rows = sample_int_matrix(k, k - 1, DEFAULT_RANGE_MAX, derive_seed(seed, 7 + attempt))
         cand = list(zip(*rows))
-        eye = [tuple(int(i == t) for i in range(k)) for t in range(k)]
-        if is_full_spark(Frame.from_vectors(eye + cand, dim=k)):
+        if is_full_spark(Frame.from_vectors([*identity(k), *cand], dim=k)):
             return cand
     raise RetriesExhausted("full-spark fill failed")

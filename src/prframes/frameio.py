@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import BadInput
 from .frames import Frame
@@ -58,6 +58,10 @@ def _rows_field(d, key: str) -> List[List[Fraction]]:
     return [_vec_in(r) for r in rows]
 
 
+def _vec_field(d, key: str) -> Tuple[Fraction, ...]:
+    return tuple(_vec_in(_field(d, key, lambda v: isinstance(v, list), "a list")))
+
+
 def frame_from_dict(d: dict) -> Frame:
     return Frame.from_vectors(_rows_field(d, "vectors"), dim=_int_field(d, "n"))
 
@@ -95,11 +99,19 @@ def witness_to_dict(w: S2Witness) -> dict:
 
 
 def witness_from_dict(d: dict) -> S2Witness:
+    """x and y are lists of rationals of one length; ``differing_index``, when given, an index."""
     from .lifting import S2Witness
 
-    return S2Witness(
-        tuple(_vec_in(d["x"])), tuple(_vec_in(d["y"])), d.get("differing_index")
-    )
+    x, y = _vec_field(d, "x"), _vec_field(d, "y")
+    if len(x) != len(y):
+        raise BadInput(f"'x' and 'y' must have one length, got {len(x)} and {len(y)}")
+    idx = None
+    if "differing_index" in d:
+        idx = _field(
+            d, "differing_index", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+            "a non-negative integer",
+        )
+    return S2Witness(x, y, idx)
 
 
 def verdict_to_dict(v: MaximalityVerdict) -> dict:

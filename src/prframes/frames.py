@@ -33,13 +33,16 @@ search's.  d(F), the removals, the watched searches and ``spark`` stay
 exact, since they need the exact values.
 
 ``spark`` is a depth-first search over independent subfamilies that shares
-each prefix's span; it runs on bare integer columns as ``_spark(cols)``, so
-the subspace tools reuse it for the minimum support.  Both searches ask
-about their columns in index order, so each holds every span as a
-``ratlin`` table: one row per normal, holding its dot products with the
-columns still to come and then the watched ones.  A membership question is
-a lookup in the table (``off_table``), and only a branch extends a span,
-updating its rows on the columns after the one added (``extend_table``).
+each prefix's span.  On bare integer columns, ``_spark(cols, within,
+kernel)`` is the size of the smallest dependent subfamily that meets
+``within``: the one independent-set search, which ``subspaces`` runs for
+the minimum support and, mod p first, for an extension stage's test.
+Both searches ask about their columns in index order, so each holds every
+span as a ``ratlin`` table: one row per normal, holding its dot products
+with the columns still to come and then the watched ones.  No other
+module reads these tables.  A membership question is a lookup in the
+table (``off_table``), and only a branch extends a span, updating its
+rows on the columns after the one added (``extend_table``).
 Each row stays a multiple of its normal's dot products, so every question
 gets the answer the normals would give.  All rank arithmetic is
 integer-only, and every verdict rests on exact ranks.
@@ -345,39 +348,56 @@ def spark(frame: Frame) -> int:
     return _spark(frame._int_cols)
 
 
-def _spark(cols: Sequence[IntVec]) -> int:
-    """Size of the smallest dependent subfamily of the columns; len+1 if none.
+def _spark(
+    cols: Sequence[IntVec], within: Optional[IndexSet] = None, kernel: Optional[Kernel] = None
+) -> int:
+    """Size of the smallest dependent subfamily that meets ``within``; len+1 if none.
 
-    Depth-first search over independent subfamilies in index order, each
-    node holding the table of its span and extending its parent's by one
-    column.  A column in the span of an independent set I closes a
-    dependent set of size |I|+1, so every circuit is found from its members
-    below its largest index.  The best size so far bounds the search: a
-    node is only expanded while it can still close a smaller dependent set.
-    A zero column (also the empty vector) is dependent on its own, so such a
-    family has spark 1.
+    ``within`` is a nonempty index set (None: every column), and ``kernel``
+    the span extension, as in ``_partition``.  Depth-first search over
+    independent subfamilies in index order, each node holding the table of
+    its span and extending its parent's by one column.  A column j in the
+    span of an independent set I closes the dependent set I+j, so every
+    circuit is found from its members below its largest index.
+
+    * A closed set I+j that avoids ``within`` counts as |I|+2: adding any
+      member of ``within`` gives a dependent set that meets it.  A smallest
+      dependent set D that meets ``within`` holds a circuit, which is D or,
+      when it avoids ``within``, a proper subset counted at most |D|.
+    * The search starts from the bound min(len, dim)+1: any dim+1 columns
+      are dependent, and one of them can be taken from ``within``.
+
+    A column is only tested, and a node only expanded, while it can still
+    lower the best count.  A zero column (also the empty vector) is
+    dependent on its own.
     """
-    best = len(cols) + 1
     if not cols:
-        return best
+        return 1
+    off_at, extend = off_table, kernel or extend_table
     n, width = len(cols[0]), len(cols)
-    # stack entries: (next index, table of an independent set's span)
-    stack = [(0, span_table(cols, n))]
+    best = min(width, n) + 1
+    # stack entries: (next index, table of an independent set's span,
+    # does the set meet within)
+    stack = [(0, span_table(cols, n), within is None)]
     while stack:
-        start, rows = stack.pop()
+        start, rows, meets = stack.pop()
         size = n - len(rows)
         if size + 1 >= best:
             continue
-        children = []
+        # can a closed set that avoids within, or a child, still lower best?
+        grow = size + 2 < best
         for j in range(start, width):
-            off = off_table(rows, j - width)
+            hit = meets or j in within
+            if not (hit or grow):
+                continue
+            off = off_at(rows, j - width)
             if off is None:
-                best = size + 1
-                break
-            if size + 2 < best:
-                children.append((j + 1, extend_table(rows, j - width, off)))
-        else:
-            stack.extend(reversed(children))
+                if hit:
+                    best = size + 1
+                    break
+                best, grow = size + 2, False
+            elif grow:
+                stack.append((j + 1, extend(rows, j - width, off), hit))
     return best
 
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadInput, CapExceeded
 from .frames import Frame, IndexSet, _partition, is_exact_pr_frame, has_complement_property
-from .ratlin import identity, int_rank, off_table, span_rows
+from .ratlin import int_rank, span_of
 
 REDUNDANCY_CAP = 16
 
@@ -113,26 +114,25 @@ def _colouring(frame: Frame, lam: Sequence[int], watched: Optional[Sequence[int]
 def _witness(
     frame: Frame, lam: Sequence[int], a: Optional[IndexSet], watched: Sequence[int] = ()
 ) -> Optional[S2Witness]:
-    """x = u + v, y = u - v from normals u of span A and v of span B, built as the search builds them.
+    """x = u + v, y = u - v from primitive normals u of span A and v of span B (``span_of``).
 
-    Each class span's table runs on the watched vectors and then e_1..e_n,
-    so each row ends with its primitive normal.  u and v are the first
-    normals, or with watched indices the first ones off the first watched
-    vector outside both spans, the ``differing_index``.
+    u and v are the first normals, or with watched indices the first ones
+    off the first watched vector outside both spans, the
+    ``differing_index``.  These are the normals, in the same order, that the
+    search's tables hold.
     """
     if a is None:
         return None
     n, cols = frame.dim, frame._int_cols
-    tail = [*(cols[i] for i in watched), *identity(n)]
-    na = span_rows((cols[j] for p, j in enumerate(lam) if p in a), n, tail)[0]
-    nb = span_rows((cols[j] for p, j in enumerate(lam) if p not in a), n, tail)[0]
-    ka, kb, idx = 0, 0, None
-    for at, i in zip(range(-len(tail), -n), watched):
-        off_a, off_b = off_table(na, at), off_table(nb, at)
-        if off_a is not None and off_b is not None:
-            ka, kb, idx = off_a[0], off_b[0], i
+    na = span_of((cols[j] for p, j in enumerate(lam) if p in a), n)
+    nb = span_of((cols[j] for p, j in enumerate(lam) if p not in a), n)
+    u, v, idx = na[0], nb[0], None
+    for i in watched:
+        off_a = next((h for h in na if sum(map(mul, h, cols[i]))), None)
+        off_b = next((h for h in nb if sum(map(mul, h, cols[i]))), None)
+        if off_a and off_b:
+            u, v, idx = off_a, off_b, i
             break
-    u, v = na[ka][-n:], nb[kb][-n:]
     x = tuple(Fraction(p + q) for p, q in zip(u, v))
     y = tuple(Fraction(p - q) for p, q in zip(u, v))
     return S2Witness(x, y, idx)

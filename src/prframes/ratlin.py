@@ -21,11 +21,11 @@ gcd-trimmed d_k r_i - d_i r_k, on the columns after j only.  That is the
 row of the normal d_k h_i - d_i h_k, up to a positive scale, because dot
 products are linear in the normal.  So each row stays a multiple of its
 normal's dot products, and every zero/nonzero answer is the one the
-normals would give.  Ranks and the searches in ``frames``, ``lifting`` and
-``subspaces`` run on this step.  So do nullspaces and solves: with the
-identity columns last, a row ends with its normal, and the normals of a
-row span are a kernel basis, one per free column (``span_rows``,
-``int_nullspace``, ``solve``).
+normals would give.  Ranks and the searches in ``frames`` run on this
+step, and no other module reads a table.  So do nullspaces and solves:
+with the identity columns last, a row ends with its normal, and the
+normals of a row span are a kernel basis, one per free column
+(``span_rows``, ``int_nullspace``, ``solve``).
 
 The residue kernel (``off_table``, ``extend_residue``) is the same step
 over the field of ``RESIDUE_P`` elements, the largest prime below 2^30: every

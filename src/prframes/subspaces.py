@@ -18,15 +18,13 @@ extension probe search one (frame, span) pair once.  The
 minimum dual-basis support of M, which decides maximality for a basis, is
 the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``; the rows of its parity-check matrix
-are the primitive normals that ``ratlin.span_of`` reads off a table whose
-last columns are e_1..e_n.  A subspace and a frame of different ambient
+are the primitive normals of a span (``ratlin.span_of``).  An extension
+stage's test is the same search, restricted to dependent row sets that
+meet the support.  A subspace and a frame of different ambient
 dimensions raise ``BadInput``.
 
-Every search here runs on the ``ratlin`` table step.  A span is held as
-its normals' dot products with the vectors still to come, so a
-membership question is a lookup and only a branch does arithmetic.
-
-Two searches here prove a negative, and each runs first modulo
+Every search here is a ``frames`` search, so this module never touches a
+span table.  Two of them prove a negative, and each runs first modulo
 ``ratlin.RESIDUE_P`` where the numbers can outgrow one digit
 (``ratlin.residue_first`` has the argument): the projected complement
 property (``is_pr_subspace``, through ``frames._certified_partition``) and
@@ -62,17 +60,13 @@ from .ratlin import (
     Seed,
     _vec_gcd_reduce,
     clear_denominators,
-    Kernel,
     derive_seed,
-    extend_table,
     int_nullspace,
     int_rank,
-    off_table,
     residue_first,
     sample_int_matrix,
     solve,
     span_of,
-    span_table,
 )
 
 D_MAX_CAP = 24
@@ -335,50 +329,21 @@ def is_maximal_pr_subspace(frame: Frame, sub: Subspace, seed: Seed = 0) -> Maxim
     )
 
 
-def _stage_accepts(us: List[IntVec], n: int, supp: FrozenSet[int]) -> bool:
+def _stage_accepts(us: List[IntVec], supp: FrozenSet[int]) -> bool:
     """Every m-row subset meeting the support is invertible, m = len(us).
 
-    Row i is (u[i] for u in us), a vector in R^m.  Where Hadamard's bound
-    lets the exact search's minors reach ``ratlin.RESIDUE_P``, the search
-    runs mod p first: a row subset independent mod p is independent over Q,
-    so finding no dependent row set mod p accepts.  Finding one may be a
-    collision, and the exact search decides.
+    Each u has n entries, and row i is (u[i] for u in us), a vector in
+    R^m.  For m <= n and a nonempty support (as ``extend_to_maximal``
+    guarantees), that holds iff no dependent set of at most m rows meets
+    the support (``frames._spark``): such a set lies in a singular m-subset
+    that meets it.  Where Hadamard's bound lets the exact search's minors reach
+    ``ratlin.RESIDUE_P``, the search runs mod p first: finding no
+    dependent row set mod p accepts, and finding one may be a collision,
+    so the exact search decides.
     """
+    m = len(us)
     rows = list(zip(*us))
-    return not residue_first(lambda rs, kernel: _dependent_rows(rs, n, supp, kernel), rows, len(us) - 1)
-
-
-def _dependent_rows(
-    rows: Sequence[IntVec], n: int, supp: FrozenSet[int], kernel: Optional[Kernel] = None
-) -> bool:
-    """Does some m-row subset meeting the support fail to be invertible?
-
-    ``kernel`` is the span extension, exact by default (see ``frames._partition``).
-    For m <= n and a nonempty support (as ``extend_to_maximal`` guarantees)
-    every such subset is invertible iff every dependent row set of size
-    <= m has size exactly m and avoids the support: a smaller one, or one
-    meeting the support, lies in a singular m-subset that meets it.  Those
-    sets are found as in ``frames._spark``, by a depth-first search over
-    independent row sets in index order, to depth m - 1, each node holding
-    the table of its span (``ratlin``).  At depth m - 1 a set that avoids
-    the support only needs its support rows tested, and any of them in the
-    span closes one.
-    """
-    off, extend = off_table, kernel or extend_table
-    # stack entries: (next index, table of an independent set's span, does it meet supp)
-    stack = [(0, span_table(rows, len(rows[0])), False)]
-    while stack:
-        start, table, meets = stack.pop()
-        last = len(table) == 1
-        for j in range(start, n):
-            if last and not meets and j not in supp:
-                continue
-            found = off(table, j - n)
-            if found is None:
-                return True
-            if not last:
-                stack.append((j + 1, extend(table, j - n, found), meets or j in supp))
-    return False
+    return not residue_first(lambda rs, kernel: _spark(rs, supp, kernel) <= m, rows, m - 1)
 
 
 def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:
@@ -428,7 +393,7 @@ def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:
             for _ in range(40):
                 u = _orthogonal_sample(basis, n, rng)
                 cand = us + [u]
-                if _stage_accepts(cand, n, supp):
+                if _stage_accepts(cand, supp):
                     got = u
                     break
             if got is None:

@@ -7,15 +7,14 @@ import pytest
 import prframes.frames
 import prframes.lifting
 import prframes.ratlin
-import prframes.subspaces
 
 
 def _count_steps(monkeypatch, *names):
     """Count the calls of ``ratlin`` steps as [all, first name, second name, ...].
 
-    The searches in frames, lifting and subspaces and the ranks in ratlin
-    all count.  Each of these modules binds the steps by name, so every
-    binding is replaced by one counting wrapper around the original.
+    The searches in frames and the ranks in ratlin all count.  Both
+    modules bind the steps by name (no other does, see test_layout.py), so
+    each binding is replaced by one counting wrapper around the original.
     """
     calls = [0] * (len(names) + 1)
 
@@ -29,7 +28,7 @@ def _count_steps(monkeypatch, *names):
 
     for slot, name in enumerate(names, 1):
         wrapper = counting(getattr(prframes.ratlin, name), slot)
-        for module in (prframes.ratlin, prframes.frames, prframes.lifting, prframes.subspaces):
+        for module in (prframes.ratlin, prframes.frames):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     return calls

@@ -75,6 +75,20 @@ def brute_spark(frame: Frame) -> int:
     return frame.N + 1
 
 
+def brute_spark_within(cols, within) -> int:
+    """Size of the smallest dependent subfamily of cols that meets within; len+1 if none.
+
+    within is a set of indices, or None for every column.  Subsets are
+    scanned by size, ranks by sympy.
+    """
+    N = len(cols)
+    for s in range(1, N + 1):
+        for combo in itertools.combinations(range(N), s):
+            if (within is None or within.intersection(combo)) and _rank([cols[i] for i in combo]) < s:
+                return s
+    return N + 1
+
+
 def brute_d_value(frame: Frame) -> int:
     """min over subsets of max(rank(subset), rank(complement))."""
     n, N = frame.dim, frame.N

@@ -144,6 +144,27 @@ def test_subspace_file_of_wrong_basis_shape_is_bad_input(tmp_path, capsys, basis
     assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({}, "missing key 'x'"),
+        ({"x": [1]}, "missing key 'y'"),
+        ({"x": 5, "y": [1]}, "'x' must be a list"),
+        ({"x": [1], "y": "1"}, "'y' must be a list"),
+        ([[1], [0]], "expected a JSON object, got list"),
+        ({"x": [1, "0.5"], "y": [0, 1]}, "not a rational"),
+        ({"x": [1, 0], "y": [1]}, "'x' and 'y' must have one length, got 2 and 1"),
+        ({"x": [1], "y": [0], "differing_index": "a"}, "'differing_index' must be a non-negative integer"),
+        ({"x": [1], "y": [0], "differing_index": -1}, "'differing_index' must be a non-negative integer"),
+        ({"x": [1], "y": [0], "differing_index": True}, "'differing_index' must be a non-negative integer"),
+        ({"x": [1], "y": [0], "differing_index": None}, "'differing_index' must be a non-negative integer"),
+    ],
+)
+def test_witness_from_dict_rejects_malformed_shapes(d, message):
+    with pytest.raises(BadInput, match=message):
+        witness_from_dict(d)
+
+
 @pytest.mark.parametrize("entry", ["0.5", "1e3", "1_000", " 1", "inf", "1/-2", "1/", ""])
 def test_frame_from_dict_rejects_non_rational_strings(entry):
     with pytest.raises(BadInput):

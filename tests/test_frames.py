@@ -14,6 +14,7 @@ from oracles import (
     brute_has_cp_halved,
     brute_is_exact_pr,
     brute_spark,
+    brute_spark_within,
 )
 from prframes import (
     Frame,
@@ -31,7 +32,8 @@ from prframes import (
     span_dim,
     spark,
 )
-from prframes.frames import _partition
+from prframes.frames import _partition, _spark
+from prframes.ratlin import extend_residue, residues
 
 
 def std_basis(n):
@@ -217,6 +219,46 @@ def test_spark_agrees_with_oracle(family):
     except NotAFrame:
         assume(False)
     assert spark(frame) == brute_spark(frame)
+
+
+@st.composite
+def spark_cases(draw):
+    """Up to 7 columns in R^n (n <= 4, entries in -2..2) and a nonempty index set or None."""
+    n = draw(st.integers(0, 4))
+    cols = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=7))
+    within = draw(st.none() | st.frozensets(st.integers(0, len(cols) - 1), min_size=1))
+    return cols, within
+
+
+@settings(max_examples=200, deadline=None)
+@given(spark_cases())
+def test_spark_within_agrees_with_oracle(case):
+    cols, within = case
+    exact = _spark(cols, within)
+    assert exact == brute_spark_within(cols, within)
+    # every rank mod p is at most the rank over Q
+    assert _spark(residues(cols), within, extend_residue) <= exact
+
+
+@pytest.mark.parametrize(
+    "cols, within, expected",
+    [
+        # empty vectors, the parity-check columns of a k = n subspace
+        ([(), (), ()], None, 1),
+        ([(), ()], frozenset({1}), 1),
+        # a zero column inside within is dependent alone; outside it, with
+        # any member of within
+        ([(1, 0), (0, 0), (0, 1)], frozenset({1}), 1),
+        ([(1, 0), (0, 0), (0, 1)], frozenset({2}), 2),
+        # the circuit {0, 1} avoids within: size + 1, below the dim + 1 start
+        ([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], frozenset({3}), 3),
+        ([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], frozenset({1}), 2),
+        # independent columns: none is dependent
+        ([(1, 0, 0), (0, 1, 0)], frozenset({0}), 3),
+    ],
+)
+def test_spark_within_examples(cols, within, expected):
+    assert _spark(cols, within) == brute_spark_within(cols, within) == expected
 
 
 @st.composite

@@ -11,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from oracles import _rank as oracle_rank, brute_family_has_cp, brute_has_cp, brute_stage_accepts
 from prframes import BadInput, Frame, NotAFrame, Subspace, is_phase_retrievable, is_pr_subspace, project_frame
-from prframes.frames import _partition
+from prframes.frames import _partition, _spark
 from prframes.ratlin import (
     RESIDUE_P,
     extend_residue,
@@ -20,7 +20,7 @@ from prframes.ratlin import (
     residues,
     span_table,
 )
-from prframes.subspaces import _dependent_rows, _stage_accepts
+from prframes.subspaces import _stage_accepts
 
 P = RESIDUE_P
 RESIDUE = extend_residue
@@ -104,8 +104,8 @@ def test_stage_rejected_mod_p_is_accepted_over_q():
     # invertible over Q, but rows 0 and 1 coincide mod p
     us, n, supp = [(1, 1, 0), (0, P, 1)], 3, frozenset({0})
     rows = list(zip(*us))
-    assert _dependent_rows(residues(rows), n, supp, RESIDUE)
-    assert _stage_accepts(us, n, supp)
+    assert _spark(residues(rows), supp, RESIDUE) <= 2
+    assert _stage_accepts(us, supp)
     assert brute_stage_accepts(us, n, supp)
 
 
@@ -156,5 +156,5 @@ def wide_stage_candidates(draw):
 @given(wide_stage_candidates())
 def test_certified_stage_agrees_with_oracle(case):
     us, n, supp = case
-    assert _stage_accepts(us, n, supp) == brute_stage_accepts(us, n, supp)
+    assert _stage_accepts(us, supp) == brute_stage_accepts(us, n, supp)
 

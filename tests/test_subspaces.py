@@ -577,8 +577,8 @@ def stage_rejections(flips):
     flips = iter(flips)
     verdicts = []
 
-    def stage(us, n, supp):
-        verdicts.append(inner(us, n, supp))
+    def stage(us, supp):
+        verdicts.append(inner(us, supp))
         return verdicts[-1] and not next(flips, False)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -700,7 +700,7 @@ def stage_candidates(draw):
 @given(stage_candidates())
 def test_stage_accepts_agrees_with_oracle(case):
     us, n, supp = case
-    assert _stage_accepts(us, n, supp) == brute_stage_accepts(us, n, supp)
+    assert _stage_accepts(us, supp) == brute_stage_accepts(us, n, supp)
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +734,11 @@ def test_extend_to_maximal_work_ceiling(span_tests):
     span_tests[0] = 0
     m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0), seed=0)
     assert m.dim == 5
-    # 1,862 tests; 2,726 when the result was re-proved PR with minimum support k
+    # 1,851 tests (1,862 with the basis built); 2,726 when the result was
+    # re-proved PR with minimum support k
     assert span_tests[0] <= 2330
+    # exact, not just bounded: search order and pruning fix the questions asked
+    assert span_tests[0] == 1851
 
 
 def test_extend_to_maximal_work_ceiling_support_7(span_tests):
@@ -745,3 +748,4 @@ def test_extend_to_maximal_work_ceiling_support_7(span_tests):
     assert m.dim == 7
     # 13,842 tests with the basis built; 21,376 with the re-proof
     assert span_tests[0] <= 17300
+    assert span_tests[0] == 13842
