@@ -38,8 +38,6 @@ from .ratlin import (
 # subspaces loads inside the one generator that uses it, so that
 # `prframes gen --kind exact` and `--kind dmax` do not import it
 
-Cell = Tuple[int, int]
-
 
 class PatternMatrix(NamedTuple):
     """Zero/nonzero mask with pinned 1-cells (identity block and step glue).

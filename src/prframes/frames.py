@@ -41,8 +41,12 @@ Both searches ask about their columns in index order, so each holds every
 span as a ``ratlin`` table: one row per normal, holding its dot products
 with the columns still to come and then the watched ones.  No other
 module reads these tables.  A membership question is a lookup in the
-table (``off_table``), and only a branch extends a span, updating its
-rows on the columns after the one added (``extend_table``).
+table: the first row nonzero at the column, or none when the column lies
+in the span.  Both searches read it in place, so no question in their
+loops costs a call (``off_table`` asks it for column 0 and the watched
+columns, and in ``ratlin.span_rows``).  Only a branch extends a span, a
+``ratlin`` call that updates its rows on the columns after the one added
+(``extend_table``).
 Each row stays a multiple of its normal's dot products, so every question
 gets the answer the normals would give.  All rank arithmetic is
 integer-only, and every verdict rests on exact ranks.
@@ -226,12 +230,15 @@ def _partition(
 
     ``kernel`` is the span extension, ``extend_table`` by default; with
     ``extend_residue`` the columns must be residues, and every rank is a
-    rank mod p.  The membership test is ``off_table`` either way.
+    rank mod p.  The membership test reads the table either way.
 
     Each class is held as the table of its span (``ratlin``) on the
-    columns and then the watched ones, so a node asks two membership
-    questions, a lookup each, and a class has rank <= t exactly while its
-    table keeps at least n - t rows.
+    columns and then the watched ones, and a class has rank <= t exactly
+    while its table keeps at least n - t rows.  A column lies in a span
+    iff its table has no row nonzero there, and the first nonzero row is
+    the one an extension drops (``off_table``).  Each popped node walks its
+    columns while they lie in the span of A or of B, reading both tables
+    in place, so a node costs one pop and a membership question no call.
     Column 0 is pinned to A (global swap symmetry).  A column in the span of
     A goes to A only, and otherwise a column in the span of B goes to B only:
     any 2-colouring with both ranks <= t stays one after that move, so the
@@ -280,6 +287,27 @@ def _partition(
     stack = [(1, start_a, empty, 1, live)]
     while stack:
         i, na, nb, amask, live = stack.pop()
+        # walk the columns in the span of A, or else of B, to the first one
+        # outside both, reading each table in place: its first row nonzero
+        # at the column, as ``off_table`` finds it
+        while i < ncols:
+            at = i - width
+            for ka, row in enumerate(na):
+                da = row[at]
+                if da:
+                    break
+            else:
+                amask |= 1 << i
+                i += 1
+                continue
+            for kb, row in enumerate(nb):
+                db = row[at]
+                if db:
+                    break
+            else:
+                i += 1
+                continue
+            break
         if i == ncols:
             r = n - min(len(na), len(nb))
             best = amask, r
@@ -288,23 +316,14 @@ def _partition(
             keep = n - r + 1  # go on with t = r - 1
             stack = [e for e in stack if len(e[1]) >= keep and len(e[2]) >= keep]
             continue
-        at = i - width
-        off_a = off(na, at)
-        if off_a is None:
-            stack.append((i + 1, na, nb, amask | 1 << i, live))
-            continue
-        off_b = off(nb, at)
-        if off_b is None:
-            stack.append((i + 1, na, nb, amask, live))
-            continue
         # live is None when nothing is watched and never empty on the stack
         if len(na) > keep:
-            grown = extend(na, at, off_a)
+            grown = extend(na, at, (ka, da))
             left = live and [c for c in live if off(grown, c) is not None]
             if left != []:
                 stack.append((i + 1, grown, nb, amask | 1 << i, left))
         if len(nb) > keep:
-            grown = extend(nb, at, off_b)
+            grown = extend(nb, at, (kb, db))
             left = live and [c for c in live if off(grown, c) is not None]
             if left != []:
                 stack.append((i + 1, na, grown, amask, left))
@@ -349,7 +368,10 @@ def spark(frame: Frame) -> int:
 
 
 def _spark(
-    cols: Sequence[IntVec], within: Optional[IndexSet] = None, kernel: Optional[Kernel] = None
+    cols: Sequence[IntVec],
+    within: Optional[IndexSet] = None,
+    kernel: Optional[Kernel] = None,
+    enough: int = 0,
 ) -> int:
     """Size of the smallest dependent subfamily that meets ``within``; len+1 if none.
 
@@ -369,11 +391,13 @@ def _spark(
 
     A column is only tested, and a node only expanded, while it can still
     lower the best count.  A zero column (also the empty vector) is
-    dependent on its own.
+    dependent on its own.  The search returns the first count it finds
+    that is at most ``enough``, which settles whether the least count is; the
+    default 0 lets no count do, so the search runs to the least.
     """
     if not cols:
         return 1
-    off_at, extend = off_table, kernel or extend_table
+    extend = kernel or extend_table
     n, width = len(cols[0]), len(cols)
     best = min(width, n) + 1
     # stack entries: (next index, table of an independent set's span,
@@ -390,14 +414,23 @@ def _spark(
             hit = meets or j in within
             if not (hit or grow):
                 continue
-            off = off_at(rows, j - width)
-            if off is None:
-                if hit:
-                    best = size + 1
+            at = j - width
+            # the table read in place: its first row nonzero at j, as
+            # ``off_table`` finds it, or none when j lies in the span
+            for k, row in enumerate(rows):
+                d = row[at]
+                if d:
                     break
-                best, grow = size + 2, False
-            elif grow:
-                stack.append((j + 1, extend(rows, j - width, off), hit))
+            else:
+                best = size + 1 if hit else size + 2
+                if best <= enough:
+                    return best
+                if hit:
+                    break
+                grow = False
+                continue
+            if grow:
+                stack.append((j + 1, extend(rows, at, (k, d)), hit))
     return best
 
 

@@ -14,10 +14,11 @@ columns it tests after them.  A span of rank r in R^n has n - r independent
 integer normals, and its table holds one row per normal: that normal's dot
 products with the columns still to come.  The zero span's normals are the
 identity rows, so its table is the columns transposed (``span_table``).
-Column j lies in the span iff every row is zero at j (``off_table``: a
-lookup, no arithmetic).  Adding a column that is not (``extend_table``)
-takes the first nonzero entry d_k and replaces each other row r_i by the
-gcd-trimmed d_k r_i - d_i r_k, on the columns after j only.  That is the
+Column j lies in the span iff every row is zero at j: a lookup, no
+arithmetic, which ``off_table`` makes and the searches in ``frames`` make
+in place.  Adding a column that is not (``extend_table``) takes the first
+nonzero entry d_k and replaces each other row r_i by the gcd-trimmed
+d_k r_i - d_i r_k, on the columns after j only.  That is the
 row of the normal d_k h_i - d_i h_k, up to a positive scale, because dot
 products are linear in the normal.  So each row stays a multiple of its
 normal's dot products, and every zero/nonzero answer is the one the
@@ -125,6 +126,7 @@ def off_table(rows: Table, at: int) -> Optional[Tuple[int, int]]:
 
     ``at`` is the column's position counted from the end of the table
     (column j of M is at j - M), which trimming a row's front never moves.
+    The searches in ``frames`` make this scan in place, in their loops.
     """
     for k, row in enumerate(rows):
         d = row[at]
@@ -161,7 +163,7 @@ def extend_table(rows: Table, at: int, off: Tuple[int, int]) -> Table:
 RESIDUE_P = 1073741789  # the largest prime below 2^30
 
 # a span step's extension, exact (``extend_table``) or mod p (``extend_residue``);
-# the membership test is ``off_table`` for both
+# the membership test reads the table alike for both
 Kernel = Callable[[Table, int, Tuple[int, int]], Table]
 
 Found = TypeVar("Found")

@@ -336,14 +336,15 @@ def _stage_accepts(us: List[IntVec], supp: FrozenSet[int]) -> bool:
     R^m.  For m <= n and a nonempty support (as ``extend_to_maximal``
     guarantees), that holds iff no dependent set of at most m rows meets
     the support (``frames._spark``): such a set lies in a singular m-subset
-    that meets it.  Where Hadamard's bound lets the exact search's minors reach
-    ``ratlin.RESIDUE_P``, the search runs mod p first: finding no
-    dependent row set mod p accepts, and finding one may be a collision,
-    so the exact search decides.
+    that meets it.  So the search stops at the first such set it finds
+    (``_spark``'s ``enough`` is m).  Where Hadamard's bound lets the exact
+    search's minors reach ``ratlin.RESIDUE_P``, the search runs mod p
+    first: finding no dependent row set mod p accepts, and finding one may
+    be a collision, so the exact search decides.
     """
     m = len(us)
     rows = list(zip(*us))
-    return not residue_first(lambda rs, kernel: _spark(rs, supp, kernel) <= m, rows, m - 1)
+    return not residue_first(lambda rs, kernel: _spark(rs, supp, kernel, m) <= m, rows, m - 1)
 
 
 def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:

@@ -36,12 +36,43 @@ def _count_steps(monkeypatch, *names):
 
 @pytest.fixture
 def span_tests(monkeypatch):
-    """Count span membership tests (``off_table``) across prframes in ``span_tests[0]``.
+    """Count span membership tests across prframes in ``span_tests[0]``.
 
-    The exact and the residue search ask them alike; ``span_extensions``
+    A membership test is one scan of a span table's rows, up to the first
+    row nonzero at the column: a call of ``off_table``, or the same scan
+    that the searches in frames make in place, which no call wrapper sees.
+    So the steps that make tables (``span_table``, ``extend_table``,
+    ``extend_residue``), bound by name in frames and ratlin only, are
+    wrapped to return tables whose every iteration counts.  Slicing a
+    table gives a plain tuple, so an extension's own reads of its input do
+    not count.  The one scan of a table that tests nothing, ``ratlin``
+    reading the normals off ``span_rows``, gets the rows as a plain tuple.
+    The exact and the residue search ask tests alike; ``span_extensions``
     tells the two apart.
     """
-    return _count_steps(monkeypatch, "off_table")
+    calls = [0]
+
+    class Counted(tuple):
+        def __iter__(self):
+            calls[0] += 1
+            return tuple.__iter__(self)
+
+    def counting(inner):
+        return lambda *args: Counted(inner(*args))
+
+    for name in ("span_table", "extend_table", "extend_residue"):
+        wrapper = counting(getattr(prframes.ratlin, name))
+        for module in (prframes.ratlin, prframes.frames):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    inner_rows = prframes.ratlin.span_rows
+
+    def span_rows(*args):
+        rows, free = inner_rows(*args)
+        return rows[:], free
+
+    monkeypatch.setattr(prframes.ratlin, "span_rows", span_rows)
+    return calls
 
 
 @pytest.fixture

@@ -367,6 +367,20 @@ def test_exactness_work_ceiling_generated_6_21(span_tests):
     assert span_tests[0] <= 2400
 
 
+def test_span_tests_count_the_scans_made_in_place(span_tests):
+    # the partition and spark searches read their tables in place, with no
+    # call to wrap; a fixture that saw only calls would count 1 and 0 here
+    # and every ceiling above would pass on a blind counter
+    frame = fresh_generated(6, 21, 0)
+    span_tests[0] = 0
+    assert has_complement_property(frame).holds
+    assert span_tests[0] == 2278
+    frame = generate_exact_pr(6, 11, 0).frame
+    span_tests[0] = 0
+    assert spark(frame) == 7
+    assert span_tests[0] > 0
+
+
 def test_spark_work_ceiling_generated_6_11(span_tests):
     frame = generate_exact_pr(6, 11, 0).frame
     span_tests[0] = 0

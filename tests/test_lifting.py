@@ -25,6 +25,7 @@ from prframes import (
     S2Witness,
     find_s2_element,
     find_s2_witness,
+    generate_exact_pr,
     has_exact_pr_redundancy,
     is_exact_pr_frame,
     is_phase_retrievable,
@@ -435,6 +436,18 @@ def test_redundancy_work_ceiling_non_pr_3_7(span_tests):
     span_tests[0] = 0
     assert pr_redundancy(f) == Fraction(7, 5)
     assert span_tests[0] <= 600
+
+
+def test_witness_search_count_generated_5_12(span_tests):
+    # one watched search: the exact (5, 12) frame loses PR without vector 0,
+    # and the complement (vector 0) is watched; exact, since search order
+    # and pruning fix the questions asked
+    f = Frame.from_vectors(generate_exact_pr(5, 12, 0).frame.vectors, dim=5)
+    lam = list(range(1, 12))
+    span_tests[0] = 0
+    w = find_s2_witness(f, lam)
+    assert w.validate(f, lam) and w.differing_index == 0
+    assert span_tests[0] == 221
 
 
 def test_s2_element_and_redundancy_search_the_frame_once(partition_searches):

@@ -727,6 +727,22 @@ def test_d_max_work_ceiling_sparse(span_tests, vecs, d, ceiling):
     span_tests[0] = 0
     assert d_max(f) == d
     assert span_tests[0] <= ceiling
+    # exact, not just bounded: search order and pruning fix the questions asked
+    assert span_tests[0] == {14: 1024, 16: 1071}[len(vecs)]
+
+
+@pytest.mark.parametrize(
+    "within, enough, count, tests",
+    [(None, 0, 4, 799), ({0}, 0, 5, 1254), (None, 4, 4, 232), ({0}, 5, 5, 232), ({0}, 4, 5, 1254)],
+)
+def test_spark_count_sparse_8_16(span_tests, within, enough, count, tests):
+    # the least dependent set is a 4-set that avoids column 0, which counts
+    # as 5 until the search proves that no 4-set meets column 0; with
+    # ``enough`` the search stops at the first count found that is at most
+    # that, and a least count above it takes the full search
+    span_tests[0] = 0
+    assert prframes.frames._spark(SPARSE_8_16, within and frozenset(within), None, enough) == count
+    assert span_tests[0] == tests
 
 
 def test_extend_to_maximal_work_ceiling(span_tests):
