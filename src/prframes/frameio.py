@@ -132,5 +132,9 @@ def save_json(obj: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
+    """The JSON document in ``path``; nesting too deep for the parser raises BadInput."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise BadInput(f"{path}: JSON nested too deeply") from None

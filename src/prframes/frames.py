@@ -62,10 +62,12 @@ from .errors import NotAFrame
 from .ratlin import (
     IntVec,
     Kernel,
-    clear_denominators,
+    as_fractions,
     extend_table,
     int_rank,
     off_table,
+    primitive_rows,
+    read_rows,
     residue_first,
     span_table,
 )
@@ -112,39 +114,45 @@ class Frame(_Value):
 
     The constructor rejects non-spanning input: every criterion in this
     package assumes a frame for the whole space.  Indices are 0-based.
+    The vectors are read with ``ratlin.read_rows``: when every entry is an
+    int they are held as given, and every check runs on them without a
+    ``Fraction``.  ``vectors``, the rational columns, is built on first read.
     """
 
     _fields = ("dim", "vectors")
     dim: int
-    vectors: Tuple[Tuple[Fraction, ...], ...]
 
-    def __init__(self, dim: int, vectors: Tuple[Tuple[Fraction, ...], ...]):
-        self.__dict__.update(dim=dim, vectors=vectors)
-        n = self.dim
-        if n < 1:
+    def __init__(self, dim: int, vectors: Iterable[Iterable]):
+        rows = read_rows(vectors)
+        self.__dict__.update(dim=dim, _rows=rows)
+        if dim < 1:
             raise NotAFrame("ambient dimension must be >= 1")
-        if any(len(v) != n for v in self.vectors):
+        if any(len(v) != dim for v in rows):
             raise NotAFrame("vector length does not match dim")
-        if len(self.vectors) < n:
-            raise NotAFrame(f"need at least {n} vectors, got {len(self.vectors)}")
-        if int_rank(self._int_cols) < n:
+        if len(rows) < dim:
+            raise NotAFrame(f"need at least {dim} vectors, got {len(rows)}")
+        if int_rank(self._int_cols) < dim:
             raise NotAFrame("vectors do not span R^n")
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Iterable], dim: Optional[int] = None) -> "Frame":
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        vecs = tuple(map(tuple, vectors))
         if not vecs:
             raise NotAFrame("empty vector list")
         return cls(dim if dim is not None else len(vecs[0]), vecs)
 
+    @cached_property
+    def vectors(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return as_fractions(self._rows)
+
     @property
     def N(self) -> int:
-        return len(self.vectors)
+        return len(self._rows)
 
     @cached_property
     def _int_cols(self) -> Tuple[IntVec, ...]:
         # per-vector scaling to primitive integer vectors; rank-neutral
-        return tuple(clear_denominators(v) for v in self.vectors)
+        return primitive_rows(self._rows)
 
     @cached_property
     def _cp(self) -> CPResult:

@@ -4,9 +4,13 @@ Everything downstream (complement-property scans, kernel searches, pattern
 instantiation) runs on top of this module, and this module is the only place
 that eliminates.  All arithmetic is exact, and the one kernel works
 fraction-free on Python integers with gcd trimming.  A vector family is a
-tuple of integer or rational vectors; there is no matrix class.
-``fractions.Fraction`` appears only where input is parsed, where output is
-printed, and in ``solve``'s result.  No floating point appears anywhere.
+tuple of integer or rational vectors; there is no matrix class.  Input
+rows are read in one place (``read_rows``): rows whose every entry is an
+int are held as given, and any other rows with every entry a ``Fraction``.
+``fractions.Fraction`` appears only where non-integer input is read, where
+a caller asks for rational rows (``as_fractions``: ``Frame.vectors`` and
+``Subspace.basis`` on first read), where output is printed, and in
+``solve``'s result.  No floating point appears anywhere.
 
 The kernel is the span step, on a table.  Every caller knows up front the
 columns it will ask about, in the order it adds them, and the watched
@@ -301,6 +305,47 @@ def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[IntVec]:
     """
     normals, free = _normals_and_free(rows, ncols)
     return [h if h[c] > 0 else tuple(-x for x in h) for h, c in zip(normals, free)]
+
+
+Rows = Tuple[tuple, ...]  # held rows: every entry an int, or every entry a Fraction
+
+
+def read_rows(vectors: Iterable[Iterable]) -> Rows:
+    """Rational rows as held: as given when every entry is an int, else every entry a Fraction.
+
+    Only ``type(x) is int`` counts as an int, so bools (and int subclasses)
+    go through ``Fraction``.  Entries that are Fractions already are kept.
+    """
+    rows = tuple(map(tuple, vectors))
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
+
+
+def _held_ints(rows: Rows) -> bool:
+    # held rows are all int or all Fraction, so their first entry tells
+    return type(next(chain.from_iterable(rows), None)) is int
+
+
+def as_fractions(rows: Rows) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Held rows with every entry a Fraction: int rows converted, Fraction rows as held."""
+    if _held_ints(rows):
+        return tuple(tuple(map(Fraction, row)) for row in rows)
+    return rows
+
+
+def primitive_rows(rows: Rows) -> Tuple[IntVec, ...]:
+    """Each held row scaled by a positive rational into a primitive int vector.
+
+    Int rows take one ``gcd`` each, and Fraction rows ``clear_denominators``.
+    """
+    if not _held_ints(rows):
+        return tuple(map(clear_denominators, rows))
+    out = []
+    for v in rows:
+        g = gcd(*v)
+        out.append(tuple([x // g for x in v]) if g > 1 else v)
+    return tuple(out)
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> IntVec:

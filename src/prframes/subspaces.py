@@ -59,10 +59,13 @@ from .ratlin import (
     IntVec,
     Seed,
     _vec_gcd_reduce,
+    as_fractions,
     clear_denominators,
     derive_seed,
     int_nullspace,
     int_rank,
+    primitive_rows,
+    read_rows,
     residue_first,
     sample_int_matrix,
     solve,
@@ -78,33 +81,39 @@ PROBE_BUDGET = 20
 class Subspace(_Value):
     """A subspace of R^n given by k independent basis columns in R^n.
 
-    ``basis`` is a tuple of rational columns, as ``Frame.vectors`` is.
-    Dependent columns, a column of the wrong length, or no columns at all
-    raise ``BadInput``.  Columns produced by the extension algorithm have
-    orthogonal dual-basis coordinates but are left unnormalized; every
-    criterion used downstream is scale-invariant.
+    ``basis`` is a tuple of rational columns, as ``Frame.vectors`` is, and
+    like it is built on first read: columns whose every entry is an int are
+    held as given (``ratlin.read_rows``).  Dependent columns, a column of
+    the wrong length, or no columns at all raise ``BadInput``.  Columns
+    produced by the extension algorithm have orthogonal dual-basis
+    coordinates but are left unnormalized; every criterion used downstream
+    is scale-invariant.
     """
 
     _fields = ("ambient_dim", "basis")
     ambient_dim: int
-    basis: Tuple[Tuple[Fraction, ...], ...]
 
-    def __init__(self, ambient_dim: int, basis: Tuple[Tuple[Fraction, ...], ...]):
-        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
-        if not self.basis:
+    def __init__(self, ambient_dim: int, basis: Iterable[Iterable]):
+        rows = read_rows(basis)
+        self.__dict__.update(ambient_dim=ambient_dim, _rows=rows)
+        if not rows:
             raise BadInput("need at least one basis column")
-        for col in self.basis:
-            _require_length(col, self.ambient_dim)
-        if int_rank(self._int_cols) < self.dim:
+        for col in rows:
+            _require_length(col, ambient_dim)
+        if int_rank(self._int_cols) < len(rows):
             raise BadInput("basis columns are dependent")
+
+    @cached_property
+    def basis(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return as_fractions(self._rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Iterable], ambient_dim: Optional[int] = None) -> "Subspace":
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        vecs = tuple(map(tuple, vectors))
         if ambient_dim is None:
             if not vecs:
                 raise BadInput("empty vector list")
@@ -114,7 +123,7 @@ class Subspace(_Value):
     @cached_property
     def _int_cols(self) -> Tuple[IntVec, ...]:
         # basis columns scaled to primitive integer vectors; rank-neutral
-        return tuple(clear_denominators(col) for col in self.basis)
+        return primitive_rows(self._rows)
 
     def vectors(self) -> List[Tuple[Fraction, ...]]:
         return list(self.basis)
@@ -283,7 +292,7 @@ def _extension_probe(frame: Frame, sub: Subspace, seed: Seed) -> Optional[Subspa
     rng = random.Random(derive_seed(seed, 9001))
     for _ in range(PROBE_BUDGET):
         u = _orthogonal_sample(basis, n, rng)
-        bigger = Subspace.from_vectors(sub.basis + (u,), ambient_dim=n)
+        bigger = Subspace(n, sub._rows + (u,))
         if is_pr_subspace(frame, bigger):
             return bigger
     return None

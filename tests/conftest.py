@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import functools
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +73,25 @@ def span_tests(monkeypatch):
         return rows[:], free
 
     monkeypatch.setattr(prframes.ratlin, "span_rows", span_rows)
+    return calls
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """Count calls of ``Fraction.__new__`` in ``fractions_made[0]``.
+
+    Every ``Fraction(...)`` call counts, wherever it is made.  (Results of
+    Fraction arithmetic count too on Python versions whose operators build
+    them through ``__new__``; they need a Fraction operand, made first.)
+    """
+    calls = [0]
+    inner = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        calls[0] += 1
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
     return calls
 
 

@@ -178,6 +178,10 @@ def test_verify_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+# deeper than the JSON parser can recurse
+DEEPLY_NESTED = '{"n": 2, "vectors": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -188,10 +192,11 @@ def test_verify_malformed_json_exits_2(capsys, tmp_path):
         '{"n": 2, "vectors": [[1, 0], [0, true], [1, 1]]}',
         '{"n": 2, "vectors": [[1, 0], [0, 1], [0.5, 1]]}',
         '{"n": 2, "vectors": [["1e3", 0], [0, 1], ["0.5", "1"]]}',
+        DEEPLY_NESTED,
     ],
     ids=[
         "string-n", "scalar-vectors", "top-level-list", "zero-denominator", "bool", "float",
-        "decimal-string",
+        "decimal-string", "deeply-nested",
     ],
 )
 def test_verify_malformed_frame_exits_2(capsys, tmp_path, doc):
@@ -200,6 +205,15 @@ def test_verify_malformed_frame_exits_2(capsys, tmp_path, doc):
     code, out, err = run(capsys, "verify", str(p), "--checks", "pr")
     assert code == 2
     assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
+    assert "Traceback" not in err
+
+
+def test_subspace_file_nested_too_deeply_exits_2(capsys, tmp_path, pr_frame_file):
+    sub = tmp_path / "deep.json"
+    sub.write_text(DEEPLY_NESTED)
+    code, out, err = run(capsys, "subspace", pr_frame_file, "--action", "check", "--subspace-file", str(sub))
+    assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
     assert "Traceback" not in err
 
