@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional
 
 from . import frameio
@@ -206,7 +205,7 @@ def cmd_subspace(args) -> int:
         sub,
         meta={
             "certified": {"pr": True, "min_support": sub.dim, "maximal": True},
-            "contains": [format_rational(Fraction(t)) for t in x],
+            "contains": [format_rational(t) for t in x],
         },
     )
     _write_or_emit(obj, args.out)

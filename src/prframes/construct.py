@@ -11,7 +11,6 @@ measure-zero event at integer scale) is retried with a derived seed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -40,9 +39,10 @@ from .ratlin import (
 
 
 class PatternMatrix(NamedTuple):
-    """Zero/nonzero mask with pinned 1-cells (identity block and step glue).
+    """Zero/nonzero mask; its identity columns are the cells pinned to 1.
 
-    Structural invariants (checked by :meth:`validate`):
+    The mask is n rows of N cells.  Structural invariants (checked by
+    :meth:`validate`):
 
     * contains the full identity as a column submatrix,
     * every non-identity column has at least one zero and two nonzeros,
@@ -51,32 +51,34 @@ class PatternMatrix(NamedTuple):
       j_1..j_n with cells (i, j_l) and (l, j_l) both nonzero.
     """
 
-    n: int
-    N: int
     mask: Tuple[Tuple[bool, ...], ...]
-    ones: frozenset = frozenset()
+
+    @property
+    def n(self) -> int:
+        return len(self.mask)
+
+    @property
+    def N(self) -> int:
+        return len(self.mask[0])
 
     def col_nonzeros(self, j: int) -> List[int]:
         return [i for i in range(self.n) if self.mask[i][j]]
 
     def identity_columns(self) -> Optional[List[int]]:
-        """Column index of e_i for each i, or None if some e_i is missing."""
-        out = []
-        for i in range(self.n):
-            j = next(
-                (
-                    j
-                    for j in range(self.N)
-                    if self.col_nonzeros(j) == [i] and (i, j) in self.ones
-                ),
-                None,
-            )
-            if j is None:
-                return None
-            out.append(j)
-        return out
+        """Column index of e_i for each i, or None if some e_i is missing.
+
+        e_i is the first column whose one nonzero cell is in row i; under the
+        second invariant no other column has a single nonzero.
+        """
+        cols = [self.col_nonzeros(j) for j in range(self.N)]
+        try:
+            return [cols.index([i]) for i in range(self.n)]
+        except ValueError:
+            return None
 
     def validate(self) -> None:
+        if not self.mask or len(set(map(len, self.mask))) != 1:
+            raise PatternViolation("shape", "mask must be a nonempty rectangle")
         id_cols = self.identity_columns()
         if id_cols is None:
             raise PatternViolation("P1", "identity submatrix missing")
@@ -117,17 +119,11 @@ class PatternMatrix(NamedTuple):
         return {l: j for j, l in owner.items()}
 
     def permute_columns(self, order: Sequence[int]) -> "PatternMatrix":
-        inv = {old: new for new, old in enumerate(order)}
-        mask = tuple(tuple(row[j] for j in order) for row in self.mask)
-        ones = frozenset((i, inv[j]) for i, j in self.ones)
-        return PatternMatrix(self.n, self.N, mask, ones)
+        return PatternMatrix(tuple(tuple(row[j] for j in order) for row in self.mask))
 
     def permute_rows(self, order: Sequence[int]) -> "PatternMatrix":
         # relabels coordinates; (P1)-(P4) are invariant under this
-        inv = {old: new for new, old in enumerate(order)}
-        mask = tuple(self.mask[i] for i in order)
-        ones = frozenset((inv[i], j) for i, j in self.ones)
-        return PatternMatrix(self.n, self.N, mask, ones)
+        return PatternMatrix(tuple(self.mask[i] for i in order))
 
     def normalized(self) -> "PatternMatrix":
         """Identity columns first (in row order), remaining columns in order."""
@@ -159,8 +155,7 @@ def base_pattern_36() -> PatternMatrix:
         (False, True, False, True, False, True),
         (False, False, True, False, True, True),
     )
-    ones = frozenset({(0, 0), (1, 1), (2, 2)})
-    p = PatternMatrix(3, 6, mask, ones)
+    p = PatternMatrix(mask)
     p.validate()
     return p
 
@@ -169,15 +164,9 @@ def step_I(a: PatternMatrix) -> PatternMatrix:
     """(n, N) -> (n+1, N+n+1): one fresh free column per old row, plus e_{n+1}."""
     a.validate()
     n, N = a.n, a.N
-    rows = []
-    for i in range(n):
-        new = [False] * (n + 1)
-        new[i] = True
-        rows.append(tuple(a.mask[i]) + tuple(new))
-    last = [False] * N + [True] * n + [True]
-    rows.append(tuple(last))
-    ones = set(a.ones) | {(n, N + n)}
-    b = PatternMatrix(n + 1, N + n + 1, tuple(rows), frozenset(ones)).normalized()
+    rows = [tuple(row) + tuple(j == i for j in range(n + 1)) for i, row in enumerate(a.mask)]
+    rows.append((False,) * N + (True,) * (n + 1))
+    b = PatternMatrix(tuple(rows)).normalized()
     b.validate()
     return b
 
@@ -220,9 +209,8 @@ def step_II(a: PatternMatrix) -> PatternMatrix:
                     rows.append(tuple(cand.mask[i]) + tuple(ext))
                 last = [False] * (N - 1) + [True] + [True] * (n - 1) + [True]
                 rows.append(tuple(last))
-                ones = set(cand.ones) | {(n, N + n - 1)}
                 try:
-                    b = PatternMatrix(n + 1, N + n, tuple(rows), frozenset(ones)).normalized()
+                    b = PatternMatrix(tuple(rows)).normalized()
                     b.validate()
                 except PatternViolation:
                     continue
@@ -257,17 +245,10 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
         + [tail_col]
     )
     a = a.permute_columns(order)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(a.mask[i]) + (True, False))  # column N+1 free in rows 1..n
-    last = (
-        [False] * (N - n)
-        + [True] * n          # row n+1 free under the last n old columns
-        + [False, True]
-    )
-    rows.append(tuple(last))
-    ones = set(a.ones) | {(n, N + 1)}
-    b = PatternMatrix(n + 1, N + 2, tuple(rows), frozenset(ones)).normalized()
+    rows = [row + (True, False) for row in a.mask]  # column N+1 free in rows 1..n
+    # row n+1 free under the last n old columns
+    rows.append((False,) * (N - n) + (True,) * n + (False, True))
+    b = PatternMatrix(tuple(rows)).normalized()
     b.validate()
     return b
 
@@ -306,10 +287,9 @@ def plan(n: int, N: int) -> ConstructionPlan:
     """Backward-search a derivation; prefers the smallest-growth step first."""
     if n < 3 or N < 2 * n or N > n * (n + 1) // 2:
         raise OutOfRange(f"no pattern target (n={n}, N={N})")
-    steps = _plan_steps(n, N)
-    if steps is None:
-        raise OutOfRange(f"no derivation path to (n={n}, N={N})")
-    return ConstructionPlan(steps, (n, N))
+    # every in-range target has a path: for n >= 5 either (n-1, N-2) or
+    # (n-1, N-n) is in range, as (n-2)(n-5) >= 0; n = 3, 4 by inspection
+    return ConstructionPlan(_plan_steps(n, N), (n, N))
 
 
 @lru_cache(maxsize=None)
@@ -342,14 +322,13 @@ def _pattern(steps: Tuple[str, ...]) -> PatternMatrix:
     return _STEP_FNS[steps[-1]](_pattern(steps[:-1]))
 
 
-def instantiate(
-    pat: PatternMatrix, range_max: int, seed: Seed
-) -> Frame:
-    """Draw the free cells, pin the 1-cells, return the column frame."""
-    rows = [list(row) for row in sample_pattern(pat.mask, range_max, seed)]
-    for i, j in pat.ones:
-        rows[i][j] = 1
-    return Frame.from_vectors(zip(*rows), dim=pat.n)
+def instantiate(pat: PatternMatrix, range_max: int, seed: Seed) -> Frame:
+    """Draw every nonzero cell, set the identity columns to e_i, return the column frame."""
+    cols = zip(*sample_pattern(pat.mask, range_max, seed))
+    return Frame.from_vectors(
+        (tuple(map(int, m)) if sum(m) == 1 else col for col, m in zip(cols, zip(*pat.mask))),
+        dim=pat.n,
+    )
 
 
 def generate_exact_pr(
@@ -390,8 +369,7 @@ def generate_exact_pr(
 def compose_direct_sum(f1: Frame, f2: Frame) -> Frame:
     """Embed f1 in the leading and f2 in the trailing coordinates, concatenate."""
     k, m = f1.dim, f2.dim
-    vecs = [tuple(v) + (Fraction(0),) * m for v in f1.vectors]
-    vecs += [(Fraction(0),) * k + tuple(v) for v in f2.vectors]
+    vecs = [v + (0,) * m for v in f1._rows] + [(0,) * k + v for v in f2._rows]
     return Frame.from_vectors(vecs, dim=k + m)
 
 
@@ -472,16 +450,9 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed) -> CertifiedFrame:
         try:
             if N <= k * (k + 1) // 2:
                 g = _as_identity_leading(generate_exact_pr(k, N, s))
-                zeros_tail = (Fraction(0),) * n2
-                vecs: List[Tuple[Fraction, ...]] = []
-                for j in range(k):
-                    vecs.append(tuple(g.vectors[j]) + zeros_tail)
-                for j in range(k, n):
-                    e = [Fraction(0)] * n2
-                    e[j - k] = Fraction(1)
-                    vecs.append(tuple(g.vectors[j]) + tuple(e))
-                for j in range(n, N):
-                    vecs.append(tuple(g.vectors[j]) + zeros_tail)
+                # vectors k..n-1 tilt into e_1..e_{n-k} of the complement
+                e, zeros = identity(n2), (0,) * n2
+                vecs = [v + (e[j - k] if k <= j < n else zeros) for j, v in enumerate(g._rows)]
                 frame = Frame.from_vectors(vecs, dim=n)
                 mode = ["tilted_slice", N]
             else:
@@ -520,15 +491,9 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
     if not (1 <= k <= (n + 1) // 2):
         raise OutOfRange(f"maximal PR subspaces of a basis need 1 <= k <= [(n+1)/2]")
     phis = _full_spark_fill(k, seed)
-    vecs: List[List[Fraction]] = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        if k <= i < 2 * k - 1:
-            phi = phis[i - k]
-            for t in range(k):
-                e[t] += phi[t]
-        vecs.append(e)
+    vecs = list(identity(n))
+    for i, phi in enumerate(phis, start=k):
+        vecs[i] = tuple(e + t for e, t in zip(vecs[i], phi + (0,) * (n - k)))
     basis = Frame.from_vectors(vecs, dim=n)
     sub = Subspace.from_vectors(identity(n)[:k], ambient_dim=n)
     try:

@@ -21,8 +21,8 @@ if TYPE_CHECKING:
     from .subspaces import MaximalityVerdict, Subspace
 
 
-def _vec_out(v: Sequence[Fraction]) -> List:
-    return [format_rational(Fraction(x)) for x in v]
+def _vec_out(v: Sequence) -> List:
+    return [format_rational(x) for x in v]
 
 
 def _vec_in(v: Sequence) -> List[Fraction]:

@@ -9,8 +9,9 @@ rows are read in one place (``read_rows``): rows whose every entry is an
 int are held as given, and any other rows with every entry a ``Fraction``.
 ``fractions.Fraction`` appears only where non-integer input is read, where
 a caller asks for rational rows (``as_fractions``: ``Frame.vectors`` and
-``Subspace.basis`` on first read), where output is printed, and in
-``solve``'s result.  No floating point appears anywhere.
+``Subspace.basis`` on first read), and in ``solve``'s result.  The
+generators build integer rows, and ``format_rational`` prints ints and
+Fractions alike.  No floating point appears anywhere.
 
 The kernel is the span step, on a table.  Every caller knows up front the
 columns it will ask about, in the order it adds them, and the watched
@@ -60,7 +61,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import BadInput
 
@@ -91,8 +92,8 @@ def parse_rational(s) -> Fraction:
         raise BadInput(f"not a rational: {s!r}") from None
 
 
-def format_rational(x: Fraction):
-    """Render a rational for JSON: bare int when integral, else "p/q"."""
+def format_rational(x: Union[int, Fraction]):
+    """Render an int or a Fraction for JSON: bare int when integral, else "p/q"."""
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"

@@ -220,11 +220,16 @@ def d_max(frame: Frame) -> int:
 
 
 def random_pr_subspace(frame: Frame, ell: int, seed: Seed) -> Subspace:
-    """A certified PR subspace of dimension ell, sampled then verified exactly."""
-    d = d_max(frame)
-    if not 1 <= ell <= d:
-        raise OutOfRange(f"no PR subspace of dimension {ell}: admissible range is 1..{d}")
+    """A certified PR subspace of dimension ell, sampled then verified exactly.
+
+    Every frame has d(F) >= [(n+1)/2], since the two classes of a partition
+    span R^n together; so ``d_max`` and its cap are met only outside that range.
+    """
     n = frame.dim
+    if not 1 <= ell <= (n + 1) // 2:
+        d = d_max(frame)
+        if not 1 <= ell <= d:
+            raise OutOfRange(f"no PR subspace of dimension {ell}: admissible range is 1..{d}")
     for attempt in range(RETRIES + 1):
         rows = sample_int_matrix(n, ell, DEFAULT_RANGE_MAX, derive_seed(seed, attempt))
         try:

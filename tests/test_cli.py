@@ -249,6 +249,21 @@ def test_subspace_random_then_check(capsys, tmp_path):
     assert json.loads(out)["is_pr_subspace"] is True
 
 
+def test_subspace_random_on_a_dmax_frame_past_the_d_max_cap(capsys, tmp_path):
+    f = str(tmp_path / "f.json")
+    code, _, _ = run(
+        capsys, "gen", "--kind", "dmax", "--n", "9", "--k", "5", "--len", "25", "--seed", "0",
+        "--out", f,
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "subspace", f, "--action", "random", "--dim", "5", "--seed", "0")
+    assert code == 0
+    sub = json.loads(out)
+    assert sub["meta"]["certified_pr"] is True and sub["dim"] == 5
+    code, _, err = run(capsys, "subspace", f, "--action", "random", "--dim", "6", "--seed", "0")
+    assert code == 2 and "N=25 exceeds enumeration cap 24" in err
+
+
 def test_subspace_check_failure_exits_1(capsys, tmp_path):
     f = write_frame(tmp_path, "b4.json", [tuple(int(i == j) for i in range(4)) for j in range(4)], 4)
     bad = tmp_path / "bad_sub.json"

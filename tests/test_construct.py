@@ -1,5 +1,6 @@
 """Pattern calculus, planning, and certified generators."""
 
+import hashlib
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -97,7 +98,7 @@ def test_sdr_matcher_agrees_with_brute_force_on_plans(n, N):
 )
 def test_sdr_matcher_agrees_with_brute_force_on_random_masks(rows):
     # random masks also cover rows without a representative system
-    p = PatternMatrix(len(rows), len(rows[0]), tuple(tuple(r) for r in rows))
+    p = PatternMatrix(tuple(tuple(r) for r in rows))
     for i in range(p.n):
         check_sdr(p, i)
 
@@ -111,15 +112,26 @@ def test_steps_grow_and_validate(step, shape):
 
 
 def test_step_rejects_invalid_input():
-    bad = PatternMatrix(
-        2,
-        3,
-        ((True, False, True), (False, True, True)),
-        frozenset({(0, 0), (1, 1)}),
-    )
+    bad = PatternMatrix(((True, False, True), (False, True, True)))
     # trailing column has no zero entry
     with pytest.raises(PatternViolation):
         step_I(bad)
+
+
+@pytest.mark.parametrize("mask", [(), ((True,), (True, False, True))], ids=["empty", "ragged"])
+def test_validate_rejects_a_mask_that_is_not_a_rectangle(mask):
+    with pytest.raises(PatternViolation, match="shape"):
+        PatternMatrix(mask).validate()
+
+
+def test_identity_columns_are_read_from_the_mask():
+    p = PatternMatrix(((True, False, True, True), (False, True, True, False)))
+    assert (p.n, p.N) == (2, 4)
+    assert p.identity_columns() == [0, 1]
+    assert p.permute_columns([2, 1, 3, 0]).identity_columns() == [2, 1]
+    assert p.permute_rows([1, 0]).identity_columns() == [1, 0]
+    # no column is nonzero in row 1 alone
+    assert PatternMatrix(((True, True), (False, True))).identity_columns() is None
 
 
 def test_plan_known_paths():
@@ -158,6 +170,20 @@ def test_patterns_along_plans_validate():
         pat = build_pattern(plan(n, N))
         pat.validate()
         assert (pat.n, pat.N) == (n, N)
+
+
+PATTERN_DIGEST = "1a1e74ef3ef866fbccf22e790333cdbfd24368dde1e436a927b1a9ea8be5822f"
+
+
+def test_patterns_and_draws_match_the_recorded_digest():
+    # every plan's mask, identity columns and seed-0 draw for 3 <= n <= 10
+    h = hashlib.sha256()
+    for n in range(3, 11):
+        for N in range(2 * n, n * (n + 1) // 2 + 1):
+            pat = build_pattern(plan(n, N))
+            h.update(repr((n, N, pat.mask, pat.identity_columns())).encode())
+            h.update(repr(instantiate(pat, 1 << 16, 0).vectors).encode())
+    assert h.hexdigest() == PATTERN_DIGEST
 
 
 def test_instantiate_respects_pattern():

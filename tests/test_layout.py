@@ -1,4 +1,4 @@
-"""Module layout: only ``ratlin`` and ``frames`` know the span-table format."""
+"""Module layout: only ``ratlin`` and ``frames`` know the span-table format, and ``construct`` makes no Fraction."""
 
 import ast
 from pathlib import Path
@@ -26,3 +26,15 @@ def test_only_ratlin_and_frames_bind_table_steps():
     src = Path(prframes.__file__).parent
     binders = {path.stem for path in src.glob("*.py") if _bound_names(path) & TABLE_NAMES}
     assert binders == {"ratlin", "frames"}
+
+
+def test_construct_builds_integer_rows():
+    # the generators hand Frame integer rows; Fractions appear only when read
+    tree = ast.parse((Path(prframes.__file__).parent / "construct.py").read_text())
+    imported = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "fractions" not in imported

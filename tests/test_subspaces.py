@@ -32,6 +32,7 @@ from prframes import (
     d_max,
     extend_to_maximal,
     generate_exact_pr,
+    generate_with_dmax,
     is_maximal_pr_subspace,
     is_phase_retrievable,
     is_pr_subspace,
@@ -365,6 +366,16 @@ def test_random_pr_subspace():
     a = random_pr_subspace(f, 2, seed=5)
     b = random_pr_subspace(f, 2, seed=5)
     assert a.basis == b.basis
+
+
+def test_random_pr_subspace_past_the_d_max_cap_up_to_half_the_dimension():
+    # d(F) >= [(n+1)/2] on every frame, so dimensions up to that need no d_max
+    f = generate_with_dmax(9, 5, 25, seed=0).frame
+    sub = random_pr_subspace(f, 5, seed=0)
+    assert sub.dim == 5 and is_pr_subspace(f, sub)
+    for ell in (0, 6):
+        with pytest.raises(CapExceeded, match="N=25 exceeds enumeration cap 24"):
+            random_pr_subspace(f, ell, seed=0)
 
 
 def test_random_pr_subspace_gives_up_after_retries_plus_one_draws(record_calls):

@@ -102,11 +102,12 @@ def test_witness_record():
 
 def test_generator_records():
     mask = ((True, False),)
-    p = PatternMatrix(1, 2, mask)
-    assert repr(p) == "PatternMatrix(n=1, N=2, mask=((True, False),), ones=frozenset())"
-    same = PatternMatrix(1, 2, mask, frozenset())
+    p = PatternMatrix(mask)
+    assert repr(p) == "PatternMatrix(mask=((True, False),))"
+    assert (p.n, p.N) == (1, 2)
+    same = PatternMatrix(((True, False),))
     assert p == same and hash(p) == hash(same)
-    assert p != PatternMatrix(1, 2, mask, frozenset({(0, 0)}))
+    assert p != PatternMatrix(((False, True),))
 
     steps = plan(4, 8)
     assert repr(steps) == "ConstructionPlan(steps=('base36', 'step_III'), target=(4, 8))"
