@@ -322,12 +322,18 @@ def _pattern(steps: Tuple[str, ...]) -> PatternMatrix:
     return _STEP_FNS[steps[-1]](_pattern(steps[:-1]))
 
 
+@lru_cache(maxsize=256)
+def _unit_columns(mask: Tuple[Tuple[bool, ...], ...]) -> Tuple[Optional[Tuple[int, ...]], ...]:
+    # e_i for each column whose one nonzero cell is in row i, else None; read
+    # once per mask, not on every draw
+    return tuple(tuple(map(int, m)) if sum(m) == 1 else None for m in zip(*mask))
+
+
 def instantiate(pat: PatternMatrix, range_max: int, seed: Seed) -> Frame:
     """Draw every nonzero cell, set the identity columns to e_i, return the column frame."""
     cols = zip(*sample_pattern(pat.mask, range_max, seed))
     return Frame.from_vectors(
-        (tuple(map(int, m)) if sum(m) == 1 else col for col, m in zip(cols, zip(*pat.mask))),
-        dim=pat.n,
+        (col if e is None else e for col, e in zip(cols, _unit_columns(pat.mask))), dim=pat.n
     )
 
 
@@ -340,7 +346,10 @@ def generate_exact_pr(
     derivation of the pattern calculus.  Only the draw differs: one exactness
     check certifies both.  At length 2n-1 it also proves full spark: an
     n-subset's complement has only n-1 vectors, so there the complement
-    property means that every n-subset spans.
+    property means that every n-subset spans.  So the CP proof of a dense
+    draw reads the C(2n-1, n) - 1 square minors beside its leading n columns
+    once each, mod a prime below 2^30 (``ratlin.full_spark_residue``), with
+    no partition search, and exactness then follows by counting.
     """
     if n < 1 or N < 2 * n - 1 or N > n * (n + 1) // 2:
         raise OutOfRange(f"exact PR frames require 2n-1 <= N <= n(n+1)/2, got (n={n}, N={N})")

@@ -29,8 +29,17 @@ one digit.  The pin and dominance rules hold over any field, so the search
 is complete mod p, and finding no partition there proves that none exists
 over Q (``ratlin.residue_first``).  When it finds one, the exact search
 supplies the verdict and the witness, so every failing subset is the exact
-search's.  d(F), the removals, the watched searches and ``spark`` stay
-exact, since they need the exact values.
+search's.  d(F), the removals and the watched searches stay exact, since
+they need the exact values.
+
+Two callers skip the search where a certificate settles it.  A family of
+2n - 1 vectors in R^n has the complement property iff it is full spark,
+so on those the CP proof tries ``ratlin.full_spark_residue`` before the
+residue search, and ``spark`` tries it before its search; both only on
+the same width rule.  The certificate reads each maximal minor once, mod
+p, and True proves full spark over Q.  False proves nothing, and the
+searches run as before, so every failing subset and every spark below
+n + 1 is still the exact search's.
 
 ``spark`` is a depth-first search over independent subfamilies that shares
 each prefix's span.  On bare integer columns, ``_spark(cols, within,
@@ -64,8 +73,10 @@ from .ratlin import (
     Kernel,
     as_fractions,
     extend_table,
+    full_spark_residue,
     int_rank,
     off_table,
+    outgrows_digit,
     primitive_rows,
     read_rows,
     residue_first,
@@ -342,8 +353,16 @@ def _partition(
 
 
 def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
-    """``_partition(cols, t)``, run mod ``RESIDUE_P`` first where that can pay: the CP proof."""
-    return residue_first(lambda vecs, kernel: _partition(vecs, t, None, kernel), cols, t)
+    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), certified mod p first where that can pay.
+
+    With 2t + 1 columns, one class of any 2-colouring has t + 1 or more
+    of them, and the other t or fewer.  So a partition with both ranks
+    <= t exists iff some t + 1 columns are dependent: there the complement
+    property is full spark, and ``ratlin.full_spark_residue`` proves it
+    from the minors, before the residue search.
+    """
+    certify = full_spark_residue if len(cols) == 2 * t + 1 else None
+    return residue_first(lambda vecs, kernel: _partition(vecs, t, None, kernel), cols, t, certify)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +390,17 @@ def is_phase_retrievable(frame: Frame) -> bool:
 
 
 def spark(frame: Frame) -> int:
-    """Size of the smallest linearly dependent subfamily; N+1 if none exists."""
-    return _spark(frame._int_cols)
+    """Size of the smallest linearly dependent subfamily; N+1 if none exists.
+
+    Where the numbers can outgrow one digit (``ratlin.outgrows_digit``),
+    ``ratlin.full_spark_residue`` runs first: when it proves every n of the
+    vectors independent, the spark is n + 1 (N + 1 = n + 1 for a basis).
+    Otherwise, or when it proves nothing, the exact search decides.
+    """
+    cols, n = frame._int_cols, frame.dim
+    if outgrows_digit(cols, n - 1) and full_spark_residue(cols):
+        return n + 1
+    return _spark(cols)
 
 
 def _spark(
@@ -488,4 +516,10 @@ def is_exact_pr_frame(frame: Frame) -> ExactnessResult:
 
 
 def is_full_spark(frame: Frame) -> bool:
+    """Is every n of the frame's vectors independent, that is, is its spark n + 1?
+
+    ``spark`` decides it, from the minors mod p first where that can pay.
+    A frame of length 2n - 1 is full spark exactly when it has the
+    complement property.
+    """
     return spark(frame) == frame.dim + 1

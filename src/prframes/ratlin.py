@@ -48,6 +48,16 @@ and the exact table's entries are (r + 1) x (r + 1) minors or smaller;
 while Hadamard's bound on those minors stays below ``RESIDUE_P`` the exact
 numbers fit one digit already (``outgrows_digit``).
 
+One more certificate proves a negative without a search: full spark, that
+every n of N >= n integer vectors in R^n are independent
+(``full_spark_residue``).  Row operations mod p reduce the first n vectors
+to a diagonal, and every maximal minor of the result is, up to a nonzero
+scale, a square minor of the block beside it, so the certificate reads
+each of those C(N, n) - 1 minors once, size by size, by Laplace expansion
+from the size below.  A minor nonzero mod p is nonzero over Q, so True
+proves full spark, and False proves nothing.  It runs on the same width
+rule as the residue search.
+
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
 """
@@ -58,7 +68,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
@@ -228,9 +238,12 @@ def outgrows_digit(vecs: Sequence[Sequence[int]], t: int) -> bool:
 
 
 def residue_first(
-    search: Callable[[Sequence[IntVec], Optional[Kernel]], Found], vecs: Sequence[IntVec], t: int
-) -> Found:
-    """``search(vecs, None)``, with a residue certificate in front where it can pay.
+    search: Callable[[Sequence[IntVec], Optional[Kernel]], Found],
+    vecs: Sequence[IntVec],
+    t: int,
+    certify: Optional[Callable[[Sequence[IntVec]], bool]] = None,
+) -> Optional[Found]:
+    """``search(vecs, None)``, with residue certificates in front where they can pay.
 
     ``search(vecs, kernel)`` looks for spans of rank <= t among the vectors,
     extending spans with ``kernel`` (exact when None), is complete over any
@@ -239,12 +252,89 @@ def residue_first(
     result there is the answer: every rank mod p is at most the rank over
     Q, so what exists over Q exists mod p.  A find mod p may be a
     collision, so the exact search decides and supplies the witness.
+    ``certify``, where given, runs before the residue search on the same
+    condition: True proves that the search finds nothing, and the result
+    is None.
     """
     if outgrows_digit(vecs, t):
+        if certify is not None and certify(vecs):
+            return None
         found = search(residues(vecs), extend_residue)
         if not found:
             return found
     return search(vecs, None)
+
+
+@lru_cache(maxsize=64)
+def _laplace_terms(n: int, k: int) -> Tuple[Tuple[IntVec, IntVec], ...]:
+    """The Laplace expansion of a k x k minor along its last column, for each row set.
+
+    One entry per k-subset R of range(n), in lexicographic order: R, and
+    for each i the position of R minus its i-th member among the
+    (k - 1)-subsets, plus C(n, k - 1) when i is odd, which reads the
+    negated copy of that minor.
+    """
+    below = {rows: j for j, rows in enumerate(combinations(range(n), k - 1))}
+    half = len(below)
+    return tuple(
+        (rows, tuple(below[rows[:i] + rows[i + 1 :]] + half * (i & 1) for i in range(k)))
+        for rows in combinations(range(n), k)
+    )
+
+
+def full_spark_residue(vecs: Sequence[Sequence[int]]) -> bool:
+    """Is every n-subset of these N >= n integer vectors in R^n independent?
+
+    True proves it; False proves nothing.
+
+    Row operations mod ``RESIDUE_P`` take the matrix [v_1 .. v_N] to
+    [D | C], D diagonal with a nonzero diagonal, or find the first n
+    vectors singular mod p (False).  Scaling the rows of [D | C] by D^-1
+    gives [I | D^-1 C], whose maximal minors are, up to sign, the square
+    minors of D^-1 C, and those are the minors of C times nonzero scales.
+    So the vectors are independent n at a time mod p iff every square
+    minor of C is nonzero mod p: C(N, n) - 1 minors in all.  They are
+    read size by size, each by Laplace expansion along its last column
+    from the minors one size smaller (``_laplace_terms``), holding one
+    size at a time, one column set after another, and the certificate
+    stops after the first column set with a minor that is 0 mod p.  A
+    minor nonzero mod p is nonzero over Q, so every n-subset that is
+    independent mod p is independent over Q.
+    """
+    p = RESIDUE_P
+    n = len(vecs[0])
+    rows = list(zip(*residues(vecs)))
+    # fraction-free Gauss-Jordan on the columns still to come: after step
+    # c every row but the pivot row is zero at column c, which is dropped
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][0]), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        d, top = rows[c][0], rows[c][1:]
+        rows = [
+            row[1:] if r == c or not row[0]
+            else [(d * x - row[0] * y) % p for x, y in zip(row[1:], top)]
+            for r, row in enumerate(rows)
+        ]
+    cols = list(zip(*rows))
+    m = len(cols)
+    # minors of one size: (first column that may extend the set, the minors
+    # on that column set by row set); the empty minor is 1
+    layer = [(0, [1])]
+    for k in range(1, min(n, m) + 1):
+        terms = _laplace_terms(n, k)
+        grown = []
+        for start, minors in layer:
+            signed = (minors + [-x for x in minors]).__getitem__
+            for s in range(start, m):
+                col = cols[s].__getitem__
+                out = [sum(map(mul, map(col, r), map(signed, j))) % p for r, j in terms]
+                if 0 in out:
+                    return False
+                grown.append((s + 1, out))
+        layer = grown
+    return True
 
 
 @lru_cache(maxsize=32)

@@ -77,6 +77,27 @@ def span_tests(monkeypatch):
 
 
 @pytest.fixture
+def minors(monkeypatch):
+    """Count the minors ``ratlin.full_spark_residue`` evaluates, in ``minors[0]``.
+
+    The certificate evaluates the minors on one column set by one pass over
+    the Laplace terms of their size, one minor per term.  So
+    ``_laplace_terms``, bound by name in ratlin only, is wrapped to return
+    terms whose every pass adds their number.
+    """
+    calls = [0]
+
+    class Counted(tuple):
+        def __iter__(self):
+            calls[0] += len(self)
+            return tuple.__iter__(self)
+
+    inner = prframes.ratlin._laplace_terms
+    monkeypatch.setattr(prframes.ratlin, "_laplace_terms", lambda n, k: Counted(inner(n, k)))
+    return calls
+
+
+@pytest.fixture
 def fractions_made(monkeypatch):
     """Count calls of ``Fraction.__new__`` in ``fractions_made[0]``.
 

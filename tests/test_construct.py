@@ -34,6 +34,7 @@ from prframes import (
     is_maximal_pr_subspace,
     min_support,
     plan,
+    spark,
     step_I,
     step_II,
     step_III,
@@ -184,6 +185,22 @@ def test_patterns_and_draws_match_the_recorded_digest():
             h.update(repr((n, N, pat.mask, pat.identity_columns())).encode())
             h.update(repr(instantiate(pat, 1 << 16, 0).vectors).encode())
     assert h.hexdigest() == PATTERN_DIGEST
+
+
+FULL_SPARK_DIGEST = "75a384c2b0fa6de411962e5085202890914530ed1143b4c2f4a6ace619dcb9ba"
+
+
+def test_shortest_exact_frames_match_the_recorded_digest():
+    # the frame, certificate and spark of generate_exact_pr(n, 2n - 1, s) for
+    # 3 <= n <= 10 and s = 0..2, recorded when every CP proof and spark
+    # there ran the exact searches
+    h = hashlib.sha256()
+    for n in range(3, 11):
+        for s in range(3):
+            cert = generate_exact_pr(n, 2 * n - 1, s)
+            h.update(repr((n, s, cert.frame.vectors, cert.certificate)).encode())
+            h.update(repr(spark(cert.frame)).encode())
+    assert h.hexdigest() == FULL_SPARK_DIGEST
 
 
 def test_instantiate_respects_pattern():

@@ -32,6 +32,7 @@ from prframes import (
     span_dim,
     spark,
 )
+import prframes.ratlin
 from prframes.frames import _partition, _spark
 from prframes.ratlin import extend_residue, residues
 
@@ -348,14 +349,27 @@ def test_cp_proof_kernel_follows_the_width(span_extensions):
 
 @pytest.mark.parametrize("n, N", [(6, 21), (7, 13)])
 def test_cp_proof_extension_count_generated(span_extensions, n, N):
-    # on a PR family the search makes C(2n-1, n) - 2 extensions in any
-    # column order, plus one for column 0: 461 at (6, 21), 1,715 at (7, 13),
-    # all of them in the residue kernel since both frames are wide
+    # on a PR family the residue search makes C(2n-1, n) - 2 extensions in
+    # any column order, plus one for column 0: 461 at (6, 21), 1,715 at
+    # (7, 13); the (7, 13) CP proof itself reads minors instead (below)
     frame = fresh_generated(n, N, 0)
     span_extensions[:] = [0, 0, 0]
-    assert has_complement_property(frame).holds
+    # the kernel is read from ratlin at the call, where the fixture wraps it
+    assert _partition(residues(frame._int_cols), n - 1, None, prframes.ratlin.extend_residue) is None
     assert span_extensions == [math.comb(2 * n - 1, n) - 1, 0, math.comb(2 * n - 1, n) - 1]
     assert span_extensions[0] == {(6, 21): 461, (7, 13): 1715}[n, N]
+
+
+def test_cp_proof_of_a_2n_minus_1_frame_reads_minors(span_extensions, minors):
+    # at length 2n - 1 the complement property is full spark, which the
+    # certificate proves from the C(13, 7) - 1 = 1,715 square minors of
+    # the block beside the reduced leading 7 columns, without a search
+    frame = fresh_generated(7, 13, 0)
+    span_extensions[:] = [0, 0, 0]
+    minors[0] = 0
+    assert has_complement_property(frame).holds
+    assert span_extensions == [0, 0, 0]
+    assert minors[0] == math.comb(13, 7) - 1 == 1715
 
 
 def test_exactness_work_ceiling_generated_6_21(span_tests):
@@ -377,12 +391,24 @@ def test_span_tests_count_the_scans_made_in_place(span_tests):
     assert span_tests[0] == 2278
     frame = generate_exact_pr(6, 11, 0).frame
     span_tests[0] = 0
-    assert spark(frame) == 7
+    assert _spark(frame._int_cols) == 7
     assert span_tests[0] > 0
 
 
 def test_spark_work_ceiling_generated_6_11(span_tests):
+    # the exact search, which ``spark`` runs when the certificate proves nothing
     frame = generate_exact_pr(6, 11, 0).frame
     span_tests[0] = 0
-    assert spark(frame) == 7
+    assert _spark(frame._int_cols) == 7
     assert span_tests[0] <= 1860
+
+
+def test_spark_of_a_full_spark_frame_reads_minors(span_tests, minors):
+    # every 6 of the 11 vectors are independent mod p: C(11, 6) - 1 minors
+    # and no span test, and is_full_spark reads the same certificate
+    frame = generate_exact_pr(6, 11, 0).frame
+    span_tests[0] = minors[0] = 0
+    assert spark(frame) == 7
+    assert (span_tests[0], minors[0]) == (0, math.comb(11, 6) - 1)
+    assert is_full_spark(frame)
+    assert (span_tests[0], minors[0]) == (0, 2 * (math.comb(11, 6) - 1))

@@ -9,12 +9,31 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import _rank as oracle_rank, brute_family_has_cp, brute_has_cp, brute_stage_accepts
-from prframes import BadInput, Frame, NotAFrame, Subspace, is_phase_retrievable, is_pr_subspace, project_frame
+from oracles import (
+    _rank as oracle_rank,
+    brute_family_has_cp,
+    brute_has_cp,
+    brute_has_cp_halved,
+    brute_spark,
+    brute_stage_accepts,
+)
+from prframes import (
+    BadInput,
+    Frame,
+    NotAFrame,
+    Subspace,
+    has_complement_property,
+    is_full_spark,
+    is_phase_retrievable,
+    is_pr_subspace,
+    project_frame,
+    spark,
+)
 from prframes.frames import _partition, _spark
 from prframes.ratlin import (
     RESIDUE_P,
     extend_residue,
+    full_spark_residue,
     off_table,
     outgrows_digit,
     residues,
@@ -158,3 +177,70 @@ def test_certified_stage_agrees_with_oracle(case):
     us, n, supp = case
     assert _stage_accepts(us, supp) == brute_stage_accepts(us, n, supp)
 
+
+
+# ---------------------------------------------------------------------------
+# The full-spark certificate: every square minor beside the reduced leading
+# columns, mod p.
+# ---------------------------------------------------------------------------
+
+PLANTS = ("scaled", "span", "zero", "leading")
+
+
+@st.composite
+def spark_families(draw):
+    """N integer vectors in R^n (n <= 5, n <= N <= 2n + 1), and whether a dependent n-subset is planted.
+
+    Entries are wide (up to 2^16) or collide mod p.  A plant is a scaled
+    duplicate column (n >= 2), a column in the span of n - 1 others, a
+    coordinate that is zero on n columns, or dependent leading n columns.
+    """
+    n = draw(st.integers(1, 5))
+    N = draw(st.integers(n, 2 * n + 1))
+    wide = st.one_of(st.integers(-(1 << 16), 1 << 16), entries)
+    vecs = draw(st.lists(st.lists(wide, min_size=n, max_size=n), min_size=N, max_size=N))
+    plant = draw(st.sampled_from((None,) + PLANTS))
+    if plant == "scaled" and n == 1:
+        plant = None
+    if plant is not None:
+        picked = draw(st.permutations(range(N)))[:n] if plant != "leading" else list(range(n))
+        coefs = [draw(st.integers(-3, 3).filter(bool)) for _ in range(n - 1)]
+        if plant == "scaled":
+            vecs[picked[1]] = [coefs[0] * x for x in vecs[picked[0]]]
+        elif plant == "zero":
+            r = draw(st.integers(0, n - 1))
+            for j in picked:
+                vecs[j][r] = 0
+        else:
+            j, *others = picked
+            vecs[j] = [sum(c * vecs[o][r] for c, o in zip(coefs, others)) for r in range(n)]
+    return n, [tuple(v) for v in vecs], plant is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(spark_families())
+# full spark, and each plant on it: a scaled duplicate, a column in the span
+# of two others, a coordinate zero on three columns, dependent leading columns
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (5, 7, 65536)], False))
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 4, 6), (1, 2, 3)], True))
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 5, 7), (4, 5, 7)], True))
+@example((3, [(0, 1, 4), (0, 2, 3), (0, 5, 1), (1, 1, 1), (2, 3, 9)], True))
+@example((3, [(1, 2, 3), (4, 5, 6), (5, 7, 9), (1, 0, 0), (0, 0, 1)], True))
+# the leading columns are singular mod p only: False proves nothing
+@example((2, [(1, 0), (0, P), (1, 1)], False))
+def test_full_spark_certificate_agrees_with_oracles(case):
+    n, vecs, planted = case
+    certified = full_spark_residue(vecs)
+    if planted:
+        assert not certified
+    try:
+        f = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assert not certified
+        return
+    expected = brute_spark(f)
+    if certified:
+        assert expected == n + 1
+    assert spark(f) == expected
+    assert is_full_spark(f) == (expected == n + 1)
+    assert has_complement_property(f).holds == brute_has_cp_halved(f)
