@@ -35,9 +35,9 @@ they need the exact values.
 Two callers skip the search where a certificate settles it.  A family of
 2n - 1 vectors in R^n has the complement property iff it is full spark,
 so on those the CP proof tries ``ratlin.full_spark_residue`` before the
-residue search, and ``spark`` tries it before its search; both only on
-the same width rule.  The certificate reads each maximal minor once, mod
-p, and True proves full spark over Q.  False proves nothing, and the
+residue search, and ``spark`` tries it before its search, at any width
+of the numbers.  The certificate reads each maximal minor once, mod p,
+and True proves full spark over Q.  False proves nothing, and the
 searches run as before, so every failing subset and every spark below
 n + 1 is still the exact search's.
 
@@ -76,7 +76,6 @@ from .ratlin import (
     full_spark_residue,
     int_rank,
     off_table,
-    outgrows_digit,
     primitive_rows,
     read_rows,
     residue_first,
@@ -353,7 +352,7 @@ def _partition(
 
 
 def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
-    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), certified mod p first where that can pay.
+    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), with the certificates mod p in front.
 
     With 2t + 1 columns, one class of any 2-colouring has t + 1 or more
     of them, and the other t or fewer.  So a partition with both ranks
@@ -361,8 +360,9 @@ def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
     property is full spark, and ``ratlin.full_spark_residue`` proves it
     from the minors, before the residue search.
     """
-    certify = full_spark_residue if len(cols) == 2 * t + 1 else None
-    return residue_first(lambda vecs, kernel: _partition(vecs, t, None, kernel), cols, t, certify)
+    if len(cols) == 2 * t + 1 and full_spark_residue(cols):
+        return None
+    return residue_first(lambda vecs, kernel: _partition(vecs, t, None, kernel), cols, t)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +392,13 @@ def is_phase_retrievable(frame: Frame) -> bool:
 def spark(frame: Frame) -> int:
     """Size of the smallest linearly dependent subfamily; N+1 if none exists.
 
-    Where the numbers can outgrow one digit (``ratlin.outgrows_digit``),
     ``ratlin.full_spark_residue`` runs first: when it proves every n of the
     vectors independent, the spark is n + 1 (N + 1 = n + 1 for a basis).
-    Otherwise, or when it proves nothing, the exact search decides.
+    When it proves nothing, the exact search decides.
     """
-    cols, n = frame._int_cols, frame.dim
-    if outgrows_digit(cols, n - 1) and full_spark_residue(cols):
-        return n + 1
+    cols = frame._int_cols
+    if full_spark_residue(cols):
+        return frame.dim + 1
     return _spark(cols)
 
 
@@ -518,7 +517,7 @@ def is_exact_pr_frame(frame: Frame) -> ExactnessResult:
 def is_full_spark(frame: Frame) -> bool:
     """Is every n of the frame's vectors independent, that is, is its spark n + 1?
 
-    ``spark`` decides it, from the minors mod p first where that can pay.
+    ``spark`` decides it, from the minors mod p first.
     A frame of length 2n - 1 is full spark exactly when it has the
     complement property.
     """

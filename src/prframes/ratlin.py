@@ -53,10 +53,10 @@ every n of N >= n integer vectors in R^n are independent
 (``full_spark_residue``).  Row operations mod p reduce the first n vectors
 to a diagonal, and every maximal minor of the result is, up to a nonzero
 scale, a square minor of the block beside it, so the certificate reads
-each of those C(N, n) - 1 minors once, size by size, by Laplace expansion
-from the size below.  A minor nonzero mod p is nonzero over Q, so True
-proves full spark, and False proves nothing.  It runs on the same width
-rule as the residue search.
+each of those C(N, n) - 1 minors once, walking the column sets depth
+first, each minor by Laplace expansion from minors a size smaller.  A minor
+nonzero mod p is nonzero over Q, so True proves full spark, and False
+proves nothing.
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
@@ -238,12 +238,9 @@ def outgrows_digit(vecs: Sequence[Sequence[int]], t: int) -> bool:
 
 
 def residue_first(
-    search: Callable[[Sequence[IntVec], Optional[Kernel]], Found],
-    vecs: Sequence[IntVec],
-    t: int,
-    certify: Optional[Callable[[Sequence[IntVec]], bool]] = None,
-) -> Optional[Found]:
-    """``search(vecs, None)``, with residue certificates in front where they can pay.
+    search: Callable[[Sequence[IntVec], Optional[Kernel]], Found], vecs: Sequence[IntVec], t: int
+) -> Found:
+    """``search(vecs, None)``, with a residue certificate in front where it can pay.
 
     ``search(vecs, kernel)`` looks for spans of rank <= t among the vectors,
     extending spans with ``kernel`` (exact when None), is complete over any
@@ -252,13 +249,8 @@ def residue_first(
     result there is the answer: every rank mod p is at most the rank over
     Q, so what exists over Q exists mod p.  A find mod p may be a
     collision, so the exact search decides and supplies the witness.
-    ``certify``, where given, runs before the residue search on the same
-    condition: True proves that the search finds nothing, and the result
-    is None.
     """
     if outgrows_digit(vecs, t):
-        if certify is not None and certify(vecs):
-            return None
         found = search(residues(vecs), extend_residue)
         if not found:
             return found
@@ -293,13 +285,14 @@ def full_spark_residue(vecs: Sequence[Sequence[int]]) -> bool:
     gives [I | D^-1 C], whose maximal minors are, up to sign, the square
     minors of D^-1 C, and those are the minors of C times nonzero scales.
     So the vectors are independent n at a time mod p iff every square
-    minor of C is nonzero mod p: C(N, n) - 1 minors in all.  They are
-    read size by size, each by Laplace expansion along its last column
-    from the minors one size smaller (``_laplace_terms``), holding one
-    size at a time, one column set after another, and the certificate
-    stops after the first column set with a minor that is 0 mod p.  A
-    minor nonzero mod p is nonzero over Q, so every n-subset that is
-    independent mod p is independent over Q.
+    minor of C is nonzero mod p: C(N, n) - 1 minors in all.  A zero entry
+    of C ends it first.  Otherwise the column sets of C are walked depth
+    first, each set's minors by Laplace expansion along its last column
+    from the minors of the set without it (``_laplace_terms``), holding
+    one minors vector per depth, and the walk stops at the first column
+    set with a minor that is 0 mod p.  A minor nonzero mod p is nonzero
+    over Q, so every n-subset that is independent mod p is independent
+    over Q.
     """
     p = RESIDUE_P
     n = len(vecs[0])
@@ -318,23 +311,25 @@ def full_spark_residue(vecs: Sequence[Sequence[int]]) -> bool:
             for r, row in enumerate(rows)
         ]
     cols = list(zip(*rows))
+    if any(0 in col for col in cols):
+        return False
     m = len(cols)
-    # minors of one size: (first column that may extend the set, the minors
-    # on that column set by row set); the empty minor is 1
-    layer = [(0, [1])]
-    for k in range(1, min(n, m) + 1):
-        terms = _laplace_terms(n, k)
-        grown = []
-        for start, minors in layer:
-            signed = (minors + [-x for x in minors]).__getitem__
-            for s in range(start, m):
-                col = cols[s].__getitem__
-                out = [sum(map(mul, map(col, r), map(signed, j))) % p for r, j in terms]
-                if 0 in out:
-                    return False
-                grown.append((s + 1, out))
-        layer = grown
-    return True
+    terms = [_laplace_terms(n, k) for k in range(1, min(n, m) + 1)]
+    deepest = len(terms)
+
+    def grow(start: int, minors: List[int], k: int) -> bool:
+        # minors: on a column set of size k, by row set (the empty set's is
+        # 1); each column from start on extends it to a set of size k + 1
+        signed = (minors + [-x for x in minors]).__getitem__
+        size = terms[k]
+        for s in range(start, m):
+            col = cols[s].__getitem__
+            out = [sum(map(mul, map(col, r), map(signed, j))) % p for r, j in size]
+            if 0 in out or k + 1 < deepest and not grow(s + 1, out, k + 1):
+                return False
+        return True
+
+    return m == 0 or grow(0, [1], 0)
 
 
 @lru_cache(maxsize=32)

@@ -370,6 +370,15 @@ def test_cp_proof_of_a_2n_minus_1_frame_reads_minors(span_extensions, minors):
     assert has_complement_property(frame).holds
     assert span_extensions == [0, 0, 0]
     assert minors[0] == math.comb(13, 7) - 1 == 1715
+    # at any width: a frame shaped like the lifted workload's, whose exact
+    # search would make C(7, 4) - 1 = 34 extensions
+    narrow = Frame.from_vectors(
+        [(2, 2, -4, 0), (4, 3, 2, 0), (3, 1, -1, 4), (-2, 0, -2, -3), (0, 4, -2, 0), (-3, -3, 1, 3), (4, -3, 1, 2)]
+    )
+    span_extensions[:] = [0, 0, 0]
+    minors[0] = 0
+    assert has_complement_property(narrow).holds
+    assert (span_extensions, minors[0]) == ([0, 0, 0], 34)
 
 
 def test_exactness_work_ceiling_generated_6_21(span_tests):
@@ -412,3 +421,10 @@ def test_spark_of_a_full_spark_frame_reads_minors(span_tests, minors):
     assert (span_tests[0], minors[0]) == (0, math.comb(11, 6) - 1)
     assert is_full_spark(frame)
     assert (span_tests[0], minors[0]) == (0, 2 * (math.comb(11, 6) - 1))
+    # at any width: a frame shaped like the lifted workload's
+    narrow = Frame.from_vectors(
+        [(2, 2, -4, 0), (4, 3, 2, 0), (3, 1, -1, 4), (-2, 0, -2, -3), (0, 4, -2, 0), (-3, -3, 1, 3), (4, -3, 1, 2)]
+    )
+    span_tests[0] = minors[0] = 0
+    assert spark(narrow) == 5
+    assert (span_tests[0], minors[0]) == (0, math.comb(7, 4) - 1)

@@ -5,6 +5,10 @@ residue search often meets a collision (a minor that vanishes mod p only)
 and the exact search has to decide.
 """
 
+import math
+import random
+import tracemalloc
+
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
@@ -244,3 +248,22 @@ def test_full_spark_certificate_agrees_with_oracles(case):
     assert spark(f) == expected
     assert is_full_spark(f) == (expected == n + 1)
     assert has_complement_property(f).holds == brute_has_cp_halved(f)
+
+
+def test_full_spark_certificate_holds_one_minors_vector_per_depth(minors):
+    # a wide family (N = 4n) is full spark with high probability; the walk
+    # reads all C(20, 5) - 1 minors but holds one vector of minors per depth
+    # (at most C(5, k) each), where a walk that kept every column set of a
+    # size held thousands of them (about 0.9 MB here)
+    rng = random.Random(5)
+    vecs = [tuple(rng.randint(-(1 << 16), 1 << 16) for _ in range(5)) for _ in range(20)]
+    full_spark_residue(vecs[:10])
+    minors[0] = 0
+    tracemalloc.start()
+    try:
+        assert full_spark_residue(vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert minors[0] == math.comb(20, 5) - 1 == 15503
+    assert peak < 100_000
