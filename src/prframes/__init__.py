@@ -18,12 +18,11 @@ _EXPORTS = {
         "SupportTooLarge"
     ),
     "ratlin": (
-        "Seed", "clear_denominators", "derive_seed", "format_rational", "parse_rational",
-        "sample_int_matrix", "sample_pattern"
+        "Seed", "clear_denominators", "format_rational", "parse_rational"
     ),
     "frames": (
         "CPResult", "ExactnessResult", "Frame", "has_complement_property", "is_exact_pr_frame",
-        "is_full_spark", "is_phase_retrievable", "spark", "span_dim"
+        "is_full_spark", "is_phase_retrievable", "spark"
     ),
     "lifting": (
         "S2Witness", "find_s2_element", "find_s2_witness", "has_exact_pr_redundancy",
@@ -37,7 +36,7 @@ _EXPORTS = {
     ),
     "frameio": (
         "frame_from_dict", "frame_to_dict", "load_json", "save_json", "subspace_from_dict",
-        "subspace_to_dict", "verdict_to_dict", "witness_from_dict", "witness_to_dict"
+        "subspace_to_dict", "verdict_to_dict"
     ),
     "subspaces": (
         "MaximalityVerdict", "Subspace", "d_max", "extend_to_maximal", "is_maximal_pr_subspace",

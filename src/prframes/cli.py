@@ -51,19 +51,16 @@ def _write_or_emit(obj: dict, out: Optional[str]) -> None:
 def cmd_gen(args) -> int:
     from .construct import basis_with_maximal_subspace, generate_exact_pr, generate_with_dmax
 
+    if args.kind != "exact" and args.k is None:
+        print(f"--k is required for kind {args.kind}", file=sys.stderr)
+        return 2
     if args.kind == "exact":
         cert = generate_exact_pr(args.n, args.len, args.seed, range_max=args.range_max)
         obj = frameio.frame_to_dict(cert.frame, meta={"certificate": cert.certificate})
     elif args.kind == "dmax":
-        if args.k is None:
-            print("--k is required for kind dmax", file=sys.stderr)
-            return 2
         cert = generate_with_dmax(args.n, args.k, args.len, args.seed)
         obj = frameio.frame_to_dict(cert.frame, meta={"certificate": cert.certificate})
     else:  # basis-subspace
-        if args.k is None:
-            print("--k is required for kind basis-subspace", file=sys.stderr)
-            return 2
         if args.len != args.n:
             print(f"--len must equal --n ({args.n}) for kind basis-subspace", file=sys.stderr)
             return 2
@@ -96,42 +93,36 @@ def cmd_verify(args) -> int:
         return 2
     t0 = time.monotonic()
     results: dict = {}
-    ok = True
     for c in checks:
         if c == "pr":
             cp = has_complement_property(frame)
             results["pr"] = {"passed": cp.holds}
             if not cp.holds:
                 results["pr"]["failing_subset"] = sorted(cp.failing)
-                ok = False
         elif c == "exact":
             ex = is_exact_pr_frame(frame)
             results["exact"] = {"passed": ex.exact}
             if not ex.exact:
                 results["exact"]["removable_indices"] = list(ex.removable)
-                ok = False
         elif c == "redundancy":
             from .lifting import has_exact_pr_redundancy
 
-            r = has_exact_pr_redundancy(frame)
-            results["redundancy"] = {"passed": r}
-            ok = ok and r
+            results["redundancy"] = {"passed": has_exact_pr_redundancy(frame)}
         elif c == "lifted-independence":
             from .lifting import lifted_independent
 
-            li = lifted_independent(frame)
-            results["lifted-independence"] = {"passed": li}
-            ok = ok and li
+            results["lifted-independence"] = {"passed": lifted_independent(frame)}
+    all_passed = all(r["passed"] for r in results.values())
     _emit(
         {
             "command": "verify",
             "checks": checks,
             "results": results,
-            "all_passed": ok,
+            "all_passed": all_passed,
             "elapsed_seconds": round(time.monotonic() - t0, 3),
         }
     )
-    return 0 if ok else 1
+    return 0 if all_passed else 1
 
 
 def cmd_analyze(args) -> int:
@@ -220,23 +211,16 @@ def cmd_paper_suite(args) -> int:
 
     t0 = time.monotonic()
     records = []
-    ok = True
     for N, frame in curated.curated_exact_frames().items():
-        ex = is_exact_pr_frame(frame)
-        records.append({"instance": f"exact-(5,{N})", "passed": ex.exact})
-        ok = ok and ex.exact
+        records.append({"instance": f"exact-(5,{N})", "passed": is_exact_pr_frame(frame).exact})
     r3 = curated.r3_example_frame()
-    d_ok = d_max(r3) == 2
-    red_ok = has_exact_pr_redundancy(r3)
-    records.append({"instance": "r3-example-dmax-2", "passed": d_ok})
-    records.append({"instance": "r3-example-exact-redundancy", "passed": red_ok})
-    ok = ok and d_ok and red_ok
+    records.append({"instance": "r3-example-dmax-2", "passed": d_max(r3) == 2})
+    records.append({"instance": "r3-example-exact-redundancy", "passed": has_exact_pr_redundancy(r3)})
     wit_ok = all(
         w.validate(r3, [j for j in range(r3.N) if j != i])
         for i, w in curated.r3_example_witnesses().items()
     )
     records.append({"instance": "r3-example-removal-witnesses", "passed": wit_ok})
-    ok = ok and wit_ok
     b4 = curated.r4_standard_basis()
     m4 = curated.r4_example_subspace()
     pr_ok = is_pr_subspace(b4, m4)
@@ -245,16 +229,16 @@ def cmd_paper_suite(args) -> int:
     records.append({"instance": "r4-subspace-pr", "passed": pr_ok})
     records.append({"instance": "r4-subspace-min-support-3", "passed": sup_ok})
     records.append({"instance": "r4-subspace-maximal", "passed": max_ok})
-    ok = ok and pr_ok and sup_ok and max_ok
+    all_passed = all(r["passed"] for r in records)
     _emit(
         {
             "command": "paper-suite",
             "records": records,
-            "all_passed": ok,
+            "all_passed": all_passed,
             "elapsed_seconds": round(time.monotonic() - t0, 3),
         }
     )
-    return 0 if ok else 1
+    return 0 if all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""JSON interchange for frames, subspaces, witnesses, and verdicts.
+"""JSON interchange for frames, subspaces and maximality verdicts.
 
 Rationals travel as "p/q" strings (bare integers stay integers); nothing is
 ever rendered as floating point, so parse(serialize(x)) round-trips exactly.
@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .errors import BadInput
 from .frames import Frame
 from .ratlin import format_rational, parse_rational
 
 if TYPE_CHECKING:
-    # loaded by the readers that build them, so reading a frame needs neither
-    from .lifting import S2Witness
+    # hints only, so reading a frame loads neither module
     from .subspaces import MaximalityVerdict, Subspace
 
 
@@ -58,10 +57,6 @@ def _rows_field(d, key: str) -> List[List[Fraction]]:
     return [_vec_in(r) for r in rows]
 
 
-def _vec_field(d, key: str) -> Tuple[Fraction, ...]:
-    return tuple(_vec_in(_field(d, key, lambda v: isinstance(v, list), "a list")))
-
-
 def frame_from_dict(d: dict) -> Frame:
     return Frame.from_vectors(_rows_field(d, "vectors"), dim=_int_field(d, "n"))
 
@@ -89,29 +84,6 @@ def subspace_from_dict(d: dict) -> Subspace:
     if "dim" in d and _int_field(d, "dim") != k:
         raise BadInput(f"'dim' must be {k}, the number of basis columns, got {d['dim']}")
     return Subspace.from_vectors(zip(*rows), ambient_dim=n)
-
-
-def witness_to_dict(w: S2Witness) -> dict:
-    out = {"x": _vec_out(w.x), "y": _vec_out(w.y)}
-    if w.differing_index is not None:
-        out["differing_index"] = w.differing_index
-    return out
-
-
-def witness_from_dict(d: dict) -> S2Witness:
-    """x and y are lists of rationals of one length; ``differing_index``, when given, an index."""
-    from .lifting import S2Witness
-
-    x, y = _vec_field(d, "x"), _vec_field(d, "y")
-    if len(x) != len(y):
-        raise BadInput(f"'x' and 'y' must have one length, got {len(x)} and {len(y)}")
-    idx = None
-    if "differing_index" in d:
-        idx = _field(
-            d, "differing_index", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-            "a non-negative integer",
-        )
-    return S2Witness(x, y, idx)
 
 
 def verdict_to_dict(v: MaximalityVerdict) -> dict:

@@ -370,12 +370,6 @@ def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
 # ---------------------------------------------------------------------------
 
 
-def span_dim(frame: Frame, idxs: Iterable[int]) -> int:
-    """Rank of the subfamily with the given indices; empty set gives 0."""
-    cols = frame._int_cols
-    return int_rank([cols[i] for i in idxs])
-
-
 def has_complement_property(frame: Frame) -> CPResult:
     """Decide the complement property; on failure return one failing subset.
 

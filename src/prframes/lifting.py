@@ -36,13 +36,13 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadInput, CapExceeded
 from .frames import Frame, IndexSet, _partition, is_exact_pr_frame, has_complement_property
-from .ratlin import int_rank, span_of
+from .ratlin import IntVec, int_rank, span_of
 
 REDUNDANCY_CAP = 16
 
 
-def lifted_row(f: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
-    """Row representing A |-> f^T A f; off-diagonal slots carry the factor 2."""
+def lifted_row(f: IntVec, n: int) -> IntVec:
+    """Row representing A |-> f^T A f for an integer column f; off-diagonal slots carry the factor 2."""
     row = [f[a] * f[a] for a in range(n)]
     row += [2 * f[a] * f[b] for a, b in itertools.combinations(range(n), 2)]
     return tuple(row)

@@ -128,10 +128,6 @@ class Subspace(_Value):
     def vectors(self) -> List[Tuple[Fraction, ...]]:
         return list(self.basis)
 
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        xv = _vector_in(x, self.ambient_dim)
-        return int_rank(self._int_cols + (clear_denominators(xv),)) == self.dim
-
 
 class MaximalityVerdict(NamedTuple):
     """Outcome of the maximality ladder.

@@ -11,7 +11,6 @@ from prframes import (
     NotAFrame,
     Frame,
     MaximalityVerdict,
-    S2Witness,
     Subspace,
     frame_from_dict,
     frame_to_dict,
@@ -20,8 +19,6 @@ from prframes import (
     subspace_from_dict,
     subspace_to_dict,
     verdict_to_dict,
-    witness_from_dict,
-    witness_to_dict,
 )
 from prframes.cli import main
 
@@ -55,18 +52,6 @@ def test_subspace_roundtrip():
     t = subspace_from_dict(d)
     assert t.ambient_dim == 4 and t.dim == 2
     assert t.basis == s.basis
-
-
-def test_witness_roundtrip():
-    w = S2Witness((Fraction(1), Fraction(-1, 6)), (Fraction(0), Fraction(2)), 3)
-    d = witness_to_dict(w)
-    json.dumps(d)
-    back = witness_from_dict(d)
-    assert back.x == w.x and back.y == w.y and back.differing_index == 3
-    anon = S2Witness((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    d2 = witness_to_dict(anon)
-    assert "differing_index" not in d2
-    assert witness_from_dict(d2).differing_index is None
 
 
 def test_verdict_serialization():
@@ -144,27 +129,6 @@ def test_subspace_file_of_wrong_basis_shape_is_bad_input(tmp_path, capsys, basis
     assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
 
 
-@pytest.mark.parametrize(
-    "d, message",
-    [
-        ({}, "missing key 'x'"),
-        ({"x": [1]}, "missing key 'y'"),
-        ({"x": 5, "y": [1]}, "'x' must be a list"),
-        ({"x": [1], "y": "1"}, "'y' must be a list"),
-        ([[1], [0]], "expected a JSON object, got list"),
-        ({"x": [1, "0.5"], "y": [0, 1]}, "not a rational"),
-        ({"x": [1, 0], "y": [1]}, "'x' and 'y' must have one length, got 2 and 1"),
-        ({"x": [1], "y": [0], "differing_index": "a"}, "'differing_index' must be a non-negative integer"),
-        ({"x": [1], "y": [0], "differing_index": -1}, "'differing_index' must be a non-negative integer"),
-        ({"x": [1], "y": [0], "differing_index": True}, "'differing_index' must be a non-negative integer"),
-        ({"x": [1], "y": [0], "differing_index": None}, "'differing_index' must be a non-negative integer"),
-    ],
-)
-def test_witness_from_dict_rejects_malformed_shapes(d, message):
-    with pytest.raises(BadInput, match=message):
-        witness_from_dict(d)
-
-
 @pytest.mark.parametrize("entry", ["0.5", "1e3", "1_000", " 1", "inf", "1/-2", "1/", ""])
 def test_frame_from_dict_rejects_non_rational_strings(entry):
     with pytest.raises(BadInput):
@@ -213,20 +177,3 @@ def test_subspace_json_roundtrip_property(drawn):
         assume(False)
     t = subspace_from_dict(through_json(subspace_to_dict(s)))
     assert (t.ambient_dim, t.dim, t.basis) == (s.ambient_dim, s.dim, s.basis)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            st.tuples(*[RATIONALS] * n),
-            st.tuples(*[RATIONALS] * n),
-            st.none() | st.integers(0, 20),
-        )
-    )
-)
-def test_witness_json_roundtrip_property(drawn):
-    x, y, idx = drawn
-    w = S2Witness(x, y, idx)
-    back = witness_from_dict(through_json(witness_to_dict(w)))
-    assert (back.x, back.y, back.differing_index) == (w.x, w.y, w.differing_index)

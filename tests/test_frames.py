@@ -29,7 +29,6 @@ from prframes import (
     is_full_spark,
     is_phase_retrievable,
     plan,
-    span_dim,
     spark,
 )
 import prframes.ratlin
@@ -69,22 +68,15 @@ def test_matrix_column_roundtrip():
     assert g.vectors == f.vectors
 
 
-def test_span_dim():
-    f = Frame.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], dim=3)
-    assert span_dim(f, []) == 0
-    assert span_dim(f, [0, 3]) == 2
-    assert span_dim(f, [0, 1, 3]) == 2
-    assert span_dim(f, range(4)) == 3
-
-
 def test_basis_is_never_pr():
     for n in range(2, 6):
         res = has_complement_property(std_basis(n))
         assert not res.holds
         lam = res.failing
         comp = set(range(n)) - lam
-        assert span_dim(std_basis(n), lam) < n
-        assert span_dim(std_basis(n), comp) < n
+        basis = std_basis(n).vectors
+        assert oracle_rank([basis[i] for i in lam]) < n
+        assert oracle_rank([basis[i] for i in comp]) < n
 
 
 def test_full_spark_minimal_length_is_pr():
@@ -105,7 +97,8 @@ def test_cp_matches_bruteforce(seed):
     if not got.holds:
         lam = got.failing
         comp = set(range(f.N)) - lam
-        assert span_dim(f, lam) < n and span_dim(f, comp) < n
+        assert oracle_rank([f.vectors[i] for i in lam]) < n
+        assert oracle_rank([f.vectors[i] for i in comp]) < n
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -38,3 +38,36 @@ def test_construct_builds_integer_rows():
         for alias in node.names
     }
     assert "fractions" not in imported
+
+
+def _referenced_names(tree):
+    """Names a tree reads: each ``ast.Name``, ``ast.Attribute`` attribute and imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level function or class outside __all__ is read somewhere in the
+    # package, outside its own definition; strings and docstrings do not count
+    statements = [
+        (path.stem, stmt)
+        for path in sorted(Path(prframes.__file__).parent.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    refs = [(stmt, _referenced_names(stmt)) for _, stmt in statements]
+    dead = [
+        f"{module}.{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in prframes.__all__
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        and not any(stmt.name in names for other, names in refs if other is not stmt)
+    ]
+    assert dead == []
