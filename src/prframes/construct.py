@@ -2,8 +2,11 @@
 
 The pattern calculus starts from a fixed 3x6 zero/nonzero mask and grows it
 with three steps that add one dimension and n+1, n, or 2 columns.  Chaining
-steps reaches every (n, N) with 2n <= N <= n(n+1)/2; length 2n-1 is covered
-by a dense integer draw, which is exact precisely when it is full spark.
+steps reaches every (n, N) with 2n <= N <= n(n+1)/2, and ``plan`` picks the
+chain by a rule.  Each step searches in time polynomial in n: step II tries
+its splice columns and row pairs, and step III's tail columns and every
+row's representatives are bipartite matchings (``_matching``).  Length
+2n-1 is covered by a dense integer draw, exact precisely when full spark.
 Either way the free cells are drawn as uniform integers and the frame is
 certified by one exactness check in exact arithmetic; a failed draw (a
 measure-zero event at integer scale) is retried with a derived seed.
@@ -100,23 +103,10 @@ class PatternMatrix(NamedTuple):
         """Row -> column representatives for row i, if a full system exists.
 
         Rows l are matched to distinct columns j with cells (i, j) and (l, j)
-        both nonzero, by Kuhn's augmenting paths.
+        both nonzero (``_matching``).
         """
         cand_cols = [j for j in range(self.N) if self.mask[i][j]]
-        owner: Dict[int, int] = {}  # column -> row
-
-        def augment(l: int, seen: set) -> bool:
-            for j in cand_cols:
-                if self.mask[l][j] and j not in seen:
-                    seen.add(j)
-                    if j not in owner or augment(owner[j], seen):
-                        owner[j] = l
-                        return True
-            return False
-
-        if not all(augment(l, set()) for l in range(self.n)):
-            return None
-        return {l: j for j, l in owner.items()}
+        return _matching({l: [j for j in cand_cols if self.mask[l][j]] for l in range(self.n)})
 
     def permute_columns(self, order: Sequence[int]) -> "PatternMatrix":
         return PatternMatrix(tuple(tuple(row[j] for j in order) for row in self.mask))
@@ -232,18 +222,13 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
         i: [j for j in free_cols if a.mask[i - 1][j] and a.mask[n - 1][j]]
         for i in range(1, n)
     }
-    assignment = _assign_tail(tail_cands, chain_cands, n)
+    assignment = _assign_tail(tail_cands, chain_cands)
     if assignment is None:
         raise RearrangeFailure("no column assignment meets the step III conditions")
     tail_col, chain = assignment
     used = {tail_col} | set(chain.values())
     middle = [j for j in free_cols if j not in used]
-    order = (
-        list(range(n))
-        + middle
-        + [chain[i] for i in range(n - 1, 0, -1)]
-        + [tail_col]
-    )
+    order = [*range(n), *middle, *(chain[i] for i in range(n - 1, 0, -1)), tail_col]
     a = a.permute_columns(order)
     rows = [row + (True, False) for row in a.mask]  # column N+1 free in rows 1..n
     # row n+1 free under the last n old columns
@@ -253,60 +238,71 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
     return b
 
 
-def _assign_tail(tail_cands, chain_cands, n):
-    """Exhaustive backtracking over distinct columns for the tail positions."""
+def _assign_tail(tail_cands, chain_cands):
+    """The first tail column and distinct chain columns, or None.
+
+    Slots are filled fewest candidates first, each with its first column
+    after which ``_matching`` can still place the later slots, so the
+    result is the lexicographically first assignment in that order.
+    """
     slots = sorted(chain_cands, key=lambda i: len(chain_cands[i]))
-
-    def bt(pos, used, acc):
-        if pos == len(slots):
-            return dict(acc)
-        i = slots[pos]
-        for j in chain_cands[i]:
-            if j in used:
-                continue
-            used.add(j)
-            acc[i] = j
-            got = bt(pos + 1, used, acc)
-            if got is not None:
-                return got
-            used.discard(j)
-            del acc[i]
-        return None
-
     for tail in tail_cands:
-        chain = bt(0, {tail}, {})
-        if chain is not None:
+        chain: Dict[int, int] = {}
+        for pos, i in enumerate(slots):
+            used = {tail, *chain.values()}
+            for j in (j for j in chain_cands[i] if j not in used):
+                taken = used | {j}
+                later = {s: [c for c in chain_cands[s] if c not in taken] for s in slots[pos + 1 :]}
+                if _matching(later) is not None:
+                    chain[i] = j
+                    break
+            else:
+                break  # no column for slot i leaves the later ones a matching
+        else:
             return tail, chain
     return None
+
+
+def _matching(cands: Dict[int, Sequence[int]]) -> Optional[Dict[int, int]]:
+    """Distinct columns, one of its candidates per key, or None if there are none.
+
+    Kuhn's augmenting paths: keys are placed in order, each trying its
+    candidates in order; a taken column is freed when its key can move on.
+    """
+    owner: Dict[int, int] = {}  # column -> key
+
+    def augment(k: int, seen: set) -> bool:
+        for j in cands[k]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = k
+                    return True
+        return False
+
+    if not all(augment(k, set()) for k in cands):
+        return None
+    return {k: j for j, k in owner.items()}
 
 
 _STEP_FNS = {"step_I": step_I, "step_II": step_II, "step_III": step_III}
 
 
 def plan(n: int, N: int) -> ConstructionPlan:
-    """Backward-search a derivation; prefers the smallest-growth step first."""
+    """A derivation of (n, N), read backwards: each step undoes the first in range of III, II, I.
+
+    The first always leads back to (3, 6), as every in-range target has one:
+    for n >= 5, (n-1, N-2) or (n-1, N-n) is, as (n-2)(n-5) >= 0; n = 4 by inspection.
+    """
     if n < 3 or N < 2 * n or N > n * (n + 1) // 2:
         raise OutOfRange(f"no pattern target (n={n}, N={N})")
-    # every in-range target has a path: for n >= 5 either (n-1, N-2) or
-    # (n-1, N-n) is in range, as (n-2)(n-5) >= 0; n = 3, 4 by inspection
-    return ConstructionPlan(_plan_steps(n, N), (n, N))
-
-
-@lru_cache(maxsize=None)
-def _plan_steps(n: int, N: int) -> Optional[Tuple[str, ...]]:
-    if not (3 <= n and 2 * n <= N <= n * (n + 1) // 2):
-        return None
-    if (n, N) == (3, 6):
-        return ("base36",)
-    for step, prev_N in (
-        ("step_III", N - 2),
-        ("step_II", N - (n - 1)),
-        ("step_I", N - n),
-    ):
-        prev = _plan_steps(n - 1, prev_N)
-        if prev is not None:
-            return prev + (step,)
-    return None
+    steps, m, M = [], n, N
+    while m > 3:
+        undo = (("step_III", M - 2), ("step_II", M - m + 1), ("step_I", M - m))
+        step, M = next(u for u in undo if 2 * (m - 1) <= u[1] <= (m - 1) * m // 2)
+        steps.append(step)
+        m -= 1
+    return ConstructionPlan(("base36", *reversed(steps)), (n, N))
 
 
 def build_pattern(p: ConstructionPlan) -> PatternMatrix:
@@ -415,15 +411,8 @@ def _redundancy_component(dim: int, length: int, seed: Seed) -> Frame:
         return generate_exact_pr(dim, length, seed).frame
     if length < dim:
         raise OutOfRange(f"component length {length} below dimension {dim}")
-    for attempt in range(RETRIES + 1):
-        rows = sample_int_matrix(dim, length, DEFAULT_RANGE_MAX, derive_seed(seed, 57 + attempt))
-        try:
-            frame = Frame.from_vectors(zip(*rows), dim=dim)
-        except NotAFrame:  # the draw does not span
-            continue
-        if is_full_spark(frame):
-            return frame
-    raise RetriesExhausted(f"short component ({dim}, {length}) failed to certify")
+    failure = f"short component ({dim}, {length}) failed to certify"
+    return _full_spark_draw((), dim, length, seed, 57, failure)
 
 
 def generate_with_dmax(n: int, k: int, N: int, seed: Seed) -> CertifiedFrame:
@@ -514,13 +503,21 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
     return basis, sub
 
 
-def _full_spark_fill(k: int, seed: Seed) -> List[Tuple[int, ...]]:
+def _full_spark_fill(k: int, seed: Seed) -> Tuple[Tuple[int, ...], ...]:
     """k-1 extra vectors making {e_1..e_k, extras} full spark in R^k."""
     if k == 1:
-        return []
+        return ()
+    return _full_spark_draw(identity(k), k, k - 1, seed, 7, "full-spark fill failed")._rows[k:]
+
+
+def _full_spark_draw(lead, n: int, m: int, seed: Seed, salt: int, failure: str) -> Frame:
+    """``lead`` and m vectors drawn in R^n with seed (seed, salt + attempt), once full spark."""
     for attempt in range(RETRIES + 1):
-        rows = sample_int_matrix(k, k - 1, DEFAULT_RANGE_MAX, derive_seed(seed, 7 + attempt))
-        cand = list(zip(*rows))
-        if is_full_spark(Frame.from_vectors([*identity(k), *cand], dim=k)):
-            return cand
-    raise RetriesExhausted("full-spark fill failed")
+        drawn = zip(*sample_int_matrix(n, m, DEFAULT_RANGE_MAX, derive_seed(seed, salt + attempt)))
+        try:
+            frame = Frame.from_vectors([*lead, *drawn], dim=n)
+        except NotAFrame:
+            continue
+        if is_full_spark(frame):
+            return frame
+    raise RetriesExhausted(failure)

@@ -175,9 +175,9 @@ def _require_length(x: Sequence, n: int) -> None:
         raise BadInput(f"vector has {len(x)} entries, expected {n} for R^{n}")
 
 
-def _vector_in(x: Sequence, n: int) -> Tuple[Fraction, ...]:
-    """x as rationals, which must be a vector of R^n."""
-    xv = tuple(Fraction(v) for v in x)
+def _vector_in(x: Sequence, n: int) -> tuple:
+    """x held as ``ratlin.read_rows`` holds a row, which must be a vector of R^n."""
+    (xv,) = read_rows([x])
     _require_length(xv, n)
     return xv
 
@@ -242,11 +242,11 @@ def _require_basis(b: Frame) -> None:
         raise NotABasis(f"expected {b.dim} vectors, got {b.N}")
 
 
-def _dual_coords(x: Sequence, b: Frame) -> Tuple[Fraction, ...]:
-    """Dual-basis coordinates (<x, b_i>)_i of x, for a basis b and x in R^n."""
+def _dual_coords(x: Sequence, b: Frame) -> tuple:
+    """Dual-basis coordinates (<x, b_i>)_i of x in R^n, ints when x and the basis b are."""
     _require_basis(b)
     xv = _vector_in(x, b.dim)
-    return tuple(sum(map(mul, xv, bi), Fraction(0)) for bi in b.vectors)
+    return tuple(sum(map(mul, xv, bi)) for bi in b._rows)
 
 
 def support(x: Sequence, b: Frame) -> FrozenSet[int]:

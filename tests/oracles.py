@@ -230,6 +230,56 @@ def brute_sdr(mask, i: int) -> bool:
     )
 
 
+def backtrack_assign_tail(tail_cands, chain_cands):
+    """Step III's tail by exhaustive backtracking: the first tail and chain it completes.
+
+    Slots are filled fewest candidates first (ties in key order), each
+    trying its candidates in order, so the answer is the lexicographically
+    first assignment.  Exponential in the number of slots.
+    """
+    slots = sorted(chain_cands, key=lambda i: len(chain_cands[i]))
+
+    def bt(pos, used, acc):
+        if pos == len(slots):
+            return dict(acc)
+        i = slots[pos]
+        for j in chain_cands[i]:
+            if j in used:
+                continue
+            used.add(j)
+            acc[i] = j
+            got = bt(pos + 1, used, acc)
+            if got is not None:
+                return got
+            used.discard(j)
+            del acc[i]
+        return None
+
+    for tail in tail_cands:
+        chain = bt(0, {tail}, {})
+        if chain is not None:
+            return tail, chain
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def searched_plan_steps(n: int, N: int):
+    """Steps from the 3x6 base to (n, N), by memoised search over predecessors.
+
+    Tries undoing step III, then II, then I, and takes the first that
+    leads back to (3, 6); None when none does.
+    """
+    if not (3 <= n and 2 * n <= N <= n * (n + 1) // 2):
+        return None
+    if (n, N) == (3, 6):
+        return ("base36",)
+    for step, prev_N in (("step_III", N - 2), ("step_II", N - (n - 1)), ("step_I", N - n)):
+        prev = searched_plan_steps(n - 1, prev_N)
+        if prev is not None:
+            return prev + (step,)
+    return None
+
+
 def brute_lifted_independent(frame: Frame) -> bool:
     """Are the lifted vectors (f_a f_b)_{a <= b} linearly independent?
 

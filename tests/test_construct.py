@@ -11,7 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import prframes.construct
 import prframes.frames
-from oracles import brute_is_exact_pr, brute_pr_redundancy, brute_sdr, brute_spark
+from oracles import (
+    backtrack_assign_tail,
+    brute_is_exact_pr,
+    brute_pr_redundancy,
+    brute_sdr,
+    brute_spark,
+    searched_plan_steps,
+)
 from prframes import (
     CapExceeded,
     Frame,
@@ -43,6 +50,7 @@ from prframes.construct import (
     CertifiedFrame,
     PatternMatrix,
     _as_identity_leading,
+    _assign_tail,
     _full_spark_fill,
     _redundancy_component,
 )
@@ -166,6 +174,54 @@ def test_plan_out_of_range():
         plan(4, 7)
 
 
+def test_plan_agrees_with_the_memoised_search_up_to_n_40():
+    for n in range(3, 41):
+        for N in range(2 * n, n * (n + 1) // 2 + 1):
+            assert plan(n, N).steps == searched_plan_steps(n, N), (n, N)
+
+
+def test_plan_is_a_loop_at_any_n():
+    # one step per dimension above 3, so no recursion limit
+    p = plan(600, 1800)
+    assert len(p.steps) == 598
+    assert _replay_shape(p.steps) == (600, 1800)
+
+
+tail_instances = st.integers(2, 6).flatmap(
+    lambda slots: st.tuples(
+        st.lists(st.integers(0, 7), unique=True, min_size=1, max_size=4),
+        st.fixed_dictionaries(
+            {
+                i: st.lists(st.integers(0, 7), unique=True, min_size=1, max_size=5)
+                for i in range(1, slots)
+            }
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_instances)
+def test_assign_tail_agrees_with_backtracking(instance):
+    # eight columns for up to five slots: about a third of the instances have no assignment
+    tail_cands, chain_cands = instance
+    got = _assign_tail(tail_cands, chain_cands)
+    assert got == backtrack_assign_tail(tail_cands, chain_cands)
+    if got is not None:
+        tail, chain = got
+        assert len({tail, *chain.values()}) == len(chain) + 1
+        assert all(j in chain_cands[i] for i, j in chain.items())
+
+
+def test_building_a_deep_pattern_takes_polynomially_many_matchings(record_calls):
+    # every validate's representative systems and step III's tail checks
+    prframes.construct._pattern.cache_clear()
+    matchings = record_calls(prframes.construct, "_matching")
+    pat = build_pattern(plan(22, 66))
+    assert (pat.n, pat.N) == (22, 66)
+    assert len(matchings) == 692
+
+
 def test_patterns_along_plans_validate():
     for n, N in [(5, 11), (6, 14), (6, 18), (6, 21)]:
         pat = build_pattern(plan(n, N))
@@ -185,6 +241,20 @@ def test_patterns_and_draws_match_the_recorded_digest():
             h.update(repr((n, N, pat.mask, pat.identity_columns())).encode())
             h.update(repr(instantiate(pat, 1 << 16, 0).vectors).encode())
     assert h.hexdigest() == PATTERN_DIGEST
+
+
+WIDE_PATTERN_DIGEST = "8c65a8d81f7eb54f65af276ca1dc5f62f2f2b065d52767dc8cd87e79269b6179"
+
+
+def test_wide_patterns_match_the_recorded_digest():
+    # every plan's mask and identity columns for 11 <= n <= 16, recorded
+    # when step III's tail was found by backtracking
+    h = hashlib.sha256()
+    for n in range(11, 17):
+        for N in range(2 * n, n * (n + 1) // 2 + 1):
+            pat = build_pattern(plan(n, N))
+            h.update(repr((n, N, pat.mask, pat.identity_columns())).encode())
+    assert h.hexdigest() == WIDE_PATTERN_DIGEST
 
 
 FULL_SPARK_DIGEST = "75a384c2b0fa6de411962e5085202890914530ed1143b4c2f4a6ace619dcb9ba"

@@ -24,6 +24,7 @@ from prframes import (
     is_maximal_pr_subspace,
     is_pr_subspace,
     random_pr_subspace,
+    support,
 )
 
 
@@ -163,6 +164,17 @@ def test_an_int_subspace_probes_without_a_fraction(fractions_made):
     verdict = is_maximal_pr_subspace(frame, Subspace.from_vectors([(0, 0, 1)]))
     assert verdict.status == "Unknown"
     assert fractions_made[0] == 0
+
+
+BASIS_5 = [(1, 2, 0, 0, 1), (0, 1, 3, 0, 0), (2, 0, 1, 1, 0), (0, 0, 0, 1, 4), (1, 1, 1, 1, 2)]
+
+
+def test_dual_coordinates_of_int_input_make_no_fraction(fractions_made):
+    # <x, b_i> summed on the held ints; Fraction x gives the same support
+    basis = Frame.from_vectors(BASIS_5)
+    assert support((2, -1, 0, 0, 0), basis) == {1, 2, 4}
+    assert fractions_made[0] == 0
+    assert support((Fraction(1, 3), Fraction(-1, 6), 0, 0, 0), basis) == {1, 2, 4}
 
 
 def test_an_s2_element_makes_only_its_own_entries(fractions_made):

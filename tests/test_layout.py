@@ -1,4 +1,4 @@
-"""Module layout: only ``ratlin`` and ``frames`` know the span-table format, and ``construct`` makes no Fraction."""
+"""Module layout: only ``ratlin`` and ``frames`` know the span-table format, and Fractions are made at the boundary."""
 
 import ast
 from pathlib import Path
@@ -38,6 +38,50 @@ def test_construct_builds_integer_rows():
         for alias in node.names
     }
     assert "fractions" not in imported
+
+
+# where a Fraction may be made outside the modules that read and write input
+FRACTION_BOUNDARY = {
+    "subspaces.project_frame",
+    "lifting.S2Witness.quad",
+    "lifting._witness",
+    "lifting.pr_redundancy",
+    "curated.r3_example_witnesses",
+}
+
+
+def _makes_fraction(node):
+    # a call of Fraction, or Fraction handed to a call, as in map(Fraction, row)
+    return isinstance(node, ast.Call) and any(
+        isinstance(f, (ast.Name, ast.Attribute)) and "Fraction" in _referenced_names(f)
+        for f in (node.func, *node.args)
+    )
+
+
+def _fraction_makers(tree, prefix=""):
+    """Qualified names of the functions and methods whose bodies make a ``Fraction``.
+
+    A call inside a nested function counts for the function that encloses
+    it, and one in a top-level statement for ``<statement>``.
+    """
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from _fraction_makers(stmt, f"{stmt.name}.")
+        elif any(map(_makes_fraction, ast.walk(stmt))):
+            yield prefix + getattr(stmt, "name", "<statement>")
+
+
+def test_fractions_are_made_only_at_the_boundary():
+    # ratlin reads and solves over the rationals, and frameio and cli read
+    # and write them; anywhere else a Fraction is made only where a result is one
+    src = Path(prframes.__file__).parent
+    makers = {
+        f"{path.stem}.{name}"
+        for path in src.glob("*.py")
+        if path.stem not in {"ratlin", "frameio", "cli"}
+        for name in _fraction_makers(ast.parse(path.read_text()))
+    }
+    assert makers <= FRACTION_BOUNDARY, makers - FRACTION_BOUNDARY
 
 
 def _referenced_names(tree):
