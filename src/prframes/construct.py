@@ -3,9 +3,10 @@
 The pattern calculus starts from a fixed 3x6 zero/nonzero mask and grows it
 with three steps that add one dimension and n+1, n, or 2 columns.  Chaining
 steps reaches every (n, N) with 2n <= N <= n(n+1)/2, and ``plan`` picks the
-chain by a rule.  Each step searches in time polynomial in n: step II tries
-its splice columns and row pairs, and step III's tail columns and every
-row's representatives are bipartite matchings (``_matching``).  Length
+chain by a rule.  Each step builds its output directly: a valid input gives
+a valid output (each step's docstring holds the proof), so a step checks
+only its input.  Step III's tail and chain columns and every row's
+representatives are bipartite matchings (``_matching``).  Length
 2n-1 is covered by a dense integer draw, exact precisely when full spark.
 Either way the free cells are drawn as uniform integers and the frame is
 certified by one exactness check in exact arithmetic; a failed draw (a
@@ -150,71 +151,69 @@ def base_pattern_36() -> PatternMatrix:
     return p
 
 
-def step_I(a: PatternMatrix) -> PatternMatrix:
-    """(n, N) -> (n+1, N+n+1): one fresh free column per old row, plus e_{n+1}."""
+def _step_input(a: PatternMatrix) -> PatternMatrix:
+    # the steps' proofs need n >= 3; below it the only valid mask is 1x1
     a.validate()
-    n, N = a.n, a.N
+    if a.n < 3:
+        raise PatternViolation("shape", f"a step needs n >= 3 rows, got {a.n}")
+    return a
+
+
+def step_I(a: PatternMatrix) -> PatternMatrix:
+    """(n, N) -> (n+1, N+n+1): one fresh free column per old row, plus e_{n+1}.
+
+    A valid input gives a valid output.  P1-P3 by counting: old row i and
+    the new row share fresh column N+i, and the new row adds e_{n+1}.  P4:
+    the new row takes column N+l for row l and e_{n+1} for itself; an old
+    row keeps its system and takes its fresh column for the new row.
+    """
+    n, N = _step_input(a).n, a.N
     rows = [tuple(row) + tuple(j == i for j in range(n + 1)) for i, row in enumerate(a.mask)]
     rows.append((False,) * N + (True,) * (n + 1))
-    b = PatternMatrix(tuple(rows)).normalized()
-    b.validate()
-    return b
+    return PatternMatrix(tuple(rows)).normalized()
 
 
 def step_II(a: PatternMatrix) -> PatternMatrix:
-    """(n, N) -> (n+1, N+n): splice through a column that is 0 in row 1.
+    """(n, N) -> (n+1, N+n): splice the first free column through the new row.
 
-    The spliced column must also be nonzero in row 2: the new bottom row's
-    representative system is forced to assign it to row 2.  Any non-identity
-    column can be brought into this shape by relabeling coordinates (it has
-    a zero and two nonzeros), so candidate (column, row-pair) choices are
-    searched exhaustively until the assembled pattern validates.
+    sp, column n once normalized, has a zero and a nonzero (P2); its first
+    zero row and first nonzero row become rows 0 and 1, and it moves last.
+    Fresh column N is nonzero in rows 0 and 1, column N+i-1 in row i >= 2,
+    and the new row is sp, those columns and e_{n+1}.  A valid input gives
+    a valid output.  P1-P3 by counting (column N has a zero as n >= 3).
+    P4: the new row takes column N for row 0, sp for row 1, column N+i-1
+    for row i and e_{n+1} for itself; an old row keeps its system and
+    takes its fresh column for the new row.
     """
-    a.validate()
+    a = _step_input(a).normalized()
     n, N = a.n, a.N
-    a = a.normalized()
-    idset = set(range(n))
-    for splice in (j for j in range(N) if j not in idset):
-        zeros = [r for r in range(n) if not a.mask[r][splice]]
-        nonzeros = [r for r in range(n) if a.mask[r][splice]]
-        for r0 in zeros:
-            for r1 in nonzeros:
-                row_order = [r0, r1] + [r for r in range(n) if r not in (r0, r1)]
-                cand = a.permute_rows(row_order).normalized()
-                # the splice column index survives only up to renumbering
-                sp = next(
-                    j
-                    for j in range(n, N)
-                    if not cand.mask[0][j] and cand.mask[1][j]
-                )
-                order = [j for j in range(N) if j != sp] + [sp]
-                cand = cand.permute_columns(order)
-                rows = []
-                for i in range(n):
-                    ext = [False] * n
-                    if i <= 1:
-                        ext[0] = True          # column N+1 is free in rows 1 and 2
-                    elif i >= 2:
-                        ext[i - 1] = True      # column N+i is free in row i+1
-                    rows.append(tuple(cand.mask[i]) + tuple(ext))
-                last = [False] * (N - 1) + [True] + [True] * (n - 1) + [True]
-                rows.append(tuple(last))
-                try:
-                    b = PatternMatrix(tuple(rows)).normalized()
-                    b.validate()
-                except PatternViolation:
-                    continue
-                return b
-    raise RearrangeFailure("no splice column arrangement validates")
+    splice = [row[n] for row in a.mask]
+    r0, r1 = splice.index(False), splice.index(True)
+    cols = [j for j in range(N) if j != n] + [n]
+    rows = [
+        tuple(a.mask[r][j] for j in cols) + tuple(j == max(i - 1, 0) for j in range(n))
+        for i, r in enumerate([r0, r1] + [r for r in range(n) if r not in (r0, r1)])
+    ]
+    rows.append((False,) * (N - 1) + (True,) * (n + 1))
+    return PatternMatrix(tuple(rows)).normalized()
 
 
 def step_III(a: PatternMatrix) -> PatternMatrix:
-    """(n, N) -> (n+1, N+2): rearrange so the tail columns chain through row n."""
-    a.validate()
+    """(n, N) -> (n+1, N+2): rearrange so the tail columns chain through row n.
+
+    The tail is a free column zero in row n-1, and chain column i (0 < i < n)
+    a free column nonzero in rows i-1 and n-1, all distinct.  Row n-1's
+    representative system gives a chain, and a tail exists as P2 and P3
+    force N >= 2n.  Fresh column N is nonzero in every old row, and the new
+    row is the chain, the tail and e_{n+1}.  A valid input gives a valid
+    output.  P1-P3 by counting.  P4: for the new row, row i-1 takes chain
+    column i, except that a row t takes the tail (nonzero off row n-1) and
+    row n-1 takes chain column t+1.  Old row i takes chain column i+1 (any,
+    if i = n-1) for the new row and moves the row it displaces to column N.
+    """
+    a = _step_input(a).normalized()
     n, N = a.n, a.N
-    a = a.normalized()
-    idset = set(range(n))
-    free_cols = [j for j in range(N) if j not in idset]
+    free_cols = range(n, N)
     # position N-1 (0-based): zero in row n-1, >=2 nonzeros (P2 grants the latter)
     tail_cands = [j for j in free_cols if not a.mask[n - 1][j]]
     # positions N-1-i need mask[i-1] and mask[n-1] nonzero (1 <= i <= n-1)
@@ -233,9 +232,7 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
     rows = [row + (True, False) for row in a.mask]  # column N+1 free in rows 1..n
     # row n+1 free under the last n old columns
     rows.append((False,) * (N - n) + (True,) * n + (False, True))
-    b = PatternMatrix(tuple(rows)).normalized()
-    b.validate()
-    return b
+    return PatternMatrix(tuple(rows)).normalized()
 
 
 def _assign_tail(tail_cands, chain_cands):
@@ -385,7 +382,7 @@ def _as_identity_leading(cf: CertifiedFrame) -> Frame:
     coordinates, so the certificate carries over.
     """
     n = cf.frame.dim
-    rows = tuple(zip(*cf.frame.vectors))
+    rows = tuple(zip(*cf.frame._rows))
     try:
         return Frame.from_vectors(zip(*solve([r[:n] for r in rows], rows)), dim=n)
     except ValueError:

@@ -9,9 +9,9 @@ rows are read in one place (``read_rows``): rows whose every entry is an
 int are held as given, and any other rows with every entry a ``Fraction``.
 ``fractions.Fraction`` appears only where non-integer input is read, where
 a caller asks for rational rows (``as_fractions``: ``Frame.vectors`` and
-``Subspace.basis`` on first read), and in ``solve``'s result.  The
-generators build integer rows, and ``format_rational`` prints ints and
-Fractions alike.  No floating point appears anywhere.
+``Subspace.basis`` on first read), and in ``solve``'s non-integral
+entries.  The generators build integer rows, and ``format_rational`` prints
+ints and Fractions alike.  No floating point appears anywhere.
 
 The kernel is the span step, on a table.  Every caller knows up front the
 columns it will ask about, in the order it adds them, and the watched
@@ -443,14 +443,15 @@ def clear_denominators(vec: Sequence[Fraction]) -> IntVec:
     return tuple(_vec_gcd_reduce(iv))
 
 
-def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
+def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[tuple, ...]:
     """Rows of X with aX = b, for an invertible square a; ValueError if a is singular.
 
     a and b are sequences of rational (or integer) rows, b of width m.  The
     normals of the row span of [a | b] are the kernel of [a | b], which
     holds the m columns of [X; -I].  a is invertible iff their free columns
     are exactly the last m, and then normal j is a multiple of column j of
-    [X; -I]: X[i][j] = -h_j[i] / h_j[n + j].
+    [X; -I]: X[i][j] = -h_j[i] / h_j[n + j], an int where that divides
+    exactly and a Fraction elsewhere.
     """
     n = len(a)
     m = len(b[0]) if b else 0
@@ -460,7 +461,11 @@ def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[Tuple[Fraction,
     normals, free = _normals_and_free(aug, n + m)
     if free != list(range(n, n + m)):
         raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(-h[i], h[n + j]) for j, h in enumerate(normals)) for i in range(n))
+    return tuple(tuple(_quotient(-h[i], h[n + j]) for j, h in enumerate(normals)) for i in range(n))
+
+
+def _quotient(p: int, q: int) -> Union[int, Fraction]:
+    return p // q if p % q == 0 else Fraction(p, q)
 
 
 def sample_pattern(

@@ -412,5 +412,5 @@ def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:
             us.append(got)
         else:
             # back from dual-basis coordinates: columns v with B^T v = u
-            return Subspace.from_vectors(zip(*solve(b.vectors, tuple(zip(*us)))), ambient_dim=n)
+            return Subspace.from_vectors(zip(*solve(b._rows, tuple(zip(*us)))), ambient_dim=n)
     raise RetriesExhausted(f"extension failed after {RETRIES + 1} attempts")

@@ -15,6 +15,8 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from prframes import Frame
+from prframes.construct import PatternMatrix
+from prframes.errors import PatternViolation, RearrangeFailure
 
 
 def _rank(vectors) -> int:
@@ -278,6 +280,40 @@ def searched_plan_steps(n: int, N: int):
         if prev is not None:
             return prev + (step,)
     return None
+
+
+def searched_step_II(a: PatternMatrix) -> PatternMatrix:
+    """Step II by exhaustive search: the first splice arrangement that validates.
+
+    Tries every non-identity splice column of the normalized input, and for
+    it every (zero row, nonzero row) pair, in order; each arrangement is
+    assembled as ``step_II`` assembles its one and kept once it validates.
+    """
+    a.validate()
+    n, N = a.n, a.N
+    a = a.normalized()
+    for splice in range(n, N):
+        zeros = [r for r in range(n) if not a.mask[r][splice]]
+        nonzeros = [r for r in range(n) if a.mask[r][splice]]
+        for r0 in zeros:
+            for r1 in nonzeros:
+                row_order = [r0, r1] + [r for r in range(n) if r not in (r0, r1)]
+                cand = a.permute_rows(row_order).normalized()
+                sp = next(j for j in range(n, N) if not cand.mask[0][j] and cand.mask[1][j])
+                cand = cand.permute_columns([j for j in range(N) if j != sp] + [sp])
+                rows = []
+                for i in range(n):
+                    ext = [False] * n
+                    ext[0 if i <= 1 else i - 1] = True
+                    rows.append(tuple(cand.mask[i]) + tuple(ext))
+                rows.append((False,) * (N - 1) + (True,) * (n + 1))
+                try:
+                    b = PatternMatrix(tuple(rows)).normalized()
+                    b.validate()
+                except PatternViolation:
+                    continue
+                return b
+    raise RearrangeFailure("no splice column arrangement validates")
 
 
 def brute_lifted_independent(frame: Frame) -> bool:

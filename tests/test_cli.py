@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -682,6 +683,16 @@ def cli_runs(draw, command):
 @given(data=st.data())
 def test_cli_never_raises_and_exits_0_1_or_2(command, data):
     argv, files = data.draw(cli_runs(command))
+    code, err = _run_in_a_directory(argv, files)
+    assert code in (0, 1, 2), (argv, err)
+
+
+def _run_in_a_directory(argv, files):
+    """(exit code, stderr) of ``main(argv)`` run in-process, beside the named files.
+
+    The files are written to a fresh directory, where "dir.json" names a
+    directory, and every argument ending in ".json" is a name in it.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         os.mkdir(os.path.join(tmp, "dir.json"))
         for name, text in files.items():
@@ -695,4 +706,77 @@ def test_cli_never_raises_and_exits_0_1_or_2(command, data):
             except SystemExit as exc:
                 # argparse's usage errors; the process exits with this code
                 code = exc.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
+    return code, err.getvalue()
+
+
+JSON_KEYS = st.sampled_from(("n", "dim", "vectors", "basis")) | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=10,
+)
+TEXTS = JSON_VALUES.map(json.dumps) | st.text(max_size=6)
+# the structured documents above too, so that some files reach the decisions
+FRAME_TEXTS = TEXTS | st.integers(1, 4).flatmap(frame_docs)
+SUBSPACE_TEXTS = TEXTS | st.integers(1, 4).flatmap(subspace_docs)
+SMALL_INTS = st.sampled_from([str(i) for i in range(-2, 9)] + ["1.5", "x"])
+
+
+def _names_text(names):
+    """A comma list of known names, of those and arbitrary words, or arbitrary text."""
+    word = st.sampled_from(names) | st.text(max_size=4)
+    return (
+        st.lists(st.sampled_from(names), min_size=1, max_size=3).map(",".join)
+        | st.lists(word, max_size=3).map(",".join)
+        | st.text(max_size=12)
+    )
+
+
+@st.composite
+def arbitrary_runs(draw):
+    """(argv, files): any JSON or text in the frame and subspace files, any option text."""
+    files = {"frame.json": draw(FRAME_TEXTS), "sub.json": draw(SUBSPACE_TEXTS)}
+    command = draw(st.sampled_from(("gen", "verify", "analyze", "subspace")))
+    if command == "gen":
+        kind = draw(st.sampled_from(("exact", "dmax", "basis-subspace")))
+        argv = ["gen", "--kind", kind]
+        for option in ("--n", "--len", "--k"):
+            argv += [option, draw(SMALL_INTS)]
+    elif command == "verify":
+        checks = ("pr", "exact", "redundancy", "lifted-independence")
+        argv = ["verify", "frame.json", "--checks", draw(_names_text(checks))]
+    elif command == "analyze":
+        what = ("dmax", "spark", "redundancy")
+        argv = ["analyze", "frame.json", "--what", draw(_names_text(what))]
+    else:
+        action = draw(st.sampled_from(("random", "check", "maximal", "extend")))
+        entry = st.integers(-3, 3).map(str) | st.text(max_size=3)
+        vector = st.text(max_size=8) | st.lists(entry, max_size=5).map(",".join)
+        argv = ["subspace", "frame.json", "--action", action, "--dim", draw(SMALL_INTS)]
+        argv += ["--subspace-file", "sub.json", "--vector", draw(vector)]
+    return argv, files
+
+
+class _Overran(Exception):
+    """One fuzz example ran past its alarm."""
+
+
+def _overran(signum, frame):
+    raise _Overran
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arbitrary_runs())
+def test_cli_on_arbitrary_input_exits_0_1_or_2_without_a_traceback(run):
+    argv, files = run
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.alarm(10)
+    try:
+        code, err = _run_in_a_directory(argv, files)
+    except _Overran:
+        pytest.fail(f"no answer within 10 s: {argv}")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)

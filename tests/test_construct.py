@@ -1,6 +1,7 @@
 """Pattern calculus, planning, and certified generators."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from oracles import (
     brute_sdr,
     brute_spark,
     searched_plan_steps,
+    searched_step_II,
 )
 from prframes import (
     CapExceeded,
@@ -127,6 +129,59 @@ def test_step_rejects_invalid_input():
         step_I(bad)
 
 
+def _permuted_plan_masks():
+    # every plan's mask for n <= 6 and three per n up to 10, each under two
+    # seeded row and column relabelings, so the steps meet unnormalized input
+    rng = random.Random(30)
+    for n in range(3, 11):
+        lengths = range(2 * n, n * (n + 1) // 2 + 1)
+        if n > 6:
+            lengths = [lengths[0], lengths[len(lengths) // 2], lengths[-1]]
+        for N in lengths:
+            pat = build_pattern(plan(n, N))
+            for _ in range(2):
+                rows, cols = list(range(n)), list(range(N))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                yield pat.permute_rows(rows).permute_columns(cols)
+
+
+STEP_DIGEST = "cfc2664d49baba135223801308a60c19586fc6269810d175c19c2051288dbd7a"
+
+
+def test_steps_on_permuted_plan_masks_match_the_search_and_validate():
+    # step II against the splice search it replaced; all three steps against
+    # the masks recorded when every step validated its own output
+    h = hashlib.sha256()
+    for a in _permuted_plan_masks():
+        outs = step_I(a), step_II(a), step_III(a)
+        assert outs[1] == searched_step_II(a)
+        for b in outs:
+            b.validate()
+            h.update(repr(b.mask).encode())
+    assert h.hexdigest() == STEP_DIGEST
+
+
+def test_the_one_by_one_mask_is_the_only_valid_mask_below_n_3():
+    valid = []
+    for n in (1, 2):
+        for N in range(1, 7):
+            for cells in itertools.product((False, True), repeat=n * N):
+                p = PatternMatrix(tuple(tuple(cells[i * N : (i + 1) * N]) for i in range(n)))
+                try:
+                    p.validate()
+                except PatternViolation:
+                    continue
+                valid.append(p.mask)
+    assert valid == [((True,),)]
+
+
+@pytest.mark.parametrize("step", [step_I, step_II, step_III])
+def test_steps_refuse_the_one_by_one_mask(step):
+    with pytest.raises(PatternViolation, match="n >= 3"):
+        step(PatternMatrix(((True,),)))
+
+
 @pytest.mark.parametrize("mask", [(), ((True,), (True, False, True))], ids=["empty", "ragged"])
 def test_validate_rejects_a_mask_that_is_not_a_rectangle(mask):
     with pytest.raises(PatternViolation, match="shape"):
@@ -214,12 +269,13 @@ def test_assign_tail_agrees_with_backtracking(instance):
 
 
 def test_building_a_deep_pattern_takes_polynomially_many_matchings(record_calls):
-    # every validate's representative systems and step III's tail checks
+    # the representative systems of each step's input validate (the base's
+    # included) and step III's tail checks; no step validates its output
     prframes.construct._pattern.cache_clear()
     matchings = record_calls(prframes.construct, "_matching")
     pat = build_pattern(plan(22, 66))
     assert (pat.n, pat.N) == (22, 66)
-    assert len(matchings) == 692
+    assert len(matchings) == 445
 
 
 def test_patterns_along_plans_validate():

@@ -17,6 +17,7 @@ from prframes import (
     Frame,
     Subspace,
     d_max,
+    extend_to_maximal,
     find_s2_element,
     generate_exact_pr,
     has_complement_property,
@@ -175,6 +176,16 @@ def test_dual_coordinates_of_int_input_make_no_fraction(fractions_made):
     assert support((2, -1, 0, 0, 0), basis) == {1, 2, 4}
     assert fractions_made[0] == 0
     assert support((Fraction(1, 3), Fraction(-1, 6), 0, 0, 0), basis) == {1, 2, 4}
+
+
+def test_extending_int_input_makes_no_fraction(fractions_made):
+    # solve maps the stages back as ints where they divide exactly, as here
+    basis = Frame.from_vectors([tuple(int(i == j) for j in range(9)) for i in range(9)])
+    x = (1, 0, 2, 0, -1, 0, 3, 0, 0)
+    m = extend_to_maximal(basis, x, seed=3)
+    assert fractions_made[0] == 0
+    assert m.dim == 4 and m._rows[0] == x
+    assert all(type(c) is Fraction for v in m.basis for c in v)
 
 
 def test_an_s2_element_makes_only_its_own_entries(fractions_made):
