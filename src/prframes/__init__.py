@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "BadInput", "CapExceeded", "NotABasis", "NotAFrame", "NotPRSubspace", "OutOfRange",
-        "PatternViolation", "PRFramesError", "RearrangeFailure", "RetriesExhausted",
-        "SupportTooLarge"
+        "PatternViolation", "PRFramesError", "RetriesExhausted", "SupportTooLarge"
     ),
     "ratlin": (
         "Seed", "clear_denominators", "format_rational", "parse_rational"

@@ -23,7 +23,6 @@ from .errors import (
     NotPRSubspace,
     OutOfRange,
     PatternViolation,
-    RearrangeFailure,
     RetriesExhausted,
 )
 from .frames import Frame, is_exact_pr_frame, is_full_spark
@@ -111,10 +110,6 @@ class PatternMatrix(NamedTuple):
 
     def permute_columns(self, order: Sequence[int]) -> "PatternMatrix":
         return PatternMatrix(tuple(tuple(row[j] for j in order) for row in self.mask))
-
-    def permute_rows(self, order: Sequence[int]) -> "PatternMatrix":
-        # relabels coordinates; (P1)-(P4) are invariant under this
-        return PatternMatrix(tuple(self.mask[i] for i in order))
 
     def normalized(self) -> "PatternMatrix":
         """Identity columns first (in row order), remaining columns in order."""
@@ -204,12 +199,15 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
     The tail is a free column zero in row n-1, and chain column i (0 < i < n)
     a free column nonzero in rows i-1 and n-1, all distinct.  Row n-1's
     representative system gives a chain, and a tail exists as P2 and P3
-    force N >= 2n.  Fresh column N is nonzero in every old row, and the new
-    row is the chain, the tail and e_{n+1}.  A valid input gives a valid
-    output.  P1-P3 by counting.  P4: for the new row, row i-1 takes chain
-    column i, except that a row t takes the tail (nonzero off row n-1) and
-    row n-1 takes chain column t+1.  Old row i takes chain column i+1 (any,
-    if i = n-1) for the new row and moves the row it displaces to column N.
+    force N >= 2n.  Chain columns are nonzero in row n-1 and a tail is
+    zero there, so every tail completes with that chain, and
+    ``_assign_tail`` always finds an assignment.  Fresh column N is nonzero
+    in every old row, and the new row is the chain, the tail and e_{n+1}.
+    A valid input gives a valid output.  P1-P3 by counting.  P4: for the
+    new row, row i-1 takes chain column i, except that a row t takes the
+    tail (nonzero off row n-1) and row n-1 takes chain column t+1.  Old row
+    i takes chain column i+1 (any, if i = n-1) for the new row and moves
+    the row it displaces to column N.
     """
     a = _step_input(a).normalized()
     n, N = a.n, a.N
@@ -221,10 +219,7 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
         i: [j for j in free_cols if a.mask[i - 1][j] and a.mask[n - 1][j]]
         for i in range(1, n)
     }
-    assignment = _assign_tail(tail_cands, chain_cands)
-    if assignment is None:
-        raise RearrangeFailure("no column assignment meets the step III conditions")
-    tail_col, chain = assignment
+    tail_col, chain = _assign_tail(tail_cands, chain_cands)
     used = {tail_col} | set(chain.values())
     middle = [j for j in free_cols if j not in used]
     order = [*range(n), *middle, *(chain[i] for i in range(n - 1, 0, -1)), tail_col]

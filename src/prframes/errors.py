@@ -29,10 +29,6 @@ class PatternViolation(PRFramesError):
         super().__init__(f"pattern violates {prop}" + (f": {detail}" if detail else ""))
 
 
-class RearrangeFailure(PRFramesError):
-    """No column rearrangement satisfies a construction step's preconditions."""
-
-
 class NotABasis(PRFramesError):
     """The operation requires a basis (N = n, invertible column matrix)."""
 

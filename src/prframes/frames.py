@@ -29,8 +29,9 @@ one digit.  The pin and dominance rules hold over any field, so the search
 is complete mod p, and finding no partition there proves that none exists
 over Q (``ratlin.residue_first``).  When it finds one, the exact search
 supplies the verdict and the witness, so every failing subset is the exact
-search's.  d(F), the removals and the watched searches stay exact, since
-they need the exact values.
+search's.  d(F) and the watched searches stay exact, since they need the
+exact values.  The removals stay exact too, though they read only whether
+a partition exists, which the certificates could settle.
 
 Two callers skip the search where a certificate settles it.  A family of
 2n - 1 vectors in R^n has the complement property iff it is full spark,

@@ -56,7 +56,9 @@ scale, a square minor of the block beside it, so the certificate reads
 each of those C(N, n) - 1 minors once, walking the column sets depth
 first, each minor by Laplace expansion from minors a size smaller.  A minor
 nonzero mod p is nonzero over Q, so True proves full spark, and False
-proves nothing.
+proves nothing.  Given an index set ``within``, it proves only that every
+n-subset meeting that set is independent, and skips the minors of the
+n-subsets that avoid it.
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
@@ -71,7 +73,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import AbstractSet, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import BadInput
 
@@ -274,7 +276,9 @@ def _laplace_terms(n: int, k: int) -> Tuple[Tuple[IntVec, IntVec], ...]:
     )
 
 
-def full_spark_residue(vecs: Sequence[Sequence[int]]) -> bool:
+def full_spark_residue(
+    vecs: Sequence[Sequence[int]], within: Optional[AbstractSet[int]] = None
+) -> bool:
     """Is every n-subset of these N >= n integer vectors in R^n independent?
 
     True proves it; False proves nothing.
@@ -283,7 +287,9 @@ def full_spark_residue(vecs: Sequence[Sequence[int]]) -> bool:
     [D | C], D diagonal with a nonzero diagonal, or find the first n
     vectors singular mod p (False).  Scaling the rows of [D | C] by D^-1
     gives [I | D^-1 C], whose maximal minors are, up to sign, the square
-    minors of D^-1 C, and those are the minors of C times nonzero scales.
+    minors of D^-1 C, and those are the minors of C times nonzero scales:
+    the n-subset (P - R) + S, for the leading n vectors P, k of them in R
+    and k others in S, has the k x k minor of C on rows R and columns S.
     So the vectors are independent n at a time mod p iff every square
     minor of C is nonzero mod p: C(N, n) - 1 minors in all.  A zero entry
     of C ends it first.  Otherwise the column sets of C are walked depth
@@ -293,9 +299,26 @@ def full_spark_residue(vecs: Sequence[Sequence[int]]) -> bool:
     set with a minor that is 0 mod p.  A minor nonzero mod p is nonzero
     over Q, so every n-subset that is independent mod p is independent
     over Q.
+
+    ``within`` (an index set; None: every index) narrows the claim: True
+    proves every n-subset that meets ``within`` independent.  Its members
+    move to the front, in index order, so the leading n vectors P lie in
+    it and its other members are C's first columns; fewer than n members
+    give False.  (P - R) + S meets ``within`` unless R = P and S avoids
+    it, so the walk skips exactly the n x n minors of the column sets that
+    avoid ``within``: those that start after its members.  Every smaller
+    minor of such a set is read, since its n-subset keeps a member of P,
+    and the zero-entry test skips only entries that are such n x n minors
+    (n = 1).  So an accepted set reads C(N, n) - 1 - C(N - |within|, n)
+    minors.
     """
     p = RESIDUE_P
     n = len(vecs[0])
+    if within is not None:
+        lead = sorted(within)
+        if len(lead) < n:
+            return False
+        vecs = [vecs[i] for i in lead] + [v for i, v in enumerate(vecs) if i not in within]
     rows = list(zip(*residues(vecs)))
     # fraction-free Gauss-Jordan on the columns still to come: after step
     # c every row but the pivot row is zero at column c, which is dropped
@@ -311,25 +334,32 @@ def full_spark_residue(vecs: Sequence[Sequence[int]]) -> bool:
             for r, row in enumerate(rows)
         ]
     cols = list(zip(*rows))
-    if any(0 in col for col in cols):
-        return False
     m = len(cols)
+    if m == 0:  # N = n, and the leading vectors are independent
+        return True
+    # within's members among C's columns: its first w
+    w = m if within is None else len(within) - n
+    if any(0 in col for col in (cols if n > 1 else cols[:w])):
+        return False
     terms = [_laplace_terms(n, k) for k in range(1, min(n, m) + 1)]
-    deepest = len(terms)
 
-    def grow(start: int, minors: List[int], k: int) -> bool:
+    def grow(firsts: Iterable[int], minors: List[int], k: int, deepest: int) -> bool:
         # minors: on a column set of size k, by row set (the empty set's is
-        # 1); each column from start on extends it to a set of size k + 1
+        # 1); each column in firsts extends it to a set of size k + 1, whose
+        # minors are read up to size deepest
         signed = (minors + [-x for x in minors]).__getitem__
         size = terms[k]
-        for s in range(start, m):
+        for s in firsts:
             col = cols[s].__getitem__
             out = [sum(map(mul, map(col, r), map(signed, j))) % p for r, j in size]
-            if 0 in out or k + 1 < deepest and not grow(s + 1, out, k + 1):
+            if 0 in out or k + 1 < deepest and not grow(range(s + 1, m), out, k + 1, deepest):
                 return False
         return True
 
-    return m == 0 or grow(0, [1], 0)
+    # a column set avoids within iff it starts at column w or later, and
+    # then its n x n minor is skipped
+    deepest, short = len(terms), min(len(terms), n - 1)
+    return grow(range(w), [1], 0, deepest) and (short == 0 or grow(range(w, m), [1], 0, short))
 
 
 @lru_cache(maxsize=32)

@@ -20,8 +20,8 @@ the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``; the rows of its parity-check matrix
 are the primitive normals of a span (``ratlin.span_of``).  An extension
 stage's test is the same search, restricted to dependent row sets that
-meet the support.  A subspace and a frame of different ambient
-dimensions raise ``BadInput``.
+meet the support, behind a certificate that reads minors (below).  A
+subspace and a frame of different ambient dimensions raise ``BadInput``.
 
 Every search here is a ``frames`` search, so this module never touches a
 span table.  Two of them prove a negative, and each runs first modulo
@@ -31,8 +31,13 @@ property (``is_pr_subspace``, through ``frames._certified_partition``) and
 an extension stage's "no singular row subset meets the support"
 (``_stage_accepts``).  Both are complete over any field, so a residue
 search that finds nothing proves that nothing exists over Q, and one that
-finds something hands over to the exact search.  d(F) and the minimum
-support stay exact.
+finds something hands over to the exact search.  In front of that, at any
+width of the numbers, an extension stage reads its minors mod p: its test
+is full spark restricted to the row sets that meet the support, which
+``ratlin.full_spark_residue`` proves with that support as ``within``.
+True accepts, and False hands over to the searches, so every rejected
+draw is still the exact search's.  d(F) and the minimum support stay
+exact.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from .ratlin import (
     as_fractions,
     clear_denominators,
     derive_seed,
+    full_spark_residue,
     int_nullspace,
     int_rank,
     primitive_rows,
@@ -343,17 +349,24 @@ def _stage_accepts(us: List[IntVec], supp: FrozenSet[int]) -> bool:
     """Every m-row subset meeting the support is invertible, m = len(us).
 
     Each u has n entries, and row i is (u[i] for u in us), a vector in
-    R^m.  For m <= n and a nonempty support (as ``extend_to_maximal``
-    guarantees), that holds iff no dependent set of at most m rows meets
-    the support (``frames._spark``): such a set lies in a singular m-subset
-    that meets it.  So the search stops at the first such set it finds
-    (``_spark``'s ``enough`` is m).  Where Hadamard's bound lets the exact
-    search's minors reach ``ratlin.RESIDUE_P``, the search runs mod p
-    first: finding no dependent row set mod p accepts, and finding one may
-    be a collision, so the exact search decides.
+    R^m.  That is full spark restricted to the row sets that meet the
+    support, and ``ratlin.full_spark_residue`` with ``within`` the support
+    proves it from the minors mod p first, at any entry width: True
+    accepts, since a minor nonzero mod p is nonzero over Q.  False proves
+    nothing, and the search decides.  For m <= n and a nonempty support (as
+    ``extend_to_maximal`` guarantees), the test holds iff no dependent set
+    of at most m rows meets the support (``frames._spark``): such a set
+    lies in a singular m-subset that meets it.  So the search stops at the
+    first such set it finds (``_spark``'s ``enough`` is m).  Where
+    Hadamard's bound lets the exact search's minors reach
+    ``ratlin.RESIDUE_P``, the search runs mod p first: finding no
+    dependent row set mod p accepts, and finding one may be a collision,
+    so the exact search decides.  Every rejection is the exact search's.
     """
     m = len(us)
     rows = list(zip(*us))
+    if full_spark_residue(rows, supp):
+        return True
     return not residue_first(lambda rs, kernel: _spark(rs, supp, kernel, m) <= m, rows, m - 1)
 
 

@@ -16,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from prframes import Frame
 from prframes.construct import PatternMatrix
-from prframes.errors import PatternViolation, RearrangeFailure
+from prframes.errors import PatternViolation
 
 
 def _rank(vectors) -> int:
@@ -282,12 +282,22 @@ def searched_plan_steps(n: int, N: int):
     return None
 
 
+def permute_rows(p: PatternMatrix, order) -> PatternMatrix:
+    """The mask with its rows relabelled: row i of the result is row order[i].
+
+    A relabelling of coordinates; (P1)-(P4) are invariant under it.
+    """
+    return PatternMatrix(tuple(p.mask[i] for i in order))
+
+
 def searched_step_II(a: PatternMatrix) -> PatternMatrix:
     """Step II by exhaustive search: the first splice arrangement that validates.
 
     Tries every non-identity splice column of the normalized input, and for
     it every (zero row, nonzero row) pair, in order; each arrangement is
     assembled as ``step_II`` assembles its one and kept once it validates.
+    A valid input always has one (``step_II``'s docstring), so finding none
+    fails the calling test with an AssertionError.
     """
     a.validate()
     n, N = a.n, a.N
@@ -298,7 +308,7 @@ def searched_step_II(a: PatternMatrix) -> PatternMatrix:
         for r0 in zeros:
             for r1 in nonzeros:
                 row_order = [r0, r1] + [r for r in range(n) if r not in (r0, r1)]
-                cand = a.permute_rows(row_order).normalized()
+                cand = permute_rows(a, row_order).normalized()
                 sp = next(j for j in range(n, N) if not cand.mask[0][j] and cand.mask[1][j])
                 cand = cand.permute_columns([j for j in range(N) if j != sp] + [sp])
                 rows = []
@@ -313,7 +323,7 @@ def searched_step_II(a: PatternMatrix) -> PatternMatrix:
                 except PatternViolation:
                     continue
                 return b
-    raise RearrangeFailure("no splice column arrangement validates")
+    raise AssertionError("no splice column arrangement validates")
 
 
 def brute_lifted_independent(frame: Frame) -> bool:

@@ -18,6 +18,7 @@ from oracles import (
     brute_pr_redundancy,
     brute_sdr,
     brute_spark,
+    permute_rows,
     searched_plan_steps,
     searched_step_II,
 )
@@ -143,7 +144,7 @@ def _permuted_plan_masks():
                 rows, cols = list(range(n)), list(range(N))
                 rng.shuffle(rows)
                 rng.shuffle(cols)
-                yield pat.permute_rows(rows).permute_columns(cols)
+                yield permute_rows(pat, rows).permute_columns(cols)
 
 
 STEP_DIGEST = "cfc2664d49baba135223801308a60c19586fc6269810d175c19c2051288dbd7a"
@@ -193,7 +194,7 @@ def test_identity_columns_are_read_from_the_mask():
     assert (p.n, p.N) == (2, 4)
     assert p.identity_columns() == [0, 1]
     assert p.permute_columns([2, 1, 3, 0]).identity_columns() == [2, 1]
-    assert p.permute_rows([1, 0]).identity_columns() == [1, 0]
+    assert permute_rows(p, [1, 0]).identity_columns() == [1, 0]
     # no column is nonzero in row 1 alone
     assert PatternMatrix(((True, True), (False, True))).identity_columns() is None
 

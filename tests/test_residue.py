@@ -182,6 +182,64 @@ def test_certified_stage_agrees_with_oracle(case):
     assert _stage_accepts(us, supp) == brute_stage_accepts(us, n, supp)
 
 
+def test_an_accepted_stage_reads_only_the_minors_that_meet_the_support(span_extensions, minors):
+    # 9 rows in R^3 and a support of 4: the pivots are three support rows,
+    # and the walk skips the 3 x 3 minors of the C(5, 3) row sets off the
+    # support, so it reads C(9, 3) - 1 - C(5, 3) = 73 minors and makes no
+    # span extension; with wide entries the search would run mod p first
+    rng = random.Random(31)
+    us = [tuple(rng.randint(-(1 << 16), 1 << 16) for _ in range(9)) for _ in range(3)]
+    supp = frozenset({1, 4, 6, 7})
+    span_extensions[:] = [0, 0, 0]
+    minors[0] = 0
+    assert _stage_accepts(us, supp)
+    assert minors[0] == math.comb(9, 3) - 1 - math.comb(5, 3) == 73
+    assert span_extensions == [0, 0, 0]
+    assert brute_stage_accepts(us, 9, supp)
+
+
+@st.composite
+def restricted_families(draw):
+    """N vectors in R^n (n <= 4, n <= N <= 7), an index set of any size, and whether entries are narrow.
+
+    Narrow entries (-2..2) make dependent subsets common, and no maximal
+    minor of them reaches p.  Wide ones are up to 2^16 or collide mod p.
+    """
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(n, 7))
+    narrow = draw(st.booleans())
+    entry = st.integers(-2, 2) if narrow else st.one_of(st.integers(-(1 << 16), 1 << 16), entries)
+    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=N, max_size=N))
+    return n, vecs, draw(st.frozensets(st.integers(0, N - 1))), narrow
+
+
+@settings(max_examples=300, deadline=None)
+@given(restricted_families())
+# a dependent pair of a pivot and a row off the set (a 1 x 1 minor of a
+# column set that avoids it), and a dependent triple of a pivot and two
+# rows off it (a 2 x 2 minor); the set's own members dependent, after rows
+# off it; n = 1 with a row off the set that is zero, and with a member zero
+@example((2, [(1, 0), (0, 1), (1, 0)], frozenset({0, 1}), True))
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (2, 4, 5)], frozenset({0, 1, 2}), True))
+@example((2, [(1, 0), (0, 1), (1, 1), (2, 2)], frozenset({2, 3}), True))
+@example((1, [(1,), (0,)], frozenset({1}), True))
+@example((1, [(0,), (2,), (1,)], frozenset({1, 2}), True))
+# a member that vanishes mod p only; fewer members than n
+@example((2, [(1, 0), (0, P), (1, 1)], frozenset({0, 1}), False))
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)], frozenset({0, 3}), True))
+def test_full_spark_within_agrees_with_oracle(case):
+    # True proves every n-subset that meets within independent over Q; on
+    # narrow entries a minor is 0 mod p only when it is 0, so the
+    # certificate decides exactly there, whenever within has n members
+    n, vecs, within, narrow = case
+    certified = full_spark_residue(vecs, within)
+    expected = len(within) >= n and brute_stage_accepts(list(zip(*vecs)), len(vecs), within)
+    if certified or narrow:
+        assert certified == expected
+    # within every index: the same walk as without within
+    assert full_spark_residue(vecs, frozenset(range(len(vecs)))) == full_spark_residue(vecs)
+
+
 
 # ---------------------------------------------------------------------------
 # The full-spark certificate: every square minor beside the reduced leading

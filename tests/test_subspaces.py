@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -753,23 +754,31 @@ def test_spark_count_sparse_8_16(span_tests, within, enough, count, tests):
     assert span_tests[0] == tests
 
 
-def test_extend_to_maximal_work_ceiling(span_tests):
+def _stage_minors(n, k):
+    # stages of size m = 2..k, each reading the minors of its m-row subsets
+    # that meet a support of k rows: C(n, m) - 1 - C(n - k, m)
+    return sum(math.comb(n, m) - 1 - math.comb(n - k, m) for m in range(2, k + 1))
+
+
+def test_extend_to_maximal_work_ceiling(span_tests, minors):
+    # every stage is accepted from its minors, with no search; the span
+    # tests left are the stages' nullspaces, the solve and the result's rank
+    # (1,851 tests when each stage ran the independent-set search)
     b = std_basis(11)
-    span_tests[0] = 0
+    span_tests[0] = minors[0] = 0
     m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0), seed=0)
     assert m.dim == 5
-    # 1,851 tests (1,862 with the basis built); 2,726 when the result was
-    # re-proved PR with minimum support k
-    assert span_tests[0] <= 2330
-    # exact, not just bounded: search order and pruning fix the questions asked
-    assert span_tests[0] == 1851
+    assert minors[0] == _stage_minors(11, 5) == 952
+    # exact, not just bounded: the draws and the walk fix the work
+    assert span_tests[0] == 26
 
 
-def test_extend_to_maximal_work_ceiling_support_7(span_tests):
-    # the stage checks dominate: every 7-row subset of R^13 meeting the support
+def test_extend_to_maximal_work_ceiling_support_7(span_tests, minors):
+    # the stage checks dominate: the minors of every row subset of R^13 that
+    # meets the support.  54 span tests with the basis built (13,842 when
+    # each stage ran the independent-set search)
     b = std_basis(13)
     m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0, 1, 1), seed=0)
     assert m.dim == 7
-    # 13,842 tests with the basis built; 21,376 with the re-proof
-    assert span_tests[0] <= 17300
-    assert span_tests[0] == 13842
+    assert minors[0] == _stage_minors(13, 7) == 5735
+    assert span_tests[0] == 54
