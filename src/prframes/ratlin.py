@@ -54,7 +54,10 @@ every n of N >= n integer vectors in R^n are independent
 to a diagonal, and every maximal minor of the result is, up to a nonzero
 scale, a square minor of the block beside it, so the certificate reads
 each of those C(N, n) - 1 minors once, walking the column sets depth
-first, each minor by Laplace expansion from minors a size smaller.  A minor
+first, each minor by Laplace expansion from minors a size smaller.  The
+expansions are compiled once per size: each minor is one sum of products
+of two ``itemgetter`` reads, the new column's entries and the signed
+smaller minors, with no index arithmetic in the walk.  A minor
 nonzero mod p is nonzero over Q, so True proves full spark, and False
 proves nothing.  Given an index set ``within``, it proves only that every
 n-subset meeting that set is independent, and skips the minors of the
@@ -72,7 +75,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import AbstractSet, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import BadInput
@@ -259,19 +262,37 @@ def residue_first(
     return search(vecs, None)
 
 
-@lru_cache(maxsize=64)
-def _laplace_terms(n: int, k: int) -> Tuple[Tuple[IntVec, IntVec], ...]:
-    """The Laplace expansion of a k x k minor along its last column, for each row set.
+Gather = Callable[[Sequence[int]], Sequence[int]]
 
-    One entry per k-subset R of range(n), in lexicographic order: R, and
-    for each i the position of R minus its i-th member among the
-    (k - 1)-subsets, plus C(n, k - 1) when i is odd, which reads the
-    negated copy of that minor.
+
+def _gather(positions: Sequence[int]) -> Gather:
+    """A precompiled read of the entries at these positions, as a sequence.
+
+    ``itemgetter`` of one position returns the bare item, so one position
+    is read as a slice of length 1.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1))
+
+
+@lru_cache(maxsize=64)
+def _laplace_terms(n: int, k: int) -> Tuple[Tuple[Gather, Gather], ...]:
+    """The Laplace expansion of a k x k minor along a new first column, for each row set.
+
+    For k - 1 columns A and a new column c, the minor of [c | A] on a row
+    set R = (r_0 < ... < r_(k-1)) is the sum over i of (-1)^i c[r_i] times
+    A's (k - 1)-minor on R minus r_i.  One entry per k-subset R of
+    range(n), in lexicographic order: a pair (at, below) of precompiled
+    gathers.  ``at`` reads c's entries on R.  ``below`` reads the signed
+    minors of A, its minors by row set followed by their negated copies:
+    R minus r_i at its position among the (k - 1)-subsets, plus C(n, k - 1)
+    when i is odd.  So ``sum(map(mul, at(c), below(signed)))`` is the minor.
     """
     below = {rows: j for j, rows in enumerate(combinations(range(n), k - 1))}
     half = len(below)
     return tuple(
-        (rows, tuple(below[rows[:i] + rows[i + 1 :]] + half * (i & 1) for i in range(k)))
+        (_gather(rows), _gather([below[rows[:i] + rows[i + 1 :]] + half * (i & 1) for i in range(k)]))
         for rows in combinations(range(n), k)
     )
 
@@ -293,12 +314,14 @@ def full_spark_residue(
     So the vectors are independent n at a time mod p iff every square
     minor of C is nonzero mod p: C(N, n) - 1 minors in all.  A zero entry
     of C ends it first.  Otherwise the column sets of C are walked depth
-    first, each set's minors by Laplace expansion along its last column
-    from the minors of the set without it (``_laplace_terms``), holding
-    one minors vector per depth, and the walk stops at the first column
-    set with a minor that is 0 mod p.  A minor nonzero mod p is nonzero
-    over Q, so every n-subset that is independent mod p is independent
-    over Q.
+    first, each set's minors from the minors of the set without its last
+    column, by Laplace expansion along that column put in front: one pass
+    of precompiled gathers over ``_laplace_terms`` per set.  So a minor
+    has its set's columns in reverse order, which changes only its sign.
+    The walk holds one minors vector per depth, and it stops at the first
+    column set with a minor that is 0 mod p.  A minor nonzero mod p is
+    nonzero over Q, so every n-subset that is independent mod p is
+    independent over Q.
 
     ``within`` (an index set; None: every index) narrows the claim: True
     proves every n-subset that meets ``within`` independent.  Its members
@@ -347,11 +370,11 @@ def full_spark_residue(
         # minors: on a column set of size k, by row set (the empty set's is
         # 1); each column in firsts extends it to a set of size k + 1, whose
         # minors are read up to size deepest
-        signed = (minors + [-x for x in minors]).__getitem__
+        signed = minors + [-x for x in minors]
         size = terms[k]
         for s in firsts:
-            col = cols[s].__getitem__
-            out = [sum(map(mul, map(col, r), map(signed, j))) % p for r, j in size]
+            col = cols[s]
+            out = [sum(map(mul, at(col), below(signed))) % p for at, below in size]
             if 0 in out or k + 1 < deepest and not grow(range(s + 1, m), out, k + 1, deepest):
                 return False
         return True
@@ -505,11 +528,26 @@ def sample_pattern(
 
     Returns integer rows: 0 exactly where the mask is falsy, elsewhere drawn
     row-major from ``random.Random(seed)``.  Deterministic in the seed.
+    Each draw is ``randint(1, range_max)`` step for step, without its call
+    chain: r = getrandbits(k), k the bit length of range_max, until
+    r < range_max, and then r + 1.
     """
     if range_max < 2:
         raise ValueError("range_max must be >= 2")
-    rng = random.Random(seed)
-    return tuple(tuple(rng.randint(1, range_max) if cell else 0 for cell in row) for row in pattern)
+    bits, k = random.Random(seed).getrandbits, range_max.bit_length()
+    out = []
+    for row in pattern:
+        drawn = []
+        for cell in row:
+            if not cell:
+                drawn.append(0)
+                continue
+            r = bits(k)
+            while r >= range_max:
+                r = bits(k)
+            drawn.append(r + 1)
+        out.append(tuple(drawn))
+    return tuple(out)
 
 
 def sample_int_matrix(rows: int, cols: int, range_max: int, seed: Seed) -> Tuple[IntVec, ...]:

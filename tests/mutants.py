@@ -54,6 +54,37 @@ MUTANTS = (
         "full_spark_residue with within: the skipped minors avoid within only when the pivots lie in it",
     ),
     Mutant(
+        "laplace-sign-parity-flipped",
+        "src/prframes/ratlin.py",
+        "+ half * (i & 1) for i in range(k)",
+        "+ half * (~i & 1) for i in range(k)",
+        ("tests/test_residue.py",),
+        "the Laplace step negates the minors at odd positions; flipped, every minor changes sign "
+        "level by level and no zero test sees it, so the step is checked against sympy's minors",
+    ),
+    Mutant(
+        "full-spark-breadth-first",
+        "src/prframes/ratlin.py",
+        "    return grow(range(w), [1], 0, deepest) and (short == 0 or grow(range(w, m), [1], 0, short))",
+        "    level = [((), [1])]\n"
+        "    for k, size in enumerate(terms):\n"
+        "        wider = []\n"
+        "        for key, minors in level:\n"
+        "            signed = minors + [-x for x in minors]\n"
+        "            for s in range(key[-1] + 1 if key else 0, m):\n"
+        "                if k >= short and (key + (s,))[0] >= w:\n"
+        "                    continue\n"
+        "                out = [sum(map(mul, at(cols[s]), below(signed))) % p for at, below in size]\n"
+        "                if 0 in out:\n"
+        "                    return False\n"
+        "                wider.append((key + (s,), out))\n"
+        "        level = wider\n"
+        "    return True",
+        ("tests/test_residue.py",),
+        "the full-spark certificate walks the column sets depth first and holds one minors vector "
+        "per depth; a walk that holds every column set of a size reads the same minors in far more memory",
+    ),
+    Mutant(
         "full-spark-behind-outgrows-digit",
         "src/prframes/frames.py",
         "    if len(cols) == 2 * t + 1 and full_spark_residue(cols):\n",
@@ -85,6 +116,14 @@ MUTANTS = (
         "    if a.n < 1:",
         ("tests/test_construct.py",),
         "the steps' proofs need n >= 3, so smaller masks are refused",
+    ),
+    Mutant(
+        "sampler-accepts-range-max",
+        "src/prframes/ratlin.py",
+        "            while r >= range_max:",
+        "            while r > range_max:",
+        ("tests/test_ratlin.py",),
+        "each sampled entry is randint(1, range_max) step for step: a draw of range_max is rejected",
     ),
 )
 

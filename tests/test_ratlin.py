@@ -277,6 +277,19 @@ def test_sample_pattern_pins_the_draws():
     assert all(type(x) is int for row in a for x in row)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.booleans(), max_size=6), max_size=6),
+    st.one_of(st.sampled_from((2, 3, 100, 1 << 16, (1 << 16) + 1)), st.integers(2, 1 << 40)),
+    st.integers(0, (1 << 64) - 1),
+)
+# R = 2 draws 2 bits and rejects half of them; 2^16 + 1 rejects nearly half
+@example([[True] * 6] * 6, 2, 0)
+@example([[True, False, True]] * 4, (1 << 16) + 1, 7)
+def test_sample_pattern_is_randint_step_for_step(mask, range_max, seed):
+    assert sample_pattern(mask, range_max, seed) == _row_major_draws(mask, range_max, seed)
+
+
 def test_sample_int_matrix_pins_the_draws():
     a = sample_int_matrix(3, 4, 1 << 16, 9)
     assert a == (

@@ -8,9 +8,11 @@ and the exact search has to decide.
 import math
 import random
 import tracemalloc
+from itertools import combinations
+from operator import mul
 
 from hypothesis import assume, example, given, settings, strategies as st
-from sympy.polys.domains import GF
+from sympy.polys.domains import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from oracles import (
@@ -36,6 +38,7 @@ from prframes import (
 from prframes.frames import _partition, _spark
 from prframes.ratlin import (
     RESIDUE_P,
+    _laplace_terms,
     extend_residue,
     full_spark_residue,
     off_table,
@@ -306,6 +309,48 @@ def test_full_spark_certificate_agrees_with_oracles(case):
     assert spark(f) == expected
     assert is_full_spark(f) == (expected == n + 1)
     assert has_complement_property(f).holds == brute_has_cp_halved(f)
+
+
+def _minors_mod_p(cols, n):
+    """The k x k minors mod p of k integer columns in R^n, by row set in lexicographic order (sympy)."""
+    k = len(cols)
+    if k == 0:
+        return [1]
+    rows = list(zip(*cols))
+    return [
+        int(DomainMatrix([[ZZ(rows[r][c]) for c in range(k)] for r in on], (k, k), ZZ).det()) % P
+        for on in combinations(range(n), k)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.one_of(st.integers(-(1 << 16), 1 << 16), entries), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+)
+# a 6 x 6 with a zero and a multiple of p: every size, odd positions up to 5
+@example((6, [[3, 0, 1, 4, 1, 5], [9, 2, 6, P, 3, 5], [8, 9, 7, 9, 3, 2],
+             [3, 8, 4, 6, 2, 6], [4, 3, 3, 8, 3, 2], [7, 9, 5, 0, 2, 8]]))
+def test_laplace_step_reads_the_minors_one_size_up(case):
+    # one step of the certificate's walk: the minors of k - 1 columns and
+    # their negated copies, expanded along a new column, are the minors of
+    # the k columns with the new one in front; k = 1 starts from the empty
+    # set's minor 1
+    n, cols = case
+    for k in range(1, n + 1):
+        head, col = cols[: k - 1], residues(cols[k - 1 : k])[0]
+        smaller = _minors_mod_p(head, n)
+        signed = smaller + [-x for x in smaller]
+        got = [sum(map(mul, at(col), below(signed))) % P for at, below in _laplace_terms(n, k)]
+        assert got == _minors_mod_p([col, *head], n)
 
 
 def test_full_spark_certificate_holds_one_minors_vector_per_depth(minors):
