@@ -52,26 +52,30 @@ span as a ``ratlin`` table: one row per normal, holding its dot products
 with the columns still to come and then the watched ones.  No other
 module reads these tables.  A membership question is a lookup in the
 table: the first row nonzero at the column, or none when the column lies
-in the span.  Both searches read it in place, so no question in their
-loops costs a call (``off_table`` asks it for column 0 and the watched
-columns, and in ``ratlin.span_rows``).  Only a branch extends a span, a
-``ratlin`` call that updates its rows on the columns after the one added
-(``extend_table``).
-Each row stays a multiple of its normal's dot products, so every question
-gets the answer the normals would give.  All rank arithmetic is
-integer-only, and every verdict rests on exact ranks.
+in the span.  Both searches read it in place, as a plain scan of the rows
+that stops at a nonzero entry, so no question in their loops costs a call
+or an index (``off_table`` asks it for column 0, and in
+``ratlin.span_rows``).  Only a branch extends a span, a ``ratlin`` call
+that updates its rows on the columns after the one added
+(``extend_table``); the branch recovers its pivot, the first nonzero row,
+as the index of the row the scan stopped at, which is exact because an
+equal row earlier in the table would have stopped the scan.  Each row
+stays a multiple of its normal's dot products, so every question gets the
+answer the normals would give.  All rank arithmetic is integer-only, and
+every verdict rests on exact ranks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import NotAFrame
 from .ratlin import (
     IntVec,
     Kernel,
+    Table,
     as_fractions,
     extend_table,
     full_spark_residue,
@@ -255,16 +259,22 @@ def _partition(
     columns and then the watched ones, and a class has rank <= t exactly
     while its table keeps at least n - t rows.  A column lies in a span
     iff its table has no row nonzero there, and the first nonzero row is
-    the one an extension drops (``off_table``).  Each popped node walks its
-    columns while they lie in the span of A or of B, reading both tables
-    in place, so a node costs one pop and a membership question no call.
-    Column 0 is pinned to A (global swap symmetry).  A column in the span of
-    A goes to A only, and otherwise a column in the span of B goes to B only:
-    any 2-colouring with both ranks <= t stays one after that move, so the
-    rule loses no answer.  Only a column independent of both classes
-    branches, trying B before A, and a branch dies the moment either class
-    exceeds rank t.  The returned class is one valid witness, not the first
-    failing subset in bitmask order.
+    the one an extension drops (``off_table``).  Column 0 is pinned to A
+    (global swap symmetry).  A column in the span of A goes to A only, and
+    otherwise a column in the span of B goes to B only: any 2-colouring
+    with both ranks <= t stays one after that move, so the rule loses no
+    answer.  Only a column independent of both classes branches, trying B
+    before A, and a branch dies the moment either class exceeds rank t.
+    The returned class is one valid witness, not the first failing subset
+    in bitmask order.
+
+    A popped node walks its columns while they lie in the span of A or of
+    B, scanning both tables in place, so a membership question costs no
+    call.  At a column outside both, the node stacks its A child and walks
+    on as its B child.  Stacked, the B child would be pushed and popped at
+    once, so the nodes come in the same order, and only the A children
+    cost a push and a pop.  Only there does the walk recover each pivot's
+    index, ``table.index(row)`` on the row its scan stopped at.
 
     The search stops at the first partition whose larger class rank r is at
     most ``floor`` (default t, so every caller asking whether a partition
@@ -275,14 +285,15 @@ def _partition(
     which it carries as ``rank``.
 
     ``seen`` (watched columns, with floor t) asks in addition that some
-    watched column lie outside both class spans.  Each stack entry carries
-    the table positions of those still outside both, from those outside
-    the span of column 0 (no zero column is), and a branch dies once none
-    are left.  Adding a column to a class only shrinks that set, so the pin
-    and the dominance rule still lose no answer.  At t = n - 1 a class of
-    rank n would leave none, and the rank test prunes it before it is built.
+    watched column lie outside both class spans.  Each node carries the
+    table positions of those still outside both, from those outside the
+    span of column 0 (no zero column is), and a branch dies once none are
+    left: its A child is not stacked, or its B child not walked on.  Adding
+    a column to a class only shrinks that set, so the pin and the dominance
+    rule still lose no answer.  At t = n - 1 a class of rank n would leave
+    none, and the rank test prunes it before it is built.
     """
-    off, extend = off_table, kernel or extend_table
+    extend = kernel or extend_table
     ncols = len(cols)
     if ncols == 0:
         # the empty family: both classes empty, of rank 0, and every nonzero
@@ -293,9 +304,9 @@ def _partition(
     watched = () if seen is None else tuple(seen)
     width = ncols + len(watched)
     empty = span_table((*cols, *watched), n)
-    off0 = off(empty, -width)
+    off0 = off_table(empty, -width)
     start_a = empty if off0 is None else extend(empty, -width, off0)
-    live = None if seen is None else [at for at in range(ncols - width, 0) if off(start_a, at) is not None]
+    live = None if seen is None else _outside(start_a, range(ncols - width, 0))
     if len(start_a) < keep or live == []:
         return None
     if floor is None:
@@ -306,50 +317,63 @@ def _partition(
     stack = [(1, start_a, empty, 1, live)]
     while stack:
         i, na, nb, amask, live = stack.pop()
-        # walk the columns in the span of A, or else of B, to the first one
-        # outside both, reading each table in place: its first row nonzero
-        # at the column, as ``off_table`` finds it
+        # walk the columns in the span of A, or else of B, reading each
+        # table in place: column i lies in a span iff no row is nonzero at it
         while i < ncols:
             at = i - width
-            for ka, row in enumerate(na):
-                da = row[at]
-                if da:
+            for ra in na:
+                if ra[at]:
                     break
             else:
                 amask |= 1 << i
                 i += 1
                 continue
-            for kb, row in enumerate(nb):
-                db = row[at]
-                if db:
+            for rb in nb:
+                if rb[at]:
                     break
             else:
                 i += 1
                 continue
-            break
-        if i == ncols:
+            # column i branches; live is None when nothing is watched, and
+            # never empty in a live branch.  The A child is stacked, and the
+            # B child, tried first, is walked on in place.  The pivot is the
+            # first row equal to the one the scan stopped at: an earlier
+            # equal row would have stopped it.
+            if len(na) > keep:
+                grown = extend(na, at, (na.index(ra), ra[at]))
+                left = live and _outside(grown, live)
+                if left != []:
+                    stack.append((i + 1, grown, nb, amask | 1 << i, left))
+            if len(nb) <= keep:
+                break
+            nb = extend(nb, at, (nb.index(rb), rb[at]))
+            live = live and _outside(nb, live)
+            if live == []:
+                break
+            i += 1
+        else:
+            # every column is placed: a partition with both ranks <= t
             r = n - min(len(na), len(nb))
             best = amask, r
             if r <= floor:
                 break
             keep = n - r + 1  # go on with t = r - 1
             stack = [e for e in stack if len(e[1]) >= keep and len(e[2]) >= keep]
-            continue
-        # live is None when nothing is watched and never empty on the stack
-        if len(na) > keep:
-            grown = extend(na, at, (ka, da))
-            left = live and [c for c in live if off(grown, c) is not None]
-            if left != []:
-                stack.append((i + 1, grown, nb, amask | 1 << i, left))
-        if len(nb) > keep:
-            grown = extend(nb, at, (kb, db))
-            left = live and [c for c in live if off(grown, c) is not None]
-            if left != []:
-                stack.append((i + 1, na, grown, amask, left))
     if best is None:
         return None
     amask, r = best
     return Split(frozenset(j for j in range(ncols) if amask >> j & 1), r)
+
+
+def _outside(rows: Table, live: Iterable[int]) -> List[int]:
+    """The positions in ``live`` of the columns outside the span: some row is nonzero there."""
+    out = []
+    for c in live:
+        for row in rows:
+            if row[c]:
+                out.append(c)
+                break
+    return out
 
 
 def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
@@ -445,11 +469,10 @@ def _spark(
             if not (hit or grow):
                 continue
             at = j - width
-            # the table read in place: its first row nonzero at j, as
-            # ``off_table`` finds it, or none when j lies in the span
-            for k, row in enumerate(rows):
-                d = row[at]
-                if d:
+            # the table read in place: j lies in the span iff no row is
+            # nonzero at it
+            for row in rows:
+                if row[at]:
                     break
             else:
                 best = size + 1 if hit else size + 2
@@ -460,7 +483,7 @@ def _spark(
                 grow = False
                 continue
             if grow:
-                stack.append((j + 1, extend(rows, at, (k, d)), hit))
+                stack.append((j + 1, extend(rows, at, (rows.index(row), row[at])), hit))
     return best
 
 

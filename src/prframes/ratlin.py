@@ -146,7 +146,8 @@ def off_table(rows: Table, at: int) -> Optional[Tuple[int, int]]:
 
     ``at`` is the column's position counted from the end of the table
     (column j of M is at j - M), which trimming a row's front never moves.
-    The searches in ``frames`` make this scan in place, in their loops.
+    The searches in ``frames`` make this scan in place, in their loops,
+    without ``enumerate``: they recover k only where a branch needs it.
     """
     for k, row in enumerate(rows):
         d = row[at]
@@ -165,12 +166,20 @@ def extend_table(rows: Table, at: int, off: Tuple[int, int]) -> Table:
     is, entries for passed columns included; no one reads those again.  A
     row may come out all zero (gcd 0): its normal is orthogonal to every
     column left, and at the last column every updated row comes out empty.
+    Row k is sliced only once some row after it is nonzero at ``at``; when
+    none is, the table is the other rows as they are, and no row is built.
     """
     k, dk = off
+    rest = rows[k + 1 :]
+    for row in rest:
+        if row[at]:
+            break
+    else:
+        return rows[:k] + rest
     s = at + 1
     rk = rows[k][s:] if s else ()
     out = list(rows[:k])
-    for row in rows[k + 1 :]:
+    for row in rest:
         di = row[at]
         if di:
             row = [dk * x - di * y for x, y in zip(row[s:], rk)]
@@ -199,14 +208,22 @@ def extend_residue(rows: Table, at: int, off: Tuple[int, int]) -> Table:
     """``extend_table`` mod ``RESIDUE_P``, given ``off = off_table(rows, at)``.
 
     d_k is a unit mod p, so each d_k h_i - d_i h_k is a nonzero normal
-    independent of the others, and its row needs no trimming.
+    independent of the others, and its row needs no trimming.  As there,
+    row k is sliced only once some row after it needs it, and when none
+    does the other rows are returned as they are.
     """
-    p = RESIDUE_P
     k, dk = off
+    rest = rows[k + 1 :]
+    for row in rest:
+        if row[at]:
+            break
+    else:
+        return rows[:k] + rest
+    p = RESIDUE_P
     s = at + 1
     rk = rows[k][s:] if s else ()
     out = list(rows[:k])
-    for row in rows[k + 1 :]:
+    for row in rest:
         di = row[at]
         if di:
             row = tuple([(dk * x - di * y) % p for x, y in zip(row[s:], rk)])

@@ -46,8 +46,10 @@ def span_tests(monkeypatch):
     ``extend_residue``), bound by name in frames and ratlin only, are
     wrapped to return tables whose every iteration counts.  Slicing a
     table gives a plain tuple, so an extension's own reads of its input do
-    not count.  The one scan of a table that tests nothing, ``ratlin``
-    reading the normals off ``span_rows``, gets the rows as a plain tuple.
+    not count, and ``tuple.index``, with which a search recovers a pivot
+    row's position, iterates without ``__iter__``.  The one scan of a table
+    that tests nothing, ``ratlin`` reading the normals off ``span_rows``,
+    gets the rows as a plain tuple.
     The exact and the residue search ask tests alike; ``span_extensions``
     tells the two apart.
     """

@@ -102,6 +102,63 @@ MUTANTS = (
         "after a partition of larger class rank r the d(F) search looks only for rank <= r - 1",
     ),
     Mutant(
+        "partition-column-0-unpinned",
+        "src/prframes/frames.py",
+        "    stack = [(1, start_a, empty, 1, live)]",
+        "    stack = [(0, empty, empty, 0, live)]",
+        ("tests/test_frames.py",),
+        "the partition search pins column 0 to A, which cuts the mirror half of the colourings; "
+        "unpinned, it walks other nodes and reports other witnesses",
+    ),
+    Mutant(
+        "partition-span-a-branches",
+        "src/prframes/frames.py",
+        "            else:\n"
+        "                amask |= 1 << i\n"
+        "                i += 1\n"
+        "                continue\n",
+        "            else:\n"
+        "                for rb in nb:\n"
+        "                    if rb[at]:\n"
+        "                        break\n"
+        "                else:\n"
+        "                    amask |= 1 << i\n"
+        "                    i += 1\n"
+        "                    continue\n"
+        "                stack.append((i + 1, na, nb, amask | 1 << i, live))\n"
+        "                if len(nb) <= keep:\n"
+        "                    break\n"
+        "                nb = extend(nb, at, (nb.index(rb), rb[at]))\n"
+        "                live = live and _outside(nb, live)\n"
+        "                if live == []:\n"
+        "                    break\n"
+        "                i += 1\n"
+        "                continue\n",
+        ("tests/test_frames.py",),
+        "dominance: a column in the span of A goes to A only; branching it into B as well loses no "
+        "answer but walks other nodes, in another order",
+    ),
+    Mutant(
+        "partition-floor-stop-strict",
+        "src/prframes/frames.py",
+        "            if r <= floor:",
+        "            if r < floor:",
+        ("tests/test_frames.py",),
+        "the search stops at the first partition whose larger class rank is at most floor, "
+        "so a search for any partition stops at the first one",
+    ),
+    Mutant(
+        "partition-b-outlives-watched",
+        "src/prframes/frames.py",
+        "            live = live and _outside(nb, live)\n"
+        "            if live == []:\n"
+        "                break\n",
+        "            live = live and _outside(nb, live)\n",
+        ("tests/test_frames.py", "tests/test_lifting.py"),
+        "the B child walked on in place dies, as a stacked child does, once no watched column "
+        "is left outside both spans",
+    ),
+    Mutant(
         "step-II-last-nonzero-row",
         "src/prframes/construct.py",
         "    r0, r1 = splice.index(False), splice.index(True)",

@@ -363,3 +363,115 @@ def greedy_lifted_completion(frame: Frame, rng, tries: int = 200) -> Frame:
             vecs.append(cand)
     assert _rank(rows) == target, "completion failed"
     return Frame.from_vectors(vecs, dim=n)
+
+
+# ---------------------------------------------------------------------------
+# The partition search frozen as a reference, with its two span steps: each
+# table scan with ``enumerate``, both children stacked, and every pivot row
+# sliced up front.  ``frames._partition`` must return the identical Split in
+# every mode, because each failing subset and witness it reports rests on
+# its depth-first order.
+# ---------------------------------------------------------------------------
+
+REFERENCE_P = 1073741789  # ratlin.RESIDUE_P
+
+
+def _reference_off(rows, at):
+    for k, row in enumerate(rows):
+        d = row[at]
+        if d:
+            return k, d
+    return None
+
+
+def reference_extend_table(rows, at, off):
+    k, dk = off
+    s = at + 1
+    rk = rows[k][s:] if s else ()
+    out = list(rows[:k])
+    for row in rows[k + 1 :]:
+        di = row[at]
+        if di:
+            row = [dk * x - di * y for x, y in zip(row[s:], rk)]
+            g = math.gcd(*row)
+            row = tuple([x // g for x in row] if g > 1 else row)
+        out.append(row)
+    return tuple(out)
+
+
+def reference_extend_residue(rows, at, off):
+    p = REFERENCE_P
+    k, dk = off
+    s = at + 1
+    rk = rows[k][s:] if s else ()
+    out = list(rows[:k])
+    for row in rows[k + 1 :]:
+        di = row[at]
+        if di:
+            row = tuple([(dk * x - di * y) % p for x, y in zip(row[s:], rk)])
+        out.append(row)
+    return tuple(out)
+
+
+def reference_partition(cols, t, floor=None, kernel=None, seen=None):
+    """``frames._partition``'s search, frozen: (members of A, larger class rank) or None."""
+    off, extend = _reference_off, kernel or reference_extend_table
+    ncols = len(cols)
+    if ncols == 0:
+        return (frozenset(), 0) if seen is None or any(map(any, seen)) else None
+    n = len(cols[0])
+    keep = n - t
+    watched = () if seen is None else tuple(seen)
+    width = ncols + len(watched)
+    empty = tuple(zip(*cols, *watched))
+    off0 = off(empty, -width)
+    start_a = empty if off0 is None else extend(empty, -width, off0)
+    live = None if seen is None else [at for at in range(ncols - width, 0) if off(start_a, at) is not None]
+    if len(start_a) < keep or live == []:
+        return None
+    if floor is None:
+        floor = t
+    best = None
+    stack = [(1, start_a, empty, 1, live)]
+    while stack:
+        i, na, nb, amask, live = stack.pop()
+        while i < ncols:
+            at = i - width
+            for ka, row in enumerate(na):
+                da = row[at]
+                if da:
+                    break
+            else:
+                amask |= 1 << i
+                i += 1
+                continue
+            for kb, row in enumerate(nb):
+                db = row[at]
+                if db:
+                    break
+            else:
+                i += 1
+                continue
+            break
+        if i == ncols:
+            r = n - min(len(na), len(nb))
+            best = amask, r
+            if r <= floor:
+                break
+            keep = n - r + 1
+            stack = [e for e in stack if len(e[1]) >= keep and len(e[2]) >= keep]
+            continue
+        if len(na) > keep:
+            grown = extend(na, at, (ka, da))
+            left = live and [c for c in live if off(grown, c) is not None]
+            if left != []:
+                stack.append((i + 1, grown, nb, amask | 1 << i, left))
+        if len(nb) > keep:
+            grown = extend(nb, at, (kb, db))
+            left = live and [c for c in live if off(grown, c) is not None]
+            if left != []:
+                stack.append((i + 1, na, grown, amask, left))
+    if best is None:
+        return None
+    amask, r = best
+    return frozenset(j for j in range(ncols) if amask >> j & 1), r

@@ -15,6 +15,8 @@ from oracles import (
     brute_is_exact_pr,
     brute_spark,
     brute_spark_within,
+    reference_extend_residue,
+    reference_partition,
 )
 from prframes import (
     Frame,
@@ -202,6 +204,40 @@ def test_bounded_search_finds_d(family):
         comp = [i for i in range(frame.N) if i not in found.a]
         ranks = [oracle_rank([frame.vectors[i] for i in idxs]) for idxs in (sorted(found.a), comp)]
         assert found.rank == max(ranks) == d
+
+
+@st.composite
+def search_modes(draw):
+    # integer columns, n <= 4 and N <= 8, zero and repeated columns allowed,
+    # and one of the four ways the package runs the search
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from((0, 0, 1, -1, 2, -2))
+    vecs = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=8))
+    mode = draw(st.sampled_from(("plain", "floor", "watched", "residue")))
+    t = draw(st.integers(0, n - 1)) if mode in ("plain", "residue") else n - 1
+    cut = draw(st.integers(1, len(vecs))) if mode == "watched" else len(vecs)
+    return n, vecs[:cut], vecs[cut:], mode, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_modes())
+def test_partition_returns_the_reference_split(case):
+    # the search walks the same nodes in the same order as the frozen
+    # reference (tests/oracles.py), so it ends on the identical Split
+    n, cols, seen, mode, t = case
+    if mode == "plain":
+        got, want = _partition(cols, t), reference_partition(cols, t)
+    elif mode == "floor":
+        got, want = _partition(cols, t, (n + 1) // 2), reference_partition(cols, t, (n + 1) // 2)
+    elif mode == "watched":
+        got, want = _partition(cols, t, seen=seen), reference_partition(cols, t, seen=seen)
+    else:
+        res = residues(cols)
+        got = _partition(res, t, None, extend_residue)
+        want = reference_partition(res, t, None, reference_extend_residue)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.a, got.rank) == want
 
 
 @settings(max_examples=100, deadline=None)
