@@ -21,32 +21,21 @@ with a stopping floor below t: each partition found lowers t to one below
 its larger class rank until that rank reaches the floor (n + 1) // 2, and
 the value is cached on the ``Frame``.
 
-The search takes its span extension as an argument.  The CP proof
-(``_certified_partition``: ``Frame._cp``, and ``subspaces.is_pr_subspace``
-on projected families) runs it first with ``ratlin``'s residue step,
-modulo the prime ``RESIDUE_P`` below 2^30, where the numbers can outgrow
-one digit.  The pin and dominance rules hold over any field, so the search
-is complete mod p, and finding no partition there proves that none exists
-over Q (``ratlin.residue_first``).  When it finds one, the exact search
-supplies the verdict and the witness, so every failing subset is the exact
-search's.  d(F) and the watched searches stay exact, since they need the
-exact values.  The removals stay exact too, though they read only whether
-a partition exists, which the certificates could settle.
-
-Two callers skip the search where a certificate settles it.  A family of
-2n - 1 vectors in R^n has the complement property iff it is full spark,
-so on those the CP proof tries ``ratlin.full_spark_residue`` before the
-residue search, and ``spark`` tries it before its search, at any width
-of the numbers.  The certificate reads each maximal minor once, mod p,
-and True proves full spark over Q.  False proves nothing, and the
-searches run as before, so every failing subset and every spark below
-n + 1 is still the exact search's.
+The partition search takes its span extension as an argument, exact or
+modulo the prime ``RESIDUE_P``.  The CP proof (``_certified_partition``,
+for ``Frame._cp`` and ``subspaces.is_pr_subspace``) reads the minors mod
+p (``ratlin.full_spark_residue``) on 2t + 1 columns and runs the residue
+search on other lengths whose numbers can outgrow one digit, ``spark``
+reads the minors before its search, and where a certificate proves
+nothing the exact search decides, so every failing subset and every
+spark below n + 1 is the exact search's (``ratlin`` has the argument).
+d(F), the removals and the watched searches are exact only.
 
 ``spark`` is a depth-first search over independent subfamilies that shares
-each prefix's span.  On bare integer columns, ``_spark(cols, within,
-kernel)`` is the size of the smallest dependent subfamily that meets
-``within``: the one independent-set search, which ``subspaces`` runs for
-the minimum support and, mod p first, for an extension stage's test.
+each prefix's span.  On bare integer columns, ``_spark(cols, within)`` is
+the size of the smallest dependent subfamily that meets ``within``: the
+one independent-set search, which ``subspaces`` runs for the minimum
+support and for an extension stage's test.
 Both searches ask about their columns in index order, so each holds every
 span as a ``ratlin`` table: one row per normal, holding its dot products
 with the columns still to come and then the watched ones.  No other
@@ -77,13 +66,15 @@ from .ratlin import (
     Kernel,
     Table,
     as_fractions,
+    extend_residue,
     extend_table,
     full_spark_residue,
     int_rank,
     off_table,
+    outgrows_digit,
     primitive_rows,
     read_rows,
-    residue_first,
+    residues,
     span_table,
 )
 
@@ -377,17 +368,20 @@ def _outside(rows: Table, live: Iterable[int]) -> List[int]:
 
 
 def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
-    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), with the certificates mod p in front.
+    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), with a certificate mod p in front.
 
-    With 2t + 1 columns, one class of any 2-colouring has t + 1 or more
-    of them, and the other t or fewer.  So a partition with both ranks
-    <= t exists iff some t + 1 columns are dependent: there the complement
-    property is full spark, and ``ratlin.full_spark_residue`` proves it
-    from the minors, before the residue search.
+    With 2t + 1 columns the complement property is full spark, and
+    ``ratlin.full_spark_residue`` proves it from the minors; when it proves
+    nothing, a residue search would find a partition too, so the exact
+    search runs at once.  At other lengths, where the numbers can outgrow
+    one digit, the residue search runs first, and finding no partition mod
+    p proves that none exists.
     """
-    if len(cols) == 2 * t + 1 and full_spark_residue(cols):
+    if len(cols) == 2 * t + 1:
+        return None if full_spark_residue(cols) else _partition(cols, t)
+    if outgrows_digit(cols, t) and _partition(residues(cols), t, None, extend_residue) is None:
         return None
-    return residue_first(lambda vecs, kernel: _partition(vecs, t, None, kernel), cols, t)
+    return _partition(cols, t)
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +415,14 @@ def spark(frame: Frame) -> int:
     return _spark(cols)
 
 
-def _spark(
-    cols: Sequence[IntVec],
-    within: Optional[IndexSet] = None,
-    kernel: Optional[Kernel] = None,
-    enough: int = 0,
-) -> int:
+def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None, enough: int = 0) -> int:
     """Size of the smallest dependent subfamily that meets ``within``; len+1 if none.
 
-    ``within`` is a nonempty index set (None: every column), and ``kernel``
-    the span extension, as in ``_partition``.  Depth-first search over
-    independent subfamilies in index order, each node holding the table of
-    its span and extending its parent's by one column.  A column j in the
-    span of an independent set I closes the dependent set I+j, so every
-    circuit is found from its members below its largest index.
+    ``within`` is a nonempty index set (None: every column).  Depth-first
+    search over independent subfamilies in index order, each node holding
+    the table of its span and extending its parent's by one column.  A
+    column j in the span of an independent set I closes the dependent set
+    I+j, so every circuit is found from its members below its largest index.
 
     * A closed set I+j that avoids ``within`` counts as |I|+2: adding any
       member of ``within`` gives a dependent set that meets it.  A smallest
@@ -451,7 +439,6 @@ def _spark(
     """
     if not cols:
         return 1
-    extend = kernel or extend_table
     n, width = len(cols[0]), len(cols)
     best = min(width, n) + 1
     # stack entries: (next index, table of an independent set's span,
@@ -483,7 +470,7 @@ def _spark(
                 grow = False
                 continue
             if grow:
-                stack.append((j + 1, extend(rows, at, (rows.index(row), row[at])), hit))
+                stack.append((j + 1, extend_table(rows, at, (rows.index(row), row[at])), hit))
     return best
 
 

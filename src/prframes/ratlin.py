@@ -63,6 +63,20 @@ proves nothing.  Given an index set ``within``, it proves only that every
 n-subset meeting that set is independent, and skips the minors of the
 n-subsets that avoid it.
 
+Where this certificate stands in front of a search, a residue search
+behind it could never settle anything.  False means that some n-subset
+(meeting ``within``) is singular mod p, and each certified search looks
+for such a configuration and is complete over any field, so mod p it
+would find one and hand over to the exact search anyway.  At 2t + 1
+columns in R^(t+1) the complement property is full spark (a 2-colouring
+has a class of t + 1 or more columns, so a partition with both ranks
+<= t exists iff some t + 1 columns are dependent), and an extension
+stage asks that no dependent set of at most n rows meet the support, of
+which a singular n-subset meeting it is one (with |within| >= n, False
+comes from such a subset).  So a failed certificate goes straight to the
+exact search, and only the complement property at other lengths runs a
+residue search.
+
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
 """
@@ -76,7 +90,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd
 from operator import itemgetter, mul
-from typing import AbstractSet, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import AbstractSet, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadInput
 
@@ -195,8 +209,6 @@ RESIDUE_P = 1073741789  # the largest prime below 2^30
 # the membership test reads the table alike for both
 Kernel = Callable[[Table, int, Tuple[int, int]], Table]
 
-Found = TypeVar("Found")
-
 
 def residues(vecs: Iterable[Sequence[int]]) -> Tuple[IntVec, ...]:
     """Integer vectors reduced mod ``RESIDUE_P``, entries in [0, p)."""
@@ -257,26 +269,6 @@ def outgrows_digit(vecs: Sequence[Sequence[int]], t: int) -> bool:
             break
         bound *= s
     return bound >= p2
-
-
-def residue_first(
-    search: Callable[[Sequence[IntVec], Optional[Kernel]], Found], vecs: Sequence[IntVec], t: int
-) -> Found:
-    """``search(vecs, None)``, with a residue certificate in front where it can pay.
-
-    ``search(vecs, kernel)`` looks for spans of rank <= t among the vectors,
-    extending spans with ``kernel`` (exact when None), is complete over any
-    field, and returns something falsy when it finds nothing.  When
-    ``outgrows_digit(vecs, t)``, it runs on the residues first, and a falsy
-    result there is the answer: every rank mod p is at most the rank over
-    Q, so what exists over Q exists mod p.  A find mod p may be a
-    collision, so the exact search decides and supplies the witness.
-    """
-    if outgrows_digit(vecs, t):
-        found = search(residues(vecs), extend_residue)
-        if not found:
-            return found
-    return search(vecs, None)
 
 
 Gather = Callable[[Sequence[int]], Sequence[int]]
@@ -471,10 +463,15 @@ def read_rows(vectors: Iterable[Iterable]) -> Rows:
 
     Only ``type(x) is int`` counts as an int, so bools (and int subclasses)
     go through ``Fraction``.  Entries that are Fractions already are kept.
+    A float raises ``BadInput``, as in ``parse_rational``: 0.1 is not the
+    rational it prints as, and its binary expansion is not what was meant.
     """
     rows = tuple(map(tuple, vectors))
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows
+    for x in chain.from_iterable(rows):
+        if isinstance(x, float):
+            raise BadInput(f"not a rational: {x!r}")
     return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
 
 

@@ -24,20 +24,12 @@ meet the support, behind a certificate that reads minors (below).  A
 subspace and a frame of different ambient dimensions raise ``BadInput``.
 
 Every search here is a ``frames`` search, so this module never touches a
-span table.  Two of them prove a negative, and each runs first modulo
-``ratlin.RESIDUE_P`` where the numbers can outgrow one digit
-(``ratlin.residue_first`` has the argument): the projected complement
-property (``is_pr_subspace``, through ``frames._certified_partition``) and
-an extension stage's "no singular row subset meets the support"
-(``_stage_accepts``).  Both are complete over any field, so a residue
-search that finds nothing proves that nothing exists over Q, and one that
-finds something hands over to the exact search.  In front of that, at any
-width of the numbers, an extension stage reads its minors mod p: its test
-is full spark restricted to the row sets that meet the support, which
-``ratlin.full_spark_residue`` proves with that support as ``within``.
-True accepts, and False hands over to the searches, so every rejected
-draw is still the exact search's.  d(F) and the minimum support stay
-exact.
+span table.  The projected complement property (``is_pr_subspace``) runs
+through ``frames._certified_partition``, and an extension stage's test
+reads its minors mod p (``ratlin.full_spark_residue``, with the support
+as ``within``) before its search, which decides every rejected draw
+(``ratlin`` has the argument); d(F) and the minimum support are exact
+only.
 """
 
 from __future__ import annotations
@@ -72,7 +64,6 @@ from .ratlin import (
     int_rank,
     primitive_rows,
     read_rows,
-    residue_first,
     sample_int_matrix,
     solve,
     span_of,
@@ -353,21 +344,16 @@ def _stage_accepts(us: List[IntVec], supp: FrozenSet[int]) -> bool:
     support, and ``ratlin.full_spark_residue`` with ``within`` the support
     proves it from the minors mod p first, at any entry width: True
     accepts, since a minor nonzero mod p is nonzero over Q.  False proves
-    nothing, and the search decides.  For m <= n and a nonempty support (as
-    ``extend_to_maximal`` guarantees), the test holds iff no dependent set
-    of at most m rows meets the support (``frames._spark``): such a set
-    lies in a singular m-subset that meets it.  So the search stops at the
-    first such set it finds (``_spark``'s ``enough`` is m).  Where
-    Hadamard's bound lets the exact search's minors reach
-    ``ratlin.RESIDUE_P``, the search runs mod p first: finding no
-    dependent row set mod p accepts, and finding one may be a collision,
-    so the exact search decides.  Every rejection is the exact search's.
+    nothing, and the exact search decides.  For m <= n and a support of at
+    least m rows (as ``extend_to_maximal`` guarantees), the test holds iff
+    no dependent set of at most m rows meets the support
+    (``frames._spark``): such a set lies in a singular m-subset that meets
+    it.  So the search stops at the first such set it finds (``_spark``'s
+    ``enough`` is m), and every rejection is the exact search's.
     """
     m = len(us)
     rows = list(zip(*us))
-    if full_spark_residue(rows, supp):
-        return True
-    return not residue_first(lambda rs, kernel: _spark(rs, supp, kernel, m) <= m, rows, m - 1)
+    return full_spark_residue(rows, supp) or _spark(rows, supp, m) > m
 
 
 def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:

@@ -87,11 +87,19 @@ MUTANTS = (
     Mutant(
         "full-spark-behind-outgrows-digit",
         "src/prframes/frames.py",
-        "    if len(cols) == 2 * t + 1 and full_spark_residue(cols):\n",
-        "    from .ratlin import outgrows_digit\n\n"
-        "    if len(cols) == 2 * t + 1 and outgrows_digit(cols, t) and full_spark_residue(cols):\n",
+        "        return None if full_spark_residue(cols) else _partition(cols, t)",
+        "        return None if outgrows_digit(cols, t) and full_spark_residue(cols) else _partition(cols, t)",
         ("tests/test_frames.py",),
         "the full-spark certificate runs at any entry width, narrow families of 2t + 1 columns included",
+    ),
+    Mutant(
+        "failed-certificate-proves-cp",
+        "src/prframes/frames.py",
+        "        return None if full_spark_residue(cols) else _partition(cols, t)",
+        "        return None",
+        ("tests/test_frames.py",),
+        "False from the full-spark certificate proves nothing: a family of 2t + 1 columns that is "
+        "not full spark fails the complement property, and the exact search finds its failing subset",
     ),
     Mutant(
         "d-search-keeps-rank-r",
@@ -173,6 +181,15 @@ MUTANTS = (
         "    if a.n < 1:",
         ("tests/test_construct.py",),
         "the steps' proofs need n >= 3, so smaller masks are refused",
+    ),
+    Mutant(
+        "solve-always-fraction",
+        "src/prframes/ratlin.py",
+        "    return p // q if p % q == 0 else Fraction(p, q)",
+        "    return Fraction(p, q)",
+        ("tests/test_int_input.py",),
+        "solve returns ints where entries are integral, so subspace operations on int input "
+        "make no Fraction: Fractions are made only at the boundary",
     ),
     Mutant(
         "sampler-accepts-range-max",

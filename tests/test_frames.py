@@ -264,10 +264,7 @@ def spark_cases(draw):
 @given(spark_cases())
 def test_spark_within_agrees_with_oracle(case):
     cols, within = case
-    exact = _spark(cols, within)
-    assert exact == brute_spark_within(cols, within)
-    # every rank mod p is at most the rank over Q
-    assert _spark(residues(cols), within, extend_residue) <= exact
+    assert _spark(cols, within) == brute_spark_within(cols, within)
 
 
 @pytest.mark.parametrize(

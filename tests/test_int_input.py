@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prframes import (
+    BadInput,
     Frame,
     Subspace,
     d_max,
@@ -128,6 +129,22 @@ def test_bool_entries_read_as_fractions_as_before():
     sub = Subspace.from_vectors([(True, False)])
     assert sub == Subspace.from_vectors([(1, 0)])
     assert all(type(x) is Fraction for x in sub.basis[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Frame.from_vectors([(0.1, 1), (1, 0), (1, 1)]),
+        lambda: Frame.from_vectors([(Fraction(1, 2), 0), (0, 1.0), (1, 1)]),
+        lambda: Subspace.from_vectors([(0.5, 1, 0)]),
+        lambda: support((1, 0.25), Frame.from_vectors([(1, 0), (0, 1)])),
+    ],
+    ids=["frame", "frame-mixed", "subspace", "support"],
+)
+def test_float_entries_raise_bad_input(build):
+    # 0.1 would be held as its binary expansion, 3602879701896397/2^55
+    with pytest.raises(BadInput, match="not a rational"):
+        build()
 
 
 def test_fraction_rows_are_returned_as_held(fractions_made):

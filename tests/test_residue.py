@@ -35,7 +35,7 @@ from prframes import (
     project_frame,
     spark,
 )
-from prframes.frames import _partition, _spark
+from prframes.frames import _partition
 from prframes.ratlin import (
     RESIDUE_P,
     _laplace_terms,
@@ -126,11 +126,11 @@ def test_minor_vanishing_mod_p_is_still_pr():
 
 
 def test_stage_rejected_mod_p_is_accepted_over_q():
-    # rows (1,0), (1,p), (0,1): every 2-row subset meeting row 0 is
-    # invertible over Q, but rows 0 and 1 coincide mod p
-    us, n, supp = [(1, 1, 0), (0, P, 1)], 3, frozenset({0})
-    rows = list(zip(*us))
-    assert _spark(residues(rows), supp, RESIDUE) <= 2
+    # rows (1,0), (1,p), (0,1): every 2-row subset meeting rows 0 and 1 is
+    # invertible over Q, but the certificate pivots on those two, which
+    # coincide mod p, so it proves nothing and the exact search accepts
+    us, n, supp = [(1, 1, 0), (0, P, 1)], 3, frozenset({0, 1})
+    assert not full_spark_residue(list(zip(*us)), supp)
     assert _stage_accepts(us, supp)
     assert brute_stage_accepts(us, n, supp)
 
@@ -189,7 +189,7 @@ def test_an_accepted_stage_reads_only_the_minors_that_meet_the_support(span_exte
     # 9 rows in R^3 and a support of 4: the pivots are three support rows,
     # and the walk skips the 3 x 3 minors of the C(5, 3) row sets off the
     # support, so it reads C(9, 3) - 1 - C(5, 3) = 73 minors and makes no
-    # span extension; with wide entries the search would run mod p first
+    # span extension
     rng = random.Random(31)
     us = [tuple(rng.randint(-(1 << 16), 1 << 16) for _ in range(9)) for _ in range(3)]
     supp = frozenset({1, 4, 6, 7})
@@ -241,6 +241,49 @@ def test_full_spark_within_agrees_with_oracle(case):
         assert certified == expected
     # within every index: the same walk as without within
     assert full_spark_residue(vecs, frozenset(range(len(vecs)))) == full_spark_residue(vecs)
+
+
+def _det_mod_p(vecs):
+    """The determinant of n integer vectors in R^n, mod p (sympy)."""
+    n = len(vecs)
+    return int(DomainMatrix([[ZZ(x) for x in v] for v in vecs], (n, n), ZZ).det()) % P
+
+
+@st.composite
+def certified_families(draw):
+    """N integer vectors in R^n (n <= 4, n <= N <= 2n) and an index set of n or more.
+
+    Half the families have 2n - 1 vectors, where the complement property
+    is full spark.  The entries of a family are narrow (-2..2), wide (up
+    to 2^16) or colliding mod p.
+    """
+    n = draw(st.integers(1, 4))
+    N = 2 * n - 1 if draw(st.booleans()) else draw(st.integers(n, 2 * n))
+    entry = draw(st.sampled_from((st.integers(-2, 2), st.integers(-(1 << 16), 1 << 16), entries)))
+    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=N, max_size=N))
+    within = draw(st.frozensets(st.integers(0, N - 1), min_size=n))
+    return n, vecs, within
+
+
+@settings(max_examples=200, deadline=None)
+@given(certified_families())
+# a member that vanishes mod p only: (0, p) is zero mod p, so the residue
+# search finds a partition such as ({0, 1}, {2})
+@example((2, [(1, 0), (0, P), (1, 1)], frozenset({0, 1})))
+def test_a_failed_certificate_leaves_the_residue_search_nothing_to_settle(case):
+    # with n or more members in within, False names an n-subset that meets
+    # within and is singular mod p: a residue search for a dependent set
+    # that meets within finds one, so only the exact search can settle it
+    n, vecs, within = case
+    singular = any(
+        within.intersection(on) and _det_mod_p([vecs[i] for i in on]) == 0
+        for on in combinations(range(len(vecs)), n)
+    )
+    assert full_spark_residue(vecs, within) == (not singular)
+    # at 2t + 1 columns in R^(t+1), t = n - 1: a failed certificate leaves
+    # t + 1 columns dependent mod p, a class of a partition mod p
+    if len(vecs) == 2 * n - 1 and not full_spark_residue(vecs):
+        assert _partition(residues(vecs), n - 1, None, RESIDUE) is not None
 
 
 

@@ -750,7 +750,7 @@ def test_spark_count_sparse_8_16(span_tests, within, enough, count, tests):
     # ``enough`` the search stops at the first count found that is at most
     # that, and a least count above it takes the full search
     span_tests[0] = 0
-    assert prframes.frames._spark(SPARSE_8_16, within and frozenset(within), None, enough) == count
+    assert prframes.frames._spark(SPARSE_8_16, within and frozenset(within), enough) == count
     assert span_tests[0] == tests
 
 
