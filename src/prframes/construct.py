@@ -374,15 +374,15 @@ def _as_identity_leading(cf: CertifiedFrame) -> Frame:
     """Similar frame whose first k vectors are the standard basis.
 
     Exactness and PR-redundancy are invariant under an invertible change of
-    coordinates, so the certificate carries over.
+    coordinates, so the certificate carries over.  The first k vectors of a
+    certified exact frame are always independent, so ``solve`` never
+    refuses them: a pattern frame leads with e_1..e_k (every step ends
+    normalized and ``instantiate`` pins those columns), and a certified
+    frame of length 2k - 1 is full spark.
     """
     n = cf.frame.dim
     rows = tuple(zip(*cf.frame._rows))
-    try:
-        return Frame.from_vectors(zip(*solve([r[:n] for r in rows], rows)), dim=n)
-    except ValueError:
-        # not expected: the leading block is the identity or full spark
-        raise RetriesExhausted("leading block not invertible") from None
+    return Frame.from_vectors(zip(*solve([r[:n] for r in rows], rows)), dim=n)
 
 
 def _redundancy_component(dim: int, length: int, seed: Seed) -> Frame:
@@ -446,11 +446,11 @@ def generate_with_dmax(n: int, k: int, N: int, seed: Seed) -> CertifiedFrame:
                 frame = Frame.from_vectors(vecs, dim=n)
                 mode = ["tilted_slice", N]
             else:
-                if N - k * (k + 1) // 2 >= 2 * n2 - 1:
-                    n1_len = min(k * (k + 1) // 2, N - (2 * n2 - 1))
-                else:
-                    # too short for two exact components; shrink to the corner
-                    n1_len = min(k * (k + 1) // 2, N - n2)
+                # K = k(k+1)/2.  When N - K >= 2*n2 - 1 both components can
+                # be exact and this is K, as N - n2 >= K + n2 - 1 >= K;
+                # shorter, the first shrinks to the corner and the second
+                # keeps its n2 vectors
+                n1_len = min(k * (k + 1) // 2, N - n2)
                 n2_len = N - n1_len
                 f1 = _redundancy_component(k, n1_len, s)
                 f2 = _redundancy_component(n2, n2_len, derive_seed(s, 101))

@@ -35,7 +35,7 @@ d(F), the removals and the watched searches are exact only.
 each prefix's span.  On bare integer columns, ``_spark(cols, within)`` is
 the size of the smallest dependent subfamily that meets ``within``: the
 one independent-set search, which ``subspaces`` runs for the minimum
-support and for an extension stage's test.
+support and for the extension's test.
 Both searches ask about their columns in index order, so each holds every
 span as a ``ratlin`` table: one row per normal, holding its dot products
 with the columns still to come and then the watched ones.  No other
@@ -415,7 +415,7 @@ def spark(frame: Frame) -> int:
     return _spark(cols)
 
 
-def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None, enough: int = 0) -> int:
+def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None) -> int:
     """Size of the smallest dependent subfamily that meets ``within``; len+1 if none.
 
     ``within`` is a nonempty index set (None: every column).  Depth-first
@@ -433,9 +433,7 @@ def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None, enough: in
 
     A column is only tested, and a node only expanded, while it can still
     lower the best count.  A zero column (also the empty vector) is
-    dependent on its own.  The search returns the first count it finds
-    that is at most ``enough``, which settles whether the least count is; the
-    default 0 lets no count do, so the search runs to the least.
+    dependent on its own.
     """
     if not cols:
         return 1
@@ -463,8 +461,6 @@ def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None, enough: in
                     break
             else:
                 best = size + 1 if hit else size + 2
-                if best <= enough:
-                    return best
                 if hit:
                     break
                 grow = False

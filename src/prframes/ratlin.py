@@ -70,8 +70,8 @@ for such a configuration and is complete over any field, so mod p it
 would find one and hand over to the exact search anyway.  At 2t + 1
 columns in R^(t+1) the complement property is full spark (a 2-colouring
 has a class of t + 1 or more columns, so a partition with both ranks
-<= t exists iff some t + 1 columns are dependent), and an extension
-stage asks that no dependent set of at most n rows meet the support, of
+<= t exists iff some t + 1 columns are dependent), and the extension's
+test asks that no dependent set of at most n rows meet the support, of
 which a singular n-subset meeting it is one (with |within| >= n, False
 comes from such a subset).  So a failed certificate goes straight to the
 exact search, and only the complement property at other lengths runs a

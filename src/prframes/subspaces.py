@@ -18,16 +18,17 @@ extension probe search one (frame, span) pair once.  The
 minimum dual-basis support of M, which decides maximality for a basis, is
 the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``; the rows of its parity-check matrix
-are the primitive normals of a span (``ratlin.span_of``).  An extension
-stage's test is the same search, restricted to dependent row sets that
-meet the support, behind a certificate that reads minors (below).  A
-subspace and a frame of different ambient dimensions raise ``BadInput``.
+are the primitive normals of a span (``ratlin.span_of``).  The test that
+certifies an extension is the same search, restricted to dependent row
+sets that meet the support, behind a certificate that reads minors
+(below).  A subspace and a frame of different ambient dimensions raise
+``BadInput``.
 
 Every search here is a ``frames`` search, so this module never touches a
 span table.  The projected complement property (``is_pr_subspace``) runs
-through ``frames._certified_partition``, and an extension stage's test
-reads its minors mod p (``ratlin.full_spark_residue``, with the support
-as ``within``) before its search, which decides every rejected draw
+through ``frames._certified_partition``, and the extension's test reads
+its minors mod p (``ratlin.full_spark_residue``, with the support as
+``within``) before its search, which decides every rejected draw
 (``ratlin`` has the argument); d(F) and the minimum support are exact
 only.
 """
@@ -81,10 +82,10 @@ class Subspace(_Value):
     ``basis`` is a tuple of rational columns, as ``Frame.vectors`` is, and
     like it is built on first read: columns whose every entry is an int are
     held as given (``ratlin.read_rows``).  Dependent columns, a column of
-    the wrong length, or no columns at all raise ``BadInput``.  Columns
-    produced by the extension algorithm have orthogonal dual-basis
-    coordinates but are left unnormalized; every criterion used downstream
-    is scale-invariant.
+    the wrong length, or no columns at all raise ``BadInput``.  The columns
+    ``extend_to_maximal`` returns have orthogonal dual-basis coordinates
+    (each u_j is drawn orthogonal to the ones before it) but are left
+    unnormalized; every criterion used downstream is scale-invariant.
     """
 
     _fields = ("ambient_dim", "basis")
@@ -337,40 +338,38 @@ def is_maximal_pr_subspace(frame: Frame, sub: Subspace, seed: Seed = 0) -> Maxim
 
 
 def _stage_accepts(us: List[IntVec], supp: FrozenSet[int]) -> bool:
-    """Every m-row subset meeting the support is invertible, m = len(us).
+    """Every m-row subset of U = [u_1..u_m] meeting the support is invertible.
 
-    Each u has n entries, and row i is (u[i] for u in us), a vector in
-    R^m.  That is full spark restricted to the row sets that meet the
-    support, and ``ratlin.full_spark_residue`` with ``within`` the support
-    proves it from the minors mod p first, at any entry width: True
-    accepts, since a minor nonzero mod p is nonzero over Q.  False proves
-    nothing, and the exact search decides.  For m <= n and a support of at
-    least m rows (as ``extend_to_maximal`` guarantees), the test holds iff
-    no dependent set of at most m rows meets the support
-    (``frames._spark``): such a set lies in a singular m-subset that meets
-    it.  So the search stops at the first such set it finds (``_spark``'s
-    ``enough`` is m), and every rejection is the exact search's.
+    ``extend_to_maximal`` asks it once per attempt, on its whole U.  Each
+    u has n entries, and row i is (u[i] for u in us), a vector in R^m.
+    That is full spark restricted to the row sets that meet the support,
+    and ``ratlin.full_spark_residue`` with ``within`` the support proves it
+    from the minors mod p first, at any entry width: True accepts, since a
+    minor nonzero mod p is nonzero over Q.  False proves nothing, and the
+    exact search decides.  For m <= n and a support of at least m rows (as
+    ``extend_to_maximal`` guarantees), the test holds iff no dependent set
+    of at most m rows meets the support (``frames._spark``): such a set
+    lies in a singular m-subset that meets it.  So every rejection is the
+    exact search's.
     """
     m = len(us)
     rows = list(zip(*us))
-    return full_spark_residue(rows, supp) or _spark(rows, supp, m) > m
+    return full_spark_residue(rows, supp) or _spark(rows, supp) > m
 
 
 def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:
     """Grow span{x} into a certified maximal PR subspace w.r.t. the basis b.
 
     Works in dual-basis coordinates, where the target dimension is the
-    support size k of x.  Each stage samples an integer vector orthogonal to
-    the ones already kept and accepts it when every square row subset of the
-    running size that meets the support is invertible.  A stage computes
-    the integer nullspace basis of the kept vectors once and draws up to 40
-    combinations of it (``_orthogonal_sample``); the kept vectors are
-    independent and fewer than n, so that basis is never empty.  The
-    last stage's acceptance is the certificate.  Let U = [x, u_2..u_k] be
-    the n x k matrix of dual coordinates and S = supp(x), so every k-row
-    subset of U that meets S is invertible.  For a basis, PR plus minimum
-    support k is exactly the rule under which ``is_maximal_pr_subspace``
-    returns Maximal, and both follow:
+    support size k of x.  Each attempt draws u_2..u_k in turn, each an
+    integer combination of the integer nullspace basis of the vectors
+    before it (``_orthogonal_sample``); those are independent and fewer
+    than n, so that basis is never empty.  Let U = [x, u_2..u_k] be the
+    n x k matrix of dual coordinates and S = supp(x).  One test
+    (``_stage_accepts``) then certifies the attempt: every k-row subset of
+    U that meets S is invertible.  A rejected U starts the next attempt.
+    For a basis, PR plus minimum support k is exactly the rule under which
+    ``is_maximal_pr_subspace`` returns Maximal, and both follow:
 
     * CP of U's rows in R^k.  Since n >= 2k - 1, one class of any
       2-colouring has at least k rows.  If that class meets S, it spans.
@@ -379,9 +378,8 @@ def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:
       orthogonal to c; any k rows of Z are dependent.  So if Z meets S,
       then |Z| <= k - 1 and |supp y| >= n - k + 1 >= k.  Otherwise
       supp y contains S.  And x itself attains k.
-    * k = 1.  There is no stage: span{x} has CP (x is nonzero on S) and
-      every nonzero multiple of x has support S.
 
+    For k = 1, U = [x] and the test holds at once: x is nonzero on S.
     ``solve`` is exact, so the returned subspace has exactly U as its
     dual coordinates, and the result needs no second proof.
     """
@@ -397,19 +395,9 @@ def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:
     for attempt in range(RETRIES + 1):
         rng = random.Random(derive_seed(seed, 31 + attempt))
         us: List[IntVec] = [x0]
-        for _m in range(1, k):
-            basis = int_nullspace(us, n)
-            got = None
-            for _ in range(40):
-                u = _orthogonal_sample(basis, n, rng)
-                cand = us + [u]
-                if _stage_accepts(cand, supp):
-                    got = u
-                    break
-            if got is None:
-                break
-            us.append(got)
-        else:
+        for _ in range(1, k):
+            us.append(_orthogonal_sample(int_nullspace(us, n), n, rng))
+        if _stage_accepts(us, supp):
             # back from dual-basis coordinates: columns v with B^T v = u
             return Subspace.from_vectors(zip(*solve(b._rows, tuple(zip(*us)))), ambient_dim=n)
     raise RetriesExhausted(f"extension failed after {RETRIES + 1} attempts")

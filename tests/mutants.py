@@ -102,6 +102,15 @@ MUTANTS = (
         "not full spark fails the complement property, and the exact search finds its failing subset",
     ),
     Mutant(
+        "extension-skips-certificate",
+        "src/prframes/subspaces.py",
+        "        if _stage_accepts(us, supp):",
+        "        if True:",
+        ("tests/test_subspaces.py",),
+        "extend_to_maximal returns U only once every k-row subset meeting the support is invertible; "
+        "a singular U is turned down and the next attempt draws again",
+    ),
+    Mutant(
         "d-search-keeps-rank-r",
         "src/prframes/frames.py",
         "            keep = n - r + 1  # go on with t = r - 1",

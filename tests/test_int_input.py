@@ -196,7 +196,7 @@ def test_dual_coordinates_of_int_input_make_no_fraction(fractions_made):
 
 
 def test_extending_int_input_makes_no_fraction(fractions_made):
-    # solve maps the stages back as ints where they divide exactly, as here
+    # solve maps U back as ints where they divide exactly, as here
     basis = Frame.from_vectors([tuple(int(i == j) for j in range(9)) for i in range(9)])
     x = (1, 0, 2, 0, -1, 0, 3, 0, 0)
     m = extend_to_maximal(basis, x, seed=3)

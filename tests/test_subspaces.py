@@ -576,11 +576,11 @@ def test_extend_with_skew_basis():
 
 @contextlib.contextmanager
 def stage_rejections(flips):
-    """Turn down the i-th draw that ``_stage_accepts`` accepts whenever ``flips[i]``.
+    """Turn down the i-th U that ``_stage_accepts`` accepts whenever ``flips[i]``.
 
-    The stub wraps the real check and never accepts a draw it rejects, so
-    every stage ``extend_to_maximal`` keeps passed the real check.  Yields
-    the real check's verdicts, one per call.
+    The stub wraps the real check and never accepts a U it rejects, so
+    every U that ``extend_to_maximal`` returns passed the real check.
+    Yields the real check's verdicts, one per call.
     """
     inner = prframes.subspaces._stage_accepts
     flips = iter(flips)
@@ -596,15 +596,15 @@ def stage_rejections(flips):
 
 
 def test_extend_computes_one_nullspace_per_stage(record_calls):
-    # turned-down draws make the first two stages draw again; each stage
-    # combines the one nullspace basis of the vectors it has kept
+    # two turned-down attempts make a third; each attempt draws u_2..u_4,
+    # each from the one nullspace basis of the vectors before it, and
+    # tests the whole U once
     bases = record_calls(prframes.subspaces, "int_nullspace")
-    with stage_rejections([True, True, False, True]) as verdicts:
+    with stage_rejections([True, True]) as verdicts:
         m = extend_to_maximal(std_basis(7), (3, 1, 2, 1, 0, 0, 0), seed=0)
     assert m.dim == 4
-    assert len(bases) == 3
-    # stage 1 draws 3 times, stage 2 twice, stage 3 once
-    assert verdicts == [True] * 6
+    assert len(bases) == 3 * 3
+    assert verdicts == [True] * 3
 
 
 def test_extend_gives_up_after_retries_plus_one_attempts(record_calls):
@@ -612,21 +612,60 @@ def test_extend_gives_up_after_retries_plus_one_attempts(record_calls):
     bases = record_calls(prframes.subspaces, "int_nullspace")
     with pytest.raises(RetriesExhausted) as exc:
         extend_to_maximal(std_basis(5), (1, 2, 3, 0, 0), seed=0)
-    # each attempt's first stage rejects all 40 of its draws
-    assert len(bases) == RETRIES + 1 and len(accepts) == 40 * (RETRIES + 1)
+    # each attempt draws u_2 and u_3 and tests U = [x, u_2, u_3] once
+    assert len(accepts) == RETRIES + 1 == 6 and len(bases) == 2 * (RETRIES + 1) == 12
+    assert all(len(us) == 3 for us, _supp in accepts)
     assert str(exc.value) == "extension failed after 6 attempts"
+
+
+def assert_certified_extension(b, x, m):
+    """m contains x and passes the sympy oracles, k = |supp x| in the basis b.
+
+    Its coordinate family has the complement property in R^k, and its
+    minimum dual-basis support is k.
+    """
+    basis_vecs = b.vectors
+    bt = _sympy_cols(basis_vecs).T
+    xs = _sympy_cols([x])
+    k = sum(1 for c in bt * xs if c)
+    assert m.dim == k
+    cols = _sympy_cols(m.vectors())
+    assert cols.rank() == k and cols.row_join(xs).rank() == k
+    coord_family = [_fractions(bt.row(i) * cols) for i in range(b.dim)]
+    assert brute_family_has_cp(coord_family, k)
+    assert brute_min_support(m.vectors(), basis_vecs) == k
+
+
+def test_extend_turns_down_a_singular_u(monkeypatch):
+    # the first draw makes rows 0 and 2 of U = [x, u_2] singular (row 2 is
+    # zero), a row set that meets supp(x) = {0, 1}: that U is turned down
+    # and the next attempt's U is returned
+    inner = prframes.subspaces._orthogonal_sample
+    draws = []
+
+    def first_draw_singular(basis, n, rng):
+        draws.append(inner(basis, n, rng) if draws else (1, -1, 0, 0, 0))
+        return draws[-1]
+
+    monkeypatch.setattr(prframes.subspaces, "_orthogonal_sample", first_draw_singular)
+    b, x = std_basis(5), (1, 1, 0, 0, 0)
+    with stage_rejections([]) as verdicts:
+        m = extend_to_maximal(b, x, seed=0)
+    assert verdicts == [False, True] and len(draws) == 2
+    assert_certified_extension(b, x, m)
 
 
 @st.composite
 def bases_and_extendable_vectors(draw):
-    """An invertible integer basis of R^n (n <= 6), dual coordinates c of x, stage flips.
+    """An invertible integer basis of R^n (n <= 6), dual coordinates c of x, attempt flips.
 
     The basis is L U with L unit lower triangular and U upper triangular with
     a nonzero diagonal, so it is always invertible and usually skew; c has
     1 <= |supp c| <= (n+1)//2 nonzero entries.  The flips turn down accepted
-    stage draws (``stage_rejections``), so the stages draw again; the
+    attempts (``stage_rejections``), so the extension draws again; the
     acceptance test's own rejections are covered by
-    ``test_stage_accepts_agrees_with_oracle``.
+    ``test_stage_accepts_agrees_with_oracle`` and
+    ``test_extend_turns_down_a_singular_u``.
     """
     n = draw(st.integers(1, 6))
     off = st.integers(-2, 2)
@@ -638,33 +677,26 @@ def bases_and_extendable_vectors(draw):
     basis = sympy.Matrix(lower) * sympy.Matrix(upper)
     supp = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=(n + 1) // 2))
     coords = [draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) if i in supp else 0 for i in range(n)]
-    flips = draw(st.lists(st.booleans(), max_size=8))
+    # at most RETRIES turned-down attempts, so the last one is never exhausted
+    flips = draw(st.lists(st.booleans(), max_size=RETRIES))
     return n, [tuple(int(v) for v in basis.col(j)) for j in range(n)], coords, flips
 
 
 @settings(max_examples=100, deadline=None)
 @given(bases_and_extendable_vectors())
-# k = 1: no stage runs
+# k = 1: U = [x], accepted at once
 @example((5, [tuple(int(i == j) for i in range(5)) for j in range(5)], [0, 0, 7, 0, 0], []))
-# a skew basis with k = 2, its first two accepted draws turned down
+# a skew basis with k = 2, its first two accepted attempts turned down
 @example((3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)], [2, 0, -1], [True, True]))
 def test_extend_to_maximal_agrees_with_oracles(case):
-    # the last stage's acceptance is the certificate: the result contains x,
-    # its coordinate family has the complement property in R^k and its
-    # minimum dual-basis support is k, all checked by sympy
+    # the accepted U is the certificate
     n, basis_vecs, coords, flips = case
-    k = sum(1 for c in coords if c)
     bt = _sympy_cols([tuple(map(Fraction, v)) for v in basis_vecs]).T
-    x = bt.solve(sympy.Matrix(coords))  # dual coordinates <x, b_i> = c_i
+    x = _fractions(bt.solve(sympy.Matrix(coords)))  # dual coordinates <x, b_i> = c_i
     b = Frame.from_vectors(basis_vecs, dim=n)
     with stage_rejections(flips):
-        m = extend_to_maximal(b, _fractions(x), seed=0)
-    assert m.dim == k
-    cols = _sympy_cols(m.vectors())
-    assert cols.rank() == k and cols.row_join(x).rank() == k
-    coord_family = [_fractions(bt.row(i) * cols) for i in range(n)]
-    assert brute_family_has_cp(coord_family, k)
-    assert brute_min_support(m.vectors(), basis_vecs) == k
+        m = extend_to_maximal(b, x, seed=0)
+    assert_certified_extension(b, x, m)
 
 
 def test_two_dim_span_characterization():
@@ -740,45 +772,37 @@ def test_d_max_work_ceiling_sparse(span_tests, vecs, d, ceiling):
     assert span_tests[0] == {14: 1024, 16: 1071}[len(vecs)]
 
 
-@pytest.mark.parametrize(
-    "within, enough, count, tests",
-    [(None, 0, 4, 799), ({0}, 0, 5, 1254), (None, 4, 4, 232), ({0}, 5, 5, 232), ({0}, 4, 5, 1254)],
-)
-def test_spark_count_sparse_8_16(span_tests, within, enough, count, tests):
+@pytest.mark.parametrize("within, count, tests", [(None, 4, 799), ({0}, 5, 1254)])
+def test_spark_count_sparse_8_16(span_tests, within, count, tests):
     # the least dependent set is a 4-set that avoids column 0, which counts
-    # as 5 until the search proves that no 4-set meets column 0; with
-    # ``enough`` the search stops at the first count found that is at most
-    # that, and a least count above it takes the full search
+    # as 5 until the search proves that no 4-set meets column 0
     span_tests[0] = 0
-    assert prframes.frames._spark(SPARSE_8_16, within and frozenset(within), enough) == count
+    assert prframes.frames._spark(SPARSE_8_16, within and frozenset(within)) == count
     assert span_tests[0] == tests
 
 
-def _stage_minors(n, k):
-    # stages of size m = 2..k, each reading the minors of its m-row subsets
-    # that meet a support of k rows: C(n, m) - 1 - C(n - k, m)
-    return sum(math.comb(n, m) - 1 - math.comb(n - k, m) for m in range(2, k + 1))
-
-
 def test_extend_to_maximal_work_ceiling(span_tests, minors):
-    # every stage is accepted from its minors, with no search; the span
-    # tests left are the stages' nullspaces, the solve and the result's rank
-    # (1,851 tests when each stage ran the independent-set search)
+    # U is accepted from its minors, with no search: the 5-row subsets that
+    # meet the support, C(11, 5) - 1 - C(6, 5).  The span tests left are the
+    # nullspaces, the solve and the result's rank (952 minors when each stage
+    # of sizes 2..5 was certified, 1,851 tests when each ran the
+    # independent-set search)
     b = std_basis(11)
     span_tests[0] = minors[0] = 0
     m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0), seed=0)
     assert m.dim == 5
-    assert minors[0] == _stage_minors(11, 5) == 952
+    assert minors[0] == math.comb(11, 5) - 1 - math.comb(6, 5) == 455
     # exact, not just bounded: the draws and the walk fix the work
     assert span_tests[0] == 26
 
 
 def test_extend_to_maximal_work_ceiling_support_7(span_tests, minors):
-    # the stage checks dominate: the minors of every row subset of R^13 that
-    # meets the support.  54 span tests with the basis built (13,842 when
-    # each stage ran the independent-set search)
+    # the test dominates: the minors of every 7-row subset of R^13, all of
+    # which meet the support.  54 span tests with the basis built (5,735
+    # minors when each stage was certified, 13,842 tests when each ran the
+    # independent-set search)
     b = std_basis(13)
     m = extend_to_maximal(b, (1, 2, 0, 3, 0, -1, 0, 0, 2, 0, 0, 1, 1), seed=0)
     assert m.dim == 7
-    assert minors[0] == _stage_minors(13, 7) == 5735
+    assert minors[0] == math.comb(13, 7) - 1 == 1715
     assert span_tests[0] == 54
