@@ -317,10 +317,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (PRFramesError, OSError, KeyError, ValueError) as exc:
+    except (PRFramesError, OSError, ValueError) as exc:
         # every library error that reaches here is one of input or range:
         # the one check that fails on valid input, NotPRSubspace, is
-        # reported by cmd_subspace; json.JSONDecodeError is a ValueError
+        # reported by cmd_subspace; json.JSONDecodeError is a ValueError,
+        # and a missing key is a BadInput from frameio, which checks each
+        # key it reads
         return _fail(exc)
 
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 
 from .frames import Frame
 from .lifting import S2Witness
+from .ratlin import identity
 from .subspaces import Subspace
 
 # Extra columns appended to the 5x5 identity; key is the total length N.
@@ -80,9 +81,7 @@ _EXTRA_COLUMNS: Dict[int, List[Tuple[int, ...]]] = {
 
 def curated_exact_frame(N: int) -> Frame:
     """The embedded exact PR frame of length N in R^5 (N in 10..15)."""
-    extras = _EXTRA_COLUMNS[N]
-    eye = [tuple(int(i == j) for i in range(5)) for j in range(5)]
-    return Frame.from_vectors(eye + extras, dim=5)
+    return Frame.from_vectors([*identity(5), *_EXTRA_COLUMNS[N]], dim=5)
 
 
 def curated_exact_frames() -> Dict[int, Frame]:
@@ -123,6 +122,4 @@ def r4_example_subspace() -> Subspace:
 
 
 def r4_standard_basis() -> Frame:
-    return Frame.from_vectors(
-        [tuple(int(i == j) for i in range(4)) for j in range(4)], dim=4
-    )
+    return Frame.from_vectors(identity(4), dim=4)

@@ -22,14 +22,14 @@ its larger class rank until that rank reaches the floor (n + 1) // 2, and
 the value is cached on the ``Frame``.
 
 The partition search takes its span extension as an argument, exact or
-modulo the prime ``RESIDUE_P``.  The CP proof (``_certified_partition``,
-for ``Frame._cp`` and ``subspaces.is_pr_subspace``) reads the minors mod
-p (``ratlin.full_spark_residue``) on 2t + 1 columns and runs the residue
-search on other lengths whose numbers can outgrow one digit, ``spark``
-reads the minors before its search, and where a certificate proves
+modulo the prime ``RESIDUE_P``.  ``_partition`` on 2t + 1 columns in
+R^(t+1) and ``_spark`` on at least n columns read the minors mod p
+(``ratlin.full_spark_residue``) before they search, and the CP proof
+(``_certified_partition``, for ``Frame._cp`` and
+``subspaces.is_pr_subspace``) runs the residue search first at other
+lengths whose numbers can outgrow one digit.  Where a certificate proves
 nothing the exact search decides, so every failing subset and every
 spark below n + 1 is the exact search's (``ratlin`` has the argument).
-d(F), the removals and the watched searches are exact only.
 
 ``spark`` is a depth-first search over independent subfamilies that shares
 each prefix's span.  On bare integer columns, ``_spark(cols, within)`` is
@@ -246,6 +246,10 @@ def _partition(
     ``extend_residue`` the columns must be residues, and every rank is a
     rank mod p.  The membership test reads the table either way.
 
+    On 2t + 1 columns in R^(t+1) the minors mod p are read first
+    (``ratlin.full_spark_residue``): when they prove the columns full
+    spark, no partition exists in any mode below, and the result is None.
+
     Each class is held as the table of its span (``ratlin``) on the
     columns and then the watched ones, and a class has rank <= t exactly
     while its table keeps at least n - t rows.  A column lies in a span
@@ -291,6 +295,8 @@ def _partition(
         # watched column outside both
         return Split(frozenset(), 0) if seen is None or any(map(any, seen)) else None
     n = len(cols[0])
+    if ncols == 2 * t + 1 == 2 * n - 1 and full_spark_residue(cols):
+        return None
     keep = n - t  # fewest rows a class of rank <= t still has
     watched = () if seen is None else tuple(seen)
     width = ncols + len(watched)
@@ -368,19 +374,15 @@ def _outside(rows: Table, live: Iterable[int]) -> List[int]:
 
 
 def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
-    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), with a certificate mod p in front.
+    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), with a residue search in front.
 
-    With 2t + 1 columns the complement property is full spark, and
-    ``ratlin.full_spark_residue`` proves it from the minors; when it proves
-    nothing, a residue search would find a partition too, so the exact
-    search runs at once.  At other lengths, where the numbers can outgrow
-    one digit, the residue search runs first, and finding no partition mod
-    p proves that none exists.
+    Where the numbers can outgrow one digit, the residue search runs first,
+    and finding no partition mod p proves that none exists; at 2t + 1
+    columns ``_partition`` reads the full-spark certificate instead.
     """
-    if len(cols) == 2 * t + 1:
-        return None if full_spark_residue(cols) else _partition(cols, t)
-    if outgrows_digit(cols, t) and _partition(residues(cols), t, None, extend_residue) is None:
-        return None
+    if len(cols) != 2 * t + 1 and outgrows_digit(cols, t):
+        if _partition(residues(cols), t, None, extend_residue) is None:
+            return None
     return _partition(cols, t)
 
 
@@ -405,14 +407,9 @@ def is_phase_retrievable(frame: Frame) -> bool:
 def spark(frame: Frame) -> int:
     """Size of the smallest linearly dependent subfamily; N+1 if none exists.
 
-    ``ratlin.full_spark_residue`` runs first: when it proves every n of the
-    vectors independent, the spark is n + 1 (N + 1 = n + 1 for a basis).
-    When it proves nothing, the exact search decides.
+    One ``_spark`` search, which reads the minors mod p first.
     """
-    cols = frame._int_cols
-    if full_spark_residue(cols):
-        return frame.dim + 1
-    return _spark(cols)
+    return _spark(frame._int_cols)
 
 
 def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None) -> int:
@@ -434,11 +431,17 @@ def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None) -> int:
     A column is only tested, and a node only expanded, while it can still
     lower the best count.  A zero column (also the empty vector) is
     dependent on its own.
+
+    With at least dim columns the minors mod p of the dim-subsets that meet
+    ``within`` are read first (``ratlin.full_spark_residue``); when they
+    prove those independent, the starting bound is the answer.
     """
     if not cols:
         return 1
     n, width = len(cols[0]), len(cols)
     best = min(width, n) + 1
+    if width >= n and full_spark_residue(cols, within):
+        return best
     # stack entries: (next index, table of an independent set's span,
     # does the set meet within)
     stack = [(0, span_table(cols, n), within is None)]

@@ -63,19 +63,21 @@ proves nothing.  Given an index set ``within``, it proves only that every
 n-subset meeting that set is independent, and skips the minors of the
 n-subsets that avoid it.
 
-Where this certificate stands in front of a search, a residue search
-behind it could never settle anything.  False means that some n-subset
-(meeting ``within``) is singular mod p, and each certified search looks
-for such a configuration and is complete over any field, so mod p it
-would find one and hand over to the exact search anyway.  At 2t + 1
-columns in R^(t+1) the complement property is full spark (a 2-colouring
-has a class of t + 1 or more columns, so a partition with both ranks
-<= t exists iff some t + 1 columns are dependent), and the extension's
-test asks that no dependent set of at most n rows meet the support, of
-which a singular n-subset meeting it is one (with |within| >= n, False
-comes from such a subset).  So a failed certificate goes straight to the
-exact search, and only the complement property at other lengths runs a
-residue search.
+Two searches read this certificate in front of themselves, and no other
+code calls it: ``frames._partition`` on 2t + 1 columns in R^(t+1), where
+the complement property is full spark (a 2-colouring has a class of
+t + 1 or more columns, so a partition with both ranks <= t exists iff
+some t + 1 columns are dependent), and ``frames._spark`` on at least n
+vectors, with its ``within``, where a dependent set of at most n vectors
+meeting ``within`` lies in a singular n-subset that meets it.  So the
+complement property and d(F) of 2n - 1 vectors, the removals that leave
+2n - 1, the spark, the minimum support and the extension's test all read
+it.  A residue search behind it could never settle anything.  False
+means that some n-subset (meeting ``within``) is singular mod p, and each
+search looks for such a configuration and is complete over any field, so
+mod p it would find one and hand over to the exact search anyway.  So a
+failed certificate goes straight to the exact search, and only the
+complement property at other lengths runs a residue search.
 
 A ``Seed`` is a plain int; the determinism contract is that identical seed and
 identical call sequence produce identical outputs.
@@ -131,17 +133,6 @@ def format_rational(x: Union[int, Fraction]):
 # ---------------------------------------------------------------------------
 # Fraction-free integer kernels: every elimination in the package runs here.
 # ---------------------------------------------------------------------------
-
-
-def _vec_gcd_reduce(v: List[int]) -> List[int]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return v
-    if g > 1:
-        return [x // g for x in v]
-    return v
 
 
 Table = Tuple[Tuple[int, ...], ...]
@@ -487,18 +478,19 @@ def as_fractions(rows: Rows) -> Tuple[Tuple[Fraction, ...], ...]:
     return rows
 
 
+def primitive(v: Sequence[int]) -> IntVec:
+    """An integer vector divided by the gcd of its entries; a zero or empty vector as it is."""
+    g = gcd(*v)
+    return tuple([x // g for x in v]) if g > 1 else tuple(v)
+
+
 def primitive_rows(rows: Rows) -> Tuple[IntVec, ...]:
     """Each held row scaled by a positive rational into a primitive int vector.
 
-    Int rows take one ``gcd`` each, and Fraction rows ``clear_denominators``.
+    Int rows take one ``gcd`` each (``primitive``), and Fraction rows
+    ``clear_denominators``.
     """
-    if not _held_ints(rows):
-        return tuple(map(clear_denominators, rows))
-    out = []
-    for v in rows:
-        g = gcd(*v)
-        out.append(tuple([x // g for x in v]) if g > 1 else v)
-    return tuple(out)
+    return tuple(map(primitive if _held_ints(rows) else clear_denominators, rows))
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> IntVec:
@@ -506,8 +498,7 @@ def clear_denominators(vec: Sequence[Fraction]) -> IntVec:
     den = 1
     for x in vec:
         den = den * x.denominator // gcd(den, x.denominator)
-    iv = [x.numerator * (den // x.denominator) for x in vec]
-    return tuple(_vec_gcd_reduce(iv))
+    return primitive([x.numerator * (den // x.denominator) for x in vec])
 
 
 def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[tuple, ...]:

@@ -20,17 +20,13 @@ the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``; the rows of its parity-check matrix
 are the primitive normals of a span (``ratlin.span_of``).  The test that
 certifies an extension is the same search, restricted to dependent row
-sets that meet the support, behind a certificate that reads minors
-(below).  A subspace and a frame of different ambient dimensions raise
-``BadInput``.
+sets that meet the support.  A subspace and a frame of different ambient
+dimensions raise ``BadInput``.
 
-Every search here is a ``frames`` search, so this module never touches a
-span table.  The projected complement property (``is_pr_subspace``) runs
-through ``frames._certified_partition``, and the extension's test reads
-its minors mod p (``ratlin.full_spark_residue``, with the support as
-``within``) before its search, which decides every rejected draw
-(``ratlin`` has the argument); d(F) and the minimum support are exact
-only.
+Every search here is a ``frames`` search, which reads its own minors mod
+p first, so this module never touches a span table or a certificate.
+The projected complement property (``is_pr_subspace``) runs through
+``frames._certified_partition``.
 """
 
 from __future__ import annotations
@@ -56,13 +52,12 @@ from .ratlin import (
     RETRIES,
     IntVec,
     Seed,
-    _vec_gcd_reduce,
     as_fractions,
     clear_denominators,
     derive_seed,
-    full_spark_residue,
     int_nullspace,
     int_rank,
+    primitive,
     primitive_rows,
     read_rows,
     sample_int_matrix,
@@ -160,7 +155,7 @@ def _projected_int_cols(frame: Frame, sub: Subspace) -> List[IntVec]:
     kernel that ``min_support`` takes) is unchanged.
     """
     bcols = sub._int_cols
-    return [tuple(_vec_gcd_reduce([sum(map(mul, b, f)) for b in bcols])) for f in frame._int_cols]
+    return [primitive([sum(map(mul, b, f)) for b in bcols]) for f in frame._int_cols]
 
 
 def _require_same_space(frame: Frame, sub: Subspace) -> None:
@@ -342,19 +337,13 @@ def _stage_accepts(us: List[IntVec], supp: FrozenSet[int]) -> bool:
 
     ``extend_to_maximal`` asks it once per attempt, on its whole U.  Each
     u has n entries, and row i is (u[i] for u in us), a vector in R^m.
-    That is full spark restricted to the row sets that meet the support,
-    and ``ratlin.full_spark_residue`` with ``within`` the support proves it
-    from the minors mod p first, at any entry width: True accepts, since a
-    minor nonzero mod p is nonzero over Q.  False proves nothing, and the
-    exact search decides.  For m <= n and a support of at least m rows (as
-    ``extend_to_maximal`` guarantees), the test holds iff no dependent set
-    of at most m rows meets the support (``frames._spark``): such a set
-    lies in a singular m-subset that meets it.  So every rejection is the
-    exact search's.
+    For m <= n and a support of at least m rows (as ``extend_to_maximal``
+    guarantees), that holds iff no dependent set of at most m rows meets
+    the support, since such a set lies in a singular m-subset that meets
+    it: one ``frames._spark`` call, whose minors mod p accept at any entry
+    width, and every rejection is the exact search's.
     """
-    m = len(us)
-    rows = list(zip(*us))
-    return full_spark_residue(rows, supp) or _spark(rows, supp) > m
+    return _spark(list(zip(*us)), supp) > len(us)
 
 
 def extend_to_maximal(b: Frame, x: Sequence, seed: Seed = 0) -> Subspace:

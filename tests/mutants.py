@@ -87,19 +87,30 @@ MUTANTS = (
     Mutant(
         "full-spark-behind-outgrows-digit",
         "src/prframes/frames.py",
-        "        return None if full_spark_residue(cols) else _partition(cols, t)",
-        "        return None if outgrows_digit(cols, t) and full_spark_residue(cols) else _partition(cols, t)",
+        "    if ncols == 2 * t + 1 == 2 * n - 1 and full_spark_residue(cols):",
+        "    if ncols == 2 * t + 1 == 2 * n - 1 and outgrows_digit(cols, t) and full_spark_residue(cols):",
         ("tests/test_frames.py",),
-        "the full-spark certificate runs at any entry width, narrow families of 2t + 1 columns included",
+        "the partition search reads the full-spark certificate at any entry width, narrow families "
+        "of 2t + 1 columns included",
     ),
     Mutant(
         "failed-certificate-proves-cp",
         "src/prframes/frames.py",
-        "        return None if full_spark_residue(cols) else _partition(cols, t)",
-        "        return None",
+        "    if ncols == 2 * t + 1 == 2 * n - 1 and full_spark_residue(cols):",
+        "    if ncols == 2 * t + 1 == 2 * n - 1:",
         ("tests/test_frames.py",),
         "False from the full-spark certificate proves nothing: a family of 2t + 1 columns that is "
         "not full spark fails the complement property, and the exact search finds its failing subset",
+    ),
+    Mutant(
+        "spark-certificate-drops-within",
+        "src/prframes/frames.py",
+        "    if width >= n and full_spark_residue(cols, within):",
+        "    if width >= n and full_spark_residue(cols):",
+        ("tests/test_subspaces.py",),
+        "the spark search's certificate asks only about the dim-subsets that meet within; asked about "
+        "all of them, it fails on every U with m rows outside the support, where x is zero, and the "
+        "search runs instead",
     ),
     Mutant(
         "extension-skips-certificate",

@@ -35,7 +35,7 @@ from prframes import (
 )
 import prframes.ratlin
 from prframes.frames import _partition, _spark
-from prframes.ratlin import extend_residue, residues
+from prframes.ratlin import RESIDUE_P, extend_residue, residues
 
 
 def std_basis(n):
@@ -346,6 +346,13 @@ def fresh_generated(n, N, seed):
     return Frame.from_vectors(generate_exact_pr(n, N, seed).frame.vectors, dim=n)
 
 
+def scaled_by_p(cols):
+    # column 0 times RESIDUE_P is zero mod p, so the full-spark certificate
+    # proves nothing, while every zero/nonzero answer over Q stays: the
+    # searches behind the certificate run in full
+    return (tuple(RESIDUE_P * x for x in cols[0]), *cols[1:])
+
+
 def test_cp_work_ceiling_generated_6_21(span_tests):
     frame = fresh_generated(6, 21, 0)
     span_tests[0] = 0
@@ -374,16 +381,25 @@ def test_cp_proof_kernel_follows_the_width(span_extensions):
 
 
 @pytest.mark.parametrize("n, N", [(6, 21), (7, 13)])
-def test_cp_proof_extension_count_generated(span_extensions, n, N):
-    # on a PR family the residue search makes C(2n-1, n) - 2 extensions in
-    # any column order, plus one for column 0: 461 at (6, 21), 1,715 at
-    # (7, 13); the (7, 13) CP proof itself reads minors instead (below)
+def test_cp_proof_extension_count_generated(span_extensions, minors, n, N):
+    # on a PR family the partition search makes C(2n-1, n) - 2 extensions
+    # in any column order, plus one for column 0, in either kernel: 461 at
+    # (6, 21), 1,715 at (7, 13).  At 2n - 1 columns the search reads the
+    # certificate first, which proves (7, 13) from its C(13, 7) - 1 = 1,715
+    # minors mod p with no extension; with column 0 scaled by p it proves
+    # nothing, and the exact search runs in full
     frame = fresh_generated(n, N, 0)
+    count = math.comb(2 * n - 1, n) - 1
+    assert count == {(6, 21): 461, (7, 13): 1715}[n, N]
     span_extensions[:] = [0, 0, 0]
+    minors[0] = 0
     # the kernel is read from ratlin at the call, where the fixture wraps it
     assert _partition(residues(frame._int_cols), n - 1, None, prframes.ratlin.extend_residue) is None
-    assert span_extensions == [math.comb(2 * n - 1, n) - 1, 0, math.comb(2 * n - 1, n) - 1]
-    assert span_extensions[0] == {(6, 21): 461, (7, 13): 1715}[n, N]
+    certified = N == 2 * n - 1
+    assert (span_extensions, minors[0]) == (([0, 0, 0], count) if certified else ([count, 0, count], 0))
+    span_extensions[:] = [0, 0, 0]
+    assert _partition(scaled_by_p(frame._int_cols), n - 1) is None
+    assert span_extensions == [count, count, 0]
 
 
 def test_cp_proof_of_a_2n_minus_1_frame_reads_minors(span_extensions, minors):
@@ -426,16 +442,19 @@ def test_span_tests_count_the_scans_made_in_place(span_tests):
     assert span_tests[0] == 2278
     frame = generate_exact_pr(6, 11, 0).frame
     span_tests[0] = 0
-    assert _spark(frame._int_cols) == 7
+    assert _spark(scaled_by_p(frame._int_cols)) == 7
     assert span_tests[0] > 0
 
 
 def test_spark_work_ceiling_generated_6_11(span_tests):
-    # the exact search, which ``spark`` runs when the certificate proves nothing
+    # the exact search, which ``_spark`` runs when its certificate proves
+    # nothing, as on column 0 scaled by p
     frame = generate_exact_pr(6, 11, 0).frame
     span_tests[0] = 0
-    assert _spark(frame._int_cols) == 7
+    assert _spark(scaled_by_p(frame._int_cols)) == 7
     assert span_tests[0] <= 1860
+    # exact, not just bounded: search order and pruning fix the questions asked
+    assert span_tests[0] == 1485
 
 
 def test_spark_of_a_full_spark_frame_reads_minors(span_tests, minors):
@@ -454,3 +473,32 @@ def test_spark_of_a_full_spark_frame_reads_minors(span_tests, minors):
     span_tests[0] = minors[0] = 0
     assert spark(narrow) == 5
     assert (span_tests[0], minors[0]) == (0, math.comb(7, 4) - 1)
+
+
+def test_d_of_a_full_spark_frame_reads_minors(span_extensions, minors):
+    # d(F) is the bounded partition search, and at 2n - 1 columns that
+    # search reads the certificate first: C(15, 8) - 1 = 6,434 minors prove
+    # the complement property, so d = n with no extension
+    frame = fresh_generated(8, 15, 0)
+    span_extensions[:] = [0, 0, 0]
+    minors[0] = 0
+    assert d_max(frame) == 8
+    assert span_extensions == [0, 0, 0]
+    assert minors[0] == math.comb(15, 8) - 1 == 6434
+
+
+def test_removals_of_a_dense_2n_frame_read_minors(span_extensions, minors):
+    # no entry is zero, so no axis settles a removal; each removal leaves
+    # 2n - 1 = 11 columns, whose partition search reads the certificate
+    # first: C(11, 6) - 1 = 461 minors prove each one removable, with no
+    # extension (the CP proof of all 12 columns is the exact search's)
+    rng = random.Random(0)
+    entries = [x for x in range(-4, 5) if x]
+    frame = Frame.from_vectors([[rng.choice(entries) for _ in range(6)] for _ in range(12)], dim=6)
+    span_extensions[:] = [0, 0, 0]
+    assert is_phase_retrievable(frame)
+    assert (span_extensions, minors[0]) == ([461, 461, 0], 0)
+    span_extensions[:] = [0, 0, 0]
+    assert is_exact_pr_frame(frame) == (False, tuple(range(12)))
+    assert span_extensions == [0, 0, 0]
+    assert minors[0] == 12 * (math.comb(11, 6) - 1) == 5532

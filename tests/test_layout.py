@@ -58,16 +58,16 @@ def _makes_fraction(node):
     )
 
 
-def _fraction_makers(tree, prefix=""):
-    """Qualified names of the functions and methods whose bodies make a ``Fraction``.
+def _statements_with(tree, found, prefix=""):
+    """Qualified names of the functions and methods whose bodies hold a node that ``found`` accepts.
 
-    A call inside a nested function counts for the function that encloses
+    A node inside a nested function counts for the function that encloses
     it, and one in a top-level statement for ``<statement>``.
     """
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
-            yield from _fraction_makers(stmt, f"{stmt.name}.")
-        elif any(map(_makes_fraction, ast.walk(stmt))):
+            yield from _statements_with(stmt, found, f"{stmt.name}.")
+        elif any(map(found, ast.walk(stmt))):
             yield prefix + getattr(stmt, "name", "<statement>")
 
 
@@ -79,9 +79,25 @@ def test_fractions_are_made_only_at_the_boundary():
         f"{path.stem}.{name}"
         for path in src.glob("*.py")
         if path.stem not in {"ratlin", "frameio", "cli"}
-        for name in _fraction_makers(ast.parse(path.read_text()))
+        for name in _statements_with(ast.parse(path.read_text()), _makes_fraction)
     }
     assert makers <= FRACTION_BOUNDARY, makers - FRACTION_BOUNDARY
+
+
+def _calls_certificate(node):
+    return isinstance(node, ast.Call) and "full_spark_residue" in _referenced_names(node.func)
+
+
+def test_only_the_searches_read_the_full_spark_certificate():
+    # each search reads the minors mod p in front of itself, so no caller
+    # pairs the certificate with a search by hand
+    src = Path(prframes.__file__).parent
+    callers = {
+        f"{path.stem}.{name}"
+        for path in src.glob("*.py")
+        for name in _statements_with(ast.parse(path.read_text()), _calls_certificate)
+    }
+    assert callers == {"frames._partition", "frames._spark"}
 
 
 def _referenced_names(tree):

@@ -43,8 +43,8 @@ from prframes import (
     random_pr_subspace,
     support,
 )
-from prframes.ratlin import RETRIES
-from prframes.subspaces import PROBE_BUDGET, _stage_accepts
+from prframes.ratlin import RESIDUE_P, RETRIES, span_of
+from prframes.subspaces import PROBE_BUDGET, _projected_int_cols, _stage_accepts
 
 
 def std_basis(n):
@@ -750,12 +750,25 @@ def test_stage_accepts_agrees_with_oracle(case):
 # ---------------------------------------------------------------------------
 
 
-def test_min_support_work_ceiling_vandermonde(span_tests):
-    # generic 5-dim subspace of R^11: minimum support n - k + 1 = 7
+def test_min_support_work_ceiling_vandermonde(span_tests, minors):
+    # generic 5-dim subspace of R^11: minimum support n - k + 1 = 7, the
+    # spark of the 11 parity-check columns in R^6.  Those are full spark,
+    # so their C(11, 6) - 1 = 461 minors prove it with no search; the 5
+    # span tests are the ones that compute the parity checks
     b = std_basis(11)
     m = Subspace.from_vectors([tuple((i + 1) ** p for i in range(11)) for p in range(5)], ambient_dim=11)
-    span_tests[0] = 0
+    span_tests[0] = minors[0] = 0
     assert min_support(m, b) == 7
+    assert span_tests[0] == 5
+    assert minors[0] == math.comb(11, 6) - 1 == 461
+    # the spark search runs in full where its certificate proves nothing,
+    # as on column 0 scaled by RESIDUE_P: zero mod p, with every
+    # zero/nonzero answer over Q kept
+    checks = span_of(zip(*_projected_int_cols(b, m)), 11)
+    cols = [tuple(h[i] for h in checks) for i in range(11)]
+    cols[0] = tuple(RESIDUE_P * x for x in cols[0])
+    span_tests[0] = 0
+    assert prframes.frames._spark(cols) == 7
     assert span_tests[0] <= 1860
 
 
