@@ -36,7 +36,7 @@ def main():
     print(f"  start from x = {x}, support {sorted(support(x, basis5))}")
     m = extend_to_maximal(basis5, x, seed=2)
     print(f"  extended to dimension {m.dim}; basis rows of the result:")
-    for v in m.vectors():
+    for v in m.basis:
         print("    (" + ", ".join(str(c) for c in v) + ")")
     print(f"  min support = {min_support(m, basis5)} (equals the dimension: maximal)")
     print(f"  verdict: {is_maximal_pr_subspace(basis5, m).status}\n")

@@ -5,9 +5,10 @@ with three steps that add one dimension and n+1, n, or 2 columns.  Chaining
 steps reaches every (n, N) with 2n <= N <= n(n+1)/2, and ``plan`` picks the
 chain by a rule.  Each step builds its output directly: a valid input gives
 a valid output (each step's docstring holds the proof), so a step checks
-only its input.  Step III's tail and chain columns and every row's
-representatives are bipartite matchings (``_matching``).  Length
-2n-1 is covered by a dense integer draw, exact precisely when full spark.
+only its input.  Step III's chain columns and every row's representatives
+are bipartite matchings (``_matching``), and its tail is its first
+candidate.  Length 2n-1 is covered by a dense integer draw, exact
+precisely when full spark.
 Either way the free cells are drawn as uniform integers and the frame is
 certified by one exactness check in exact arithmetic; a failed draw (a
 measure-zero event at integer scale) is retried with a derived seed.
@@ -124,7 +125,6 @@ class ConstructionPlan(NamedTuple):
     """Derivation path from the 3x6 base mask to a target (n, N)."""
 
     steps: Tuple[str, ...]  # "base36" followed by "step_I" / "step_II" / "step_III"
-    target: Tuple[int, int]
 
 
 class CertifiedFrame(NamedTuple):
@@ -200,9 +200,9 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
     a free column nonzero in rows i-1 and n-1, all distinct.  Row n-1's
     representative system gives a chain, and a tail exists as P2 and P3
     force N >= 2n.  Chain columns are nonzero in row n-1 and a tail is
-    zero there, so every tail completes with that chain, and
-    ``_assign_tail`` always finds an assignment.  Fresh column N is nonzero
-    in every old row, and the new row is the chain, the tail and e_{n+1}.
+    zero there, so any tail goes with any chain: the first tail candidate
+    and the chain of ``_first_matching``.  Fresh column N is nonzero in
+    every old row, and the new row is the chain, the tail and e_{n+1}.
     A valid input gives a valid output.  P1-P3 by counting.  P4: for the
     new row, row i-1 takes chain column i, except that a row t takes the
     tail (nonzero off row n-1) and row n-1 takes chain column t+1.  Old row
@@ -219,7 +219,7 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
         i: [j for j in free_cols if a.mask[i - 1][j] and a.mask[n - 1][j]]
         for i in range(1, n)
     }
-    tail_col, chain = _assign_tail(tail_cands, chain_cands)
+    tail_col, chain = tail_cands[0], _first_matching(chain_cands)
     used = {tail_col} | set(chain.values())
     middle = [j for j in free_cols if j not in used]
     order = [*range(n), *middle, *(chain[i] for i in range(n - 1, 0, -1)), tail_col]
@@ -230,29 +230,23 @@ def step_III(a: PatternMatrix) -> PatternMatrix:
     return PatternMatrix(tuple(rows)).normalized()
 
 
-def _assign_tail(tail_cands, chain_cands):
-    """The first tail column and distinct chain columns, or None.
+def _first_matching(cands: Dict[int, Sequence[int]]) -> Dict[int, int]:
+    """The lexicographically first matching, keys fewest candidates first; one must exist.
 
-    Slots are filled fewest candidates first, each with its first column
-    after which ``_matching`` can still place the later slots, so the
-    result is the lexicographically first assignment in that order.
+    Each key takes its first free column after which ``_matching`` can
+    still place the later keys.
     """
-    slots = sorted(chain_cands, key=lambda i: len(chain_cands[i]))
-    for tail in tail_cands:
-        chain: Dict[int, int] = {}
-        for pos, i in enumerate(slots):
-            used = {tail, *chain.values()}
-            for j in (j for j in chain_cands[i] if j not in used):
-                taken = used | {j}
-                later = {s: [c for c in chain_cands[s] if c not in taken] for s in slots[pos + 1 :]}
-                if _matching(later) is not None:
-                    chain[i] = j
-                    break
-            else:
-                break  # no column for slot i leaves the later ones a matching
-        else:
-            return tail, chain
-    return None
+    keys = sorted(cands, key=lambda i: len(cands[i]))
+    chosen: Dict[int, int] = {}
+    for pos, i in enumerate(keys):
+        used = set(chosen.values())
+        for j in (j for j in cands[i] if j not in used):
+            taken = used | {j}
+            later = {k: [c for c in cands[k] if c not in taken] for k in keys[pos + 1 :]}
+            if _matching(later) is not None:
+                chosen[i] = j
+                break
+    return chosen
 
 
 def _matching(cands: Dict[int, Sequence[int]]) -> Optional[Dict[int, int]]:
@@ -294,7 +288,7 @@ def plan(n: int, N: int) -> ConstructionPlan:
         step, M = next(u for u in undo if 2 * (m - 1) <= u[1] <= (m - 1) * m // 2)
         steps.append(step)
         m -= 1
-    return ConstructionPlan(("base36", *reversed(steps)), (n, N))
+    return ConstructionPlan(("base36", *reversed(steps)))
 
 
 def build_pattern(p: ConstructionPlan) -> PatternMatrix:

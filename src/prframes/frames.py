@@ -2,28 +2,28 @@
 
 A frame is a spanning family of N rational vectors in R^n.  Over the reals,
 phase retrievability is equivalent to the complement property: every index
-subset or its complement spans.  One search, ``_partition(cols, t)``, looks
-for a 2-colouring whose classes both have rank <= t with a pruned depth-first
+subset or its complement spans.  One search, ``_partition(cols)``, looks
+for a 2-colouring in which neither class spans, with a pruned depth-first
 scan.  Index 0 is pinned to class A, cutting the mirror half; a branch dies
-as soon as one class exceeds rank t; and a column already in the span of one
+as soon as one class spans; and a column already in the span of one
 class goes to that class only (dominance: it costs that class no rank, and
 keeping it out of the other class can only lower that one's rank).  The
 reported failing subset is therefore one valid witness, not the first one in
-bitmask order.  The complement property is t = n - 1; removal and
-``lifting``'s rank-<=2 kernel elements reuse it.  Given watched columns
-(``seen``), the search also asks that one of them stay outside both class
-spans: that is ``lifting``'s S2-witness search and its redundancy test, so
-every 2-colouring search in the package is this one.  Exactness is one CP
+bitmask order.  Removal and ``lifting``'s rank-<=2 kernel elements reuse
+the search.  Given watched columns (``seen``), it also asks that one of
+them stay outside both class spans: that is ``lifting``'s S2-witness
+search and its redundancy test, so every 2-colouring search in the
+package is this one.  Exactness is one CP
 proof and then N removals: a PR frame of length 2n - 1 is exact by
 counting, and otherwise one table of coordinate axes per frame settles
-most removals, so only the rest run the partition search.  d(F) is one run
-with a stopping floor below t: each partition found lowers t to one below
-its larger class rank until that rank reaches the floor (n + 1) // 2, and
-the value is cached on the ``Frame``.
+most removals, so only the rest run the partition search.  d(F) is the
+search's ``least`` mode: each partition found sends it on for one whose
+larger class rank is lower, until that rank reaches the floor
+(n + 1) // 2, and the value is cached on the ``Frame``.
 
 The partition search takes its span extension as an argument, exact or
-modulo the prime ``RESIDUE_P``.  ``_partition`` on 2t + 1 columns in
-R^(t+1) and ``_spark`` on at least n columns read the minors mod p
+modulo the prime ``RESIDUE_P``.  ``_partition`` on 2n - 1 columns in
+R^n and ``_spark`` on at least n columns read the minors mod p
 (``ratlin.full_spark_residue``) before they search, and the CP proof
 (``_certified_partition``, for ``Frame._cp`` and
 ``subspaces.is_pr_subspace``) runs the residue search first at other
@@ -163,7 +163,7 @@ class Frame(_Value):
     @cached_property
     def _cp(self) -> CPResult:
         # held so that PR, exactness and redundancy checks share one proof
-        found = _certified_partition(self._int_cols, self.dim - 1)
+        found = _certified_partition(self._int_cols)
         return CPResult(found is None, None if found is None else found.a)
 
     @cached_property
@@ -177,17 +177,16 @@ class Frame(_Value):
         removable = tuple(
             i
             for i in range(N)
-            if i not in settled and _partition(self.drop(i), n - 1) is None
+            if i not in settled and _partition(self.drop(i)) is None
         )
         return ExactnessResult(len(removable) == 0, removable)
 
     @cached_property
     def _d(self) -> int:
-        # d(F): the larger class rank of the partition the bounded search
-        # ends on, or n when no partition has both ranks <= n - 1
-        n = self.dim
-        found = _partition(self._int_cols, n - 1, (n + 1) // 2)
-        return n if found is None else found.rank
+        # d(F): the larger class rank of the partition the least search
+        # ends on, or n when every 2-colouring has a class that spans
+        found = _partition(self._int_cols, least=True)
+        return self.dim if found is None else found.rank
 
     @cached_property
     def _pr_subspaces(self) -> Dict[Tuple[IntVec, ...], bool]:
@@ -235,31 +234,31 @@ class ExactnessResult(NamedTuple):
 
 def _partition(
     cols: Sequence[IntVec],
-    t: int,
-    floor: Optional[int] = None,
+    least: bool = False,
     kernel: Optional[Kernel] = None,
     seen: Optional[Sequence[IntVec]] = None,
 ) -> Optional[Split]:
-    """A 2-colouring of the columns with both class ranks <= t, or None.
+    """A 2-colouring of the columns in which neither class spans, or None.
 
     ``kernel`` is the span extension, ``extend_table`` by default; with
     ``extend_residue`` the columns must be residues, and every rank is a
     rank mod p.  The membership test reads the table either way.
 
-    On 2t + 1 columns in R^(t+1) the minors mod p are read first
+    On 2n - 1 columns in R^n the minors mod p are read first
     (``ratlin.full_spark_residue``): when they prove the columns full
-    spark, no partition exists in any mode below, and the result is None.
+    spark, one class of every 2-colouring holds n independent columns, so
+    no partition exists in any mode below, and the result is None.
 
     Each class is held as the table of its span (``ratlin``) on the
-    columns and then the watched ones, and a class has rank <= t exactly
-    while its table keeps at least n - t rows.  A column lies in a span
-    iff its table has no row nonzero there, and the first nonzero row is
-    the one an extension drops (``off_table``).  Column 0 is pinned to A
+    columns and then the watched ones, and a class does not span exactly
+    while its table keeps a row.  A column lies in a span iff its table
+    has no row nonzero there, and the first nonzero row is the one an
+    extension drops (``off_table``).  Column 0 is pinned to A
     (global swap symmetry).  A column in the span of A goes to A only, and
     otherwise a column in the span of B goes to B only: any 2-colouring
-    with both ranks <= t stays one after that move, so the rule loses no
-    answer.  Only a column independent of both classes branches, trying B
-    before A, and a branch dies the moment either class exceeds rank t.
+    in which neither class spans stays one after that move, so the rule
+    loses no answer.  Only a column independent of both classes branches,
+    trying B before A, and a branch dies the moment either class spans.
     The returned class is one valid witness, not the first failing subset
     in bitmask order.
 
@@ -271,33 +270,27 @@ def _partition(
     cost a push and a pop.  Only there does the walk recover each pivot's
     index, ``table.index(row)`` on the row its scan stopped at.
 
-    The search stops at the first partition whose larger class rank r is at
-    most ``floor`` (default t, so every caller asking whether a partition
-    exists stops at the first one).  Below that it keeps looking with
-    t = r - 1, dropping the stacked branches that already exceed the new t,
-    and returns the last partition found: with floor (n + 1) // 2, the
-    least any partition can reach, that one has the least larger class rank,
-    which it carries as ``rank``.
+    The search stops at the first partition found, whose larger class rank
+    r it carries as ``rank``.  With ``least`` (d(F)) it stops only once r
+    reaches (n + 1) // 2, the least any partition can reach.  Until then
+    it keeps looking for one of larger class rank at most r - 1, dropping
+    the stacked branches that already exceed it, and returns the last
+    partition found, the one with the least larger class rank.
 
-    ``seen`` (watched columns, with floor t) asks in addition that some
-    watched column lie outside both class spans.  Each node carries the
-    table positions of those still outside both, from those outside the
+    ``seen`` (watched columns, without ``least``) asks in addition that
+    some watched column lie outside both class spans.  Each node carries
+    the table positions of those still outside both, from those outside the
     span of column 0 (no zero column is), and a branch dies once none are
     left: its A child is not stacked, or its B child not walked on.  Adding
     a column to a class only shrinks that set, so the pin and the dominance
-    rule still lose no answer.  At t = n - 1 a class of rank n would leave
-    none, and the rank test prunes it before it is built.
+    rule still lose no answer.  A class that spans would leave none, and
+    the rank test prunes it before it is built.
     """
     extend = kernel or extend_table
-    ncols = len(cols)
-    if ncols == 0:
-        # the empty family: both classes empty, of rank 0, and every nonzero
-        # watched column outside both
-        return Split(frozenset(), 0) if seen is None or any(map(any, seen)) else None
-    n = len(cols[0])
-    if ncols == 2 * t + 1 == 2 * n - 1 and full_spark_residue(cols):
+    ncols, n = len(cols), len(cols[0])
+    if ncols == 2 * n - 1 and full_spark_residue(cols):
         return None
-    keep = n - t  # fewest rows a class of rank <= t still has
+    keep = 1  # fewest rows a class that does not span still has
     watched = () if seen is None else tuple(seen)
     width = ncols + len(watched)
     empty = span_table((*cols, *watched), n)
@@ -306,8 +299,7 @@ def _partition(
     live = None if seen is None else _outside(start_a, range(ncols - width, 0))
     if len(start_a) < keep or live == []:
         return None
-    if floor is None:
-        floor = t
+    floor = (n + 1) // 2 if least else n - 1
     best = None
     # stack entries: (next index, table of A, table of B, bitmask of A's
     # members, positions of the watched columns outside both spans or None)
@@ -349,12 +341,12 @@ def _partition(
                 break
             i += 1
         else:
-            # every column is placed: a partition with both ranks <= t
+            # every column is placed: a partition in which neither class spans
             r = n - min(len(na), len(nb))
             best = amask, r
             if r <= floor:
                 break
-            keep = n - r + 1  # go on with t = r - 1
+            keep = n - r + 1  # go on below larger class rank r
             stack = [e for e in stack if len(e[1]) >= keep and len(e[2]) >= keep]
     if best is None:
         return None
@@ -373,17 +365,17 @@ def _outside(rows: Table, live: Iterable[int]) -> List[int]:
     return out
 
 
-def _certified_partition(cols: Sequence[IntVec], t: int) -> Optional[Split]:
-    """The CP proof: ``_partition(cols, t)`` on columns in R^(t+1), with a residue search in front.
+def _certified_partition(cols: Sequence[IntVec]) -> Optional[Split]:
+    """The CP proof: ``_partition(cols)``, with a residue search in front.
 
     Where the numbers can outgrow one digit, the residue search runs first,
-    and finding no partition mod p proves that none exists; at 2t + 1
-    columns ``_partition`` reads the full-spark certificate instead.
+    and finding no partition mod p proves that none exists; at 2n - 1
+    columns in R^n ``_partition`` reads the full-spark certificate instead.
     """
-    if len(cols) != 2 * t + 1 and outgrows_digit(cols, t):
-        if _partition(residues(cols), t, None, extend_residue) is None:
+    if len(cols) != 2 * len(cols[0]) - 1 and outgrows_digit(cols):
+        if _partition(residues(cols), kernel=extend_residue) is None:
             return None
-    return _partition(cols, t)
+    return _partition(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +407,12 @@ def spark(frame: Frame) -> int:
 def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None) -> int:
     """Size of the smallest dependent subfamily that meets ``within``; len+1 if none.
 
-    ``within`` is a nonempty index set (None: every column).  Depth-first
-    search over independent subfamilies in index order, each node holding
-    the table of its span and extending its parent's by one column.  A
-    column j in the span of an independent set I closes the dependent set
-    I+j, so every circuit is found from its members below its largest index.
+    ``cols`` is nonempty, and so is ``within``, an index set (None: every
+    column).  Depth-first search over independent subfamilies in index
+    order, each node holding the table of its span and extending its
+    parent's by one column.  A column j in the span of an independent set I
+    closes the dependent set I+j, so every circuit is found from its
+    members below its largest index.
 
     * A closed set I+j that avoids ``within`` counts as |I|+2: adding any
       member of ``within`` gives a dependent set that meets it.  A smallest
@@ -436,8 +429,6 @@ def _spark(cols: Sequence[IntVec], within: Optional[IndexSet] = None) -> int:
     ``within`` are read first (``ratlin.full_spark_residue``); when they
     prove those independent, the starting bound is the answer.
     """
-    if not cols:
-        return 1
     n, width = len(cols[0]), len(cols)
     best = min(width, n) + 1
     if width >= n and full_spark_residue(cols, within):

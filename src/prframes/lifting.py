@@ -8,11 +8,11 @@ u = (x + y)/2 and v = (x - y)/2: the quadratic at f is
 <x,f>^2 - <y,f>^2 = 4 <u,f> <v,f>, and x != +-y means u != 0 and v != 0.  So
 the element vanishes on a subfamily exactly when every member is orthogonal
 to u or to v: it is a 2-colouring (A, B) of the subfamily with u normal to
-span A and v normal to span B, which exists iff both classes have rank
-<= n - 1.  This is the complement-property argument of Balan, Casazza and
-Edidin ("On signal reconstruction without phase", 2006).  Both witness
-searches and the preservation test behind the redundancy measures are
-``frames._partition`` calls, t = n - 1, on the subfamily's columns:
+span A and v normal to span B, which exists iff neither class spans.  This
+is the complement-property argument of Balan, Casazza and Edidin ("On
+signal reconstruction without phase", 2006).  Both witness searches and
+the preservation test behind the redundancy measures are
+``frames._partition`` calls on the subfamily's columns:
 
 * ``find_s2_element`` runs the plain search, with u and v taken from the
   normals of the two class spans; on the whole frame that search is the CP
@@ -102,12 +102,12 @@ def _subfamily(frame: Frame, lam: Iterable[int]) -> List[int]:
 def _colouring(frame: Frame, lam: Sequence[int], watched: Optional[Sequence[int]]) -> Optional[IndexSet]:
     """Class A (positions in lam) of a kernel colouring of the subfamily, or None.
 
-    Both class ranks are <= n - 1, and when ``watched`` indices are given,
-    one of them lies outside both class spans.
+    Neither class spans, and when ``watched`` indices are given, one of
+    them lies outside both class spans.
     """
     cols = frame._int_cols
     seen = None if watched is None else [cols[i] for i in watched]
-    found = _partition([cols[j] for j in lam], frame.dim - 1, seen=seen)
+    found = _partition([cols[j] for j in lam], seen=seen)
     return None if found is None else found.a
 
 

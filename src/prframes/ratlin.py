@@ -64,12 +64,12 @@ n-subset meeting that set is independent, and skips the minors of the
 n-subsets that avoid it.
 
 Two searches read this certificate in front of themselves, and no other
-code calls it: ``frames._partition`` on 2t + 1 columns in R^(t+1), where
-the complement property is full spark (a 2-colouring has a class of
-t + 1 or more columns, so a partition with both ranks <= t exists iff
-some t + 1 columns are dependent), and ``frames._spark`` on at least n
-vectors, with its ``within``, where a dependent set of at most n vectors
-meeting ``within`` lies in a singular n-subset that meets it.  So the
+code calls it: ``frames._partition`` on 2n - 1 columns in R^n, where the
+complement property is full spark (a 2-colouring has a class of n or more
+columns, so a 2-colouring in which neither class spans exists iff some n
+columns are dependent), and ``frames._spark`` on at least n vectors,
+with its ``within``, where a dependent set of at most n vectors meeting
+``within`` lies in a singular n-subset that meets it.  So the
 complement property and d(F) of 2n - 1 vectors, the removals that leave
 2n - 1, the spark, the minimum support and the extension's test all read
 it.  A residue search behind it could never settle anything.  False
@@ -234,28 +234,29 @@ def extend_residue(rows: Table, at: int, off: Tuple[int, int]) -> Table:
     return tuple(out)
 
 
-def outgrows_digit(vecs: Sequence[Sequence[int]], t: int) -> bool:
-    """Can the exact table on spans of rank <= t of these vectors reach ``RESIDUE_P``?
+def outgrows_digit(vecs: Sequence[Sequence[int]]) -> bool:
+    """Can the exact table on spans of these vectors short of R^n reach ``RESIDUE_P``?
 
     The primitive normals of a span of rank r have r x r minors of its
     vectors as entries (Cramer), and their dot products with a vector are
-    (r + 1) x (r + 1) minors up to that normal's gcd.  A trimmed row of the
-    exact table is those dot products divided by their own gcd, so no entry
-    is larger (nor are the normals, with the identity columns).  Hadamard bounds a
-    minor by the product of its vectors' Euclidean norms, so every such
-    number is at most the product of the t + 1 largest nonzero norms (all
-    of them when fewer are nonzero).  True when that bound reaches p;
-    squares are compared, on integers.  Bounding every squared norm by n
-    times the largest squared entry first settles narrow families in one
-    pass, without a sort.
+    (r + 1) x (r + 1) minors up to that normal's gcd, with r + 1 <= n.  A
+    trimmed row of the exact table is those dot products divided by their
+    own gcd, so no entry is larger (nor are the normals, with the identity
+    columns).  Hadamard bounds a minor by the product of its vectors'
+    Euclidean norms, so every such number is at most the product of the n
+    largest nonzero norms (all of them when fewer are nonzero).  True when
+    that bound reaches p; squares are compared, on integers.  Bounding
+    every squared norm by n times the largest squared entry first settles
+    narrow families in one pass, without a sort.
     """
     p2 = RESIDUE_P * RESIDUE_P
     top = max(map(abs, chain.from_iterable(vecs)), default=0)
-    if not top or (len(vecs[0]) * top * top) ** (t + 1) < p2:
+    n = len(vecs[0])
+    if not top or (n * top * top) ** n < p2:
         return False
     squares = sorted([sum(map(mul, v, v)) for v in vecs], reverse=True)
     bound = 1
-    for s in squares[: t + 1]:
+    for s in squares[:n]:
         if not s:
             break
         bound *= s

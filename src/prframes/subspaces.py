@@ -7,15 +7,15 @@ invertible Gram factor (B^T B)^{-1}, so every rank (hence the complement
 property) agrees.  d_max(F) is the exact min over index subsets of
 max(rank of the subset, rank of the complement); it equals the largest
 dimension of any PR subspace.  Both run on the partition search of
-``frames._partition``: the projected complement property is threshold
-k - 1, and d_max is one search that lowers its threshold after each
-partition it finds, run once per frame (``Frame._d``).  The coordinate
-family is computed on integers, from primitive integer basis columns and
-frame vectors; ``project_frame`` gives its rational form.  Each PR verdict
-is held on the frame (``Frame._pr_subspaces``), keyed by the subspace's
-primitive basis columns, so the sampler, the maximality ladder and the
-extension probe search one (frame, span) pair once.  The
-minimum dual-basis support of M, which decides maximality for a basis, is
+``frames._partition``: the projected complement property is the search in
+R^k, and d_max is its ``least`` mode, which looks on below the larger
+class rank of each partition it finds, run once per frame (``Frame._d``).
+The coordinate family is computed on integers, from primitive integer
+basis columns and frame vectors; ``project_frame`` gives its rational
+form.  Each PR verdict is held on the frame (``Frame._pr_subspaces``),
+keyed by the subspace's primitive basis columns, so the sampler, the
+maximality ladder and the extension probe search one (frame, span) pair
+once.  The minimum dual-basis support of M, which decides maximality for a basis, is
 the spark of the parity-check columns of M's dual-basis code, so it runs on
 the spark search ``frames._spark``; the rows of its parity-check matrix
 are the primitive normals of a span (``ratlin.span_of``).  The test that
@@ -118,6 +118,7 @@ class Subspace(_Value):
         # basis columns scaled to primitive integer vectors; rank-neutral
         return primitive_rows(self._rows)
 
+    # bench/workloads.py is its last caller; delete it once that reads ``basis``
     def vectors(self) -> List[Tuple[Fraction, ...]]:
         return list(self.basis)
 
@@ -142,8 +143,7 @@ def project_frame(frame: Frame, sub: Subspace) -> List[Tuple[Fraction, ...]]:
     projected vectors (the coordinate map differs by an invertible factor).
     """
     _require_same_space(frame, sub)
-    bs = sub.vectors()
-    return [tuple(sum(map(mul, b, f), Fraction(0)) for b in bs) for f in frame.vectors]
+    return [tuple(sum(map(mul, b, f), Fraction(0)) for b in sub.basis) for f in frame.vectors]
 
 
 def _projected_int_cols(frame: Frame, sub: Subspace) -> List[IntVec]:
@@ -189,17 +189,18 @@ def is_pr_subspace(frame: Frame, sub: Subspace) -> bool:
     held = frame._pr_subspaces
     key = sub._int_cols
     if key not in held:
-        held[key] = _certified_partition(_projected_int_cols(frame, sub), sub.dim - 1) is None
+        held[key] = _certified_partition(_projected_int_cols(frame, sub)) is None
     return held[key]
 
 
 def d_max(frame: Frame) -> int:
     """Largest dimension of a PR subspace: min over subsets of the larger rank.
 
-    One partition search: each partition it finds lowers the threshold to
-    one below its larger class rank, and it stops at (n+1)//2, which no
-    partition beats because the two class ranks add up to at least n.  With
-    no partition of both ranks <= n - 1 (the complement property) d = n.
+    One partition search in its ``least`` mode: each partition it finds
+    sends it on for one of lower larger class rank, and it stops at
+    (n+1)//2, which no partition beats because the two class ranks add up
+    to at least n.  When every 2-colouring has a class that spans (the
+    complement property), d = n.
     The value is computed once per frame and kept on it; the cap
     ``D_MAX_CAP`` is checked first on every call.
     """

@@ -141,9 +141,9 @@ def partition_searches(monkeypatch):
     searched = []
     inner = prframes.frames._partition
 
-    def recording(cols, t, floor=None, kernel=None, seen=None):
+    def recording(cols, least=False, kernel=None, seen=None):
         searched.append(tuple(cols))
-        return inner(cols, t, floor, kernel, seen)
+        return inner(cols, least, kernel, seen)
 
     for module in (prframes.frames, prframes.lifting):
         monkeypatch.setattr(module, "_partition", recording)

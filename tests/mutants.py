@@ -87,20 +87,20 @@ MUTANTS = (
     Mutant(
         "full-spark-behind-outgrows-digit",
         "src/prframes/frames.py",
-        "    if ncols == 2 * t + 1 == 2 * n - 1 and full_spark_residue(cols):",
-        "    if ncols == 2 * t + 1 == 2 * n - 1 and outgrows_digit(cols, t) and full_spark_residue(cols):",
+        "    if ncols == 2 * n - 1 and full_spark_residue(cols):",
+        "    if ncols == 2 * n - 1 and outgrows_digit(cols) and full_spark_residue(cols):",
         ("tests/test_frames.py",),
         "the partition search reads the full-spark certificate at any entry width, narrow families "
-        "of 2t + 1 columns included",
+        "of 2n - 1 columns in R^n included",
     ),
     Mutant(
         "failed-certificate-proves-cp",
         "src/prframes/frames.py",
-        "    if ncols == 2 * t + 1 == 2 * n - 1 and full_spark_residue(cols):",
-        "    if ncols == 2 * t + 1 == 2 * n - 1:",
+        "    if ncols == 2 * n - 1 and full_spark_residue(cols):",
+        "    if ncols == 2 * n - 1:",
         ("tests/test_frames.py",),
-        "False from the full-spark certificate proves nothing: a family of 2t + 1 columns that is "
-        "not full spark fails the complement property, and the exact search finds its failing subset",
+        "False from the full-spark certificate proves nothing: a family of 2n - 1 columns in R^n that "
+        "is not full spark fails the complement property, and the exact search finds its failing subset",
     ),
     Mutant(
         "spark-certificate-drops-within",
@@ -124,7 +124,7 @@ MUTANTS = (
     Mutant(
         "d-search-keeps-rank-r",
         "src/prframes/frames.py",
-        "            keep = n - r + 1  # go on with t = r - 1",
+        "            keep = n - r + 1  # go on below larger class rank r",
         "            keep = n - r",
         ("tests/test_subspaces.py",),
         "after a partition of larger class rank r the d(F) search looks only for rank <= r - 1",
@@ -176,6 +176,15 @@ MUTANTS = (
         "so a search for any partition stops at the first one",
     ),
     Mutant(
+        "least-stops-at-first",
+        "src/prframes/frames.py",
+        "    floor = (n + 1) // 2 if least else n - 1",
+        "    floor = n - 1",
+        ("tests/test_frames.py",),
+        "d(F) is the least larger class rank over all partitions: the least search looks on below "
+        "each partition it finds until that rank reaches (n + 1) // 2",
+    ),
+    Mutant(
         "partition-b-outlives-watched",
         "src/prframes/frames.py",
         "            live = live and _outside(nb, live)\n"
@@ -193,6 +202,15 @@ MUTANTS = (
         "    r0, r1 = splice.index(False), len(splice) - 1 - splice[::-1].index(True)",
         ("tests/test_construct.py",),
         "step II takes the splice column's first nonzero row as row 1: the masks and the digests follow it",
+    ),
+    Mutant(
+        "tail-chain-greedy",
+        "src/prframes/construct.py",
+        "            if _matching(later) is not None:",
+        "            if True:",
+        ("tests/test_construct.py",),
+        "step III's chain takes each key's first column after which the later keys can still be "
+        "matched; a greedy first free column can leave a later key without one",
     ),
     Mutant(
         "step-input-n-below-1",

@@ -53,7 +53,7 @@ from prframes.construct import (
     CertifiedFrame,
     PatternMatrix,
     _as_identity_leading,
-    _assign_tail,
+    _first_matching,
     _full_spark_fill,
     _redundancy_component,
 )
@@ -245,7 +245,7 @@ def test_plan_is_a_loop_at_any_n():
 
 tail_instances = st.integers(2, 6).flatmap(
     lambda slots: st.tuples(
-        st.lists(st.integers(0, 7), unique=True, min_size=1, max_size=4),
+        st.lists(st.integers(8, 11), unique=True, min_size=1, max_size=4),
         st.fixed_dictionaries(
             {
                 i: st.lists(st.integers(0, 7), unique=True, min_size=1, max_size=5)
@@ -259,14 +259,16 @@ tail_instances = st.integers(2, 6).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(tail_instances)
 def test_assign_tail_agrees_with_backtracking(instance):
-    # eight columns for up to five slots: about a third of the instances have no assignment
+    # shaped like step III's: tail candidates (zero in row n - 1) are never
+    # chain candidates (nonzero there), and an assignment exists; eight
+    # chain columns for up to five slots leave about a third with none
     tail_cands, chain_cands = instance
-    got = _assign_tail(tail_cands, chain_cands)
-    assert got == backtrack_assign_tail(tail_cands, chain_cands)
-    if got is not None:
-        tail, chain = got
-        assert len({tail, *chain.values()}) == len(chain) + 1
-        assert all(j in chain_cands[i] for i, j in chain.items())
+    want = backtrack_assign_tail(tail_cands, chain_cands)
+    assume(want is not None)
+    chain = _first_matching(chain_cands)
+    assert (tail_cands[0], chain) == want
+    assert len(set(chain.values())) == len(chain)
+    assert all(j in chain_cands[i] for i, j in chain.items())
 
 
 def test_building_a_deep_pattern_takes_polynomially_many_matchings(record_calls):

@@ -173,8 +173,7 @@ def test_partition_agrees_with_oracles(family):
         frame = Frame.from_vectors(vecs, dim=n)
     except NotAFrame:
         assume(False)
-    cols = frame._int_cols
-    found = _partition(cols, n - 1)
+    found = _partition(frame._int_cols)
     assert (found is None) == brute_has_cp(frame)
     if found is not None:
         failing = found.a
@@ -182,8 +181,6 @@ def test_partition_agrees_with_oracles(family):
         assert 0 in failing
         assert oracle_rank([frame.vectors[i] for i in failing]) < n
         assert oracle_rank([frame.vectors[i] for i in comp]) < n
-    d = next(t for t in range(n + 1) if _partition(cols, t) is not None)
-    assert d == brute_d_value(frame)
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,7 +194,7 @@ def test_bounded_search_finds_d(family):
         assume(False)
     d = brute_d_value(frame)
     assert d_max(frame) == d
-    found = _partition(frame._int_cols, n - 1, (n + 1) // 2)
+    found = _partition(frame._int_cols, least=True)
     if found is None:
         assert d == n
     else:
@@ -213,27 +210,29 @@ def search_modes(draw):
     n = draw(st.integers(1, 4))
     entry = st.sampled_from((0, 0, 1, -1, 2, -2))
     vecs = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=8))
-    mode = draw(st.sampled_from(("plain", "floor", "watched", "residue")))
-    t = draw(st.integers(0, n - 1)) if mode in ("plain", "residue") else n - 1
+    mode = draw(st.sampled_from(("plain", "least", "watched", "residue")))
     cut = draw(st.integers(1, len(vecs))) if mode == "watched" else len(vecs)
-    return n, vecs[:cut], vecs[cut:], mode, t
+    return n, vecs[:cut], vecs[cut:], mode
 
 
 @settings(max_examples=400, deadline=None)
 @given(search_modes())
 def test_partition_returns_the_reference_split(case):
     # the search walks the same nodes in the same order as the frozen
-    # reference (tests/oracles.py), so it ends on the identical Split
-    n, cols, seen, mode, t = case
+    # reference (tests/oracles.py), so it ends on the identical Split; the
+    # reference keeps the general threshold t and floor, here n - 1 and,
+    # for d(F), (n + 1) // 2
+    n, cols, seen, mode = case
+    t = n - 1
     if mode == "plain":
-        got, want = _partition(cols, t), reference_partition(cols, t)
-    elif mode == "floor":
-        got, want = _partition(cols, t, (n + 1) // 2), reference_partition(cols, t, (n + 1) // 2)
+        got, want = _partition(cols), reference_partition(cols, t)
+    elif mode == "least":
+        got, want = _partition(cols, least=True), reference_partition(cols, t, (n + 1) // 2)
     elif mode == "watched":
-        got, want = _partition(cols, t, seen=seen), reference_partition(cols, t, seen=seen)
+        got, want = _partition(cols, seen=seen), reference_partition(cols, t, seen=seen)
     else:
         res = residues(cols)
-        got = _partition(res, t, None, extend_residue)
+        got = _partition(res, kernel=extend_residue)
         want = reference_partition(res, t, None, reference_extend_residue)
     assert (got is None) == (want is None)
     if got is not None:
@@ -394,11 +393,11 @@ def test_cp_proof_extension_count_generated(span_extensions, minors, n, N):
     span_extensions[:] = [0, 0, 0]
     minors[0] = 0
     # the kernel is read from ratlin at the call, where the fixture wraps it
-    assert _partition(residues(frame._int_cols), n - 1, None, prframes.ratlin.extend_residue) is None
+    assert _partition(residues(frame._int_cols), kernel=prframes.ratlin.extend_residue) is None
     certified = N == 2 * n - 1
     assert (span_extensions, minors[0]) == (([0, 0, 0], count) if certified else ([count, 0, count], 0))
     span_extensions[:] = [0, 0, 0]
-    assert _partition(scaled_by_p(frame._int_cols), n - 1) is None
+    assert _partition(scaled_by_p(frame._int_cols)) is None
     assert span_extensions == [count, count, 0]
 
 

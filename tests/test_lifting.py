@@ -465,7 +465,7 @@ def test_s2_element_on_the_whole_frame_is_the_search_witness(scale):
     # columns finds, wide frames (proved mod p first) included
     vecs = [tuple(x * scale if i == 2 else x for i, x in enumerate(v)) for v in NON_PR_3_7]
     f = Frame.from_vectors(vecs, dim=3)
-    a = _partition(f._int_cols, 2).a
+    a = _partition(f._int_cols).a
     u = span_of([c for j, c in enumerate(f._int_cols) if j in a], 3)[0]
     v = span_of([c for j, c in enumerate(f._int_cols) if j not in a], 3)[0]
     w = find_s2_element(f, range(f.N))

@@ -99,15 +99,14 @@ def test_residue_rank_is_the_rank_mod_p(family):
 
 
 def test_outgrows_digit_bounds_the_minors_the_search_meets():
-    # spans of rank <= t meet (t + 1)-minors: the t + 1 largest norms
-    assert not outgrows_digit([(1 << 14, 0), (0, 1 << 14)], 1)
-    assert outgrows_digit([(1 << 15, 0), (0, 1 << 15)], 1)
-    assert not outgrows_digit([(1 << 15, 0), (0, 1 << 15)], 0)
+    # spans short of R^n meet n-minors at most: the n largest norms
+    assert not outgrows_digit([(1 << 14, 0), (0, 1 << 14)])
+    assert outgrows_digit([(1 << 15, 0), (0, 1 << 15)])
     # zero vectors add no factor
-    assert not outgrows_digit([(P - 1, 0), (0, 0)], 1)
-    assert outgrows_digit([(P, 0)], 3)
+    assert not outgrows_digit([(P - 1, 0), (0, 0)])
+    assert outgrows_digit([(P, 0)])
     # entries in [-4, 4] with n <= 4 never reach p
-    assert not outgrows_digit([(4, 4, 4, 4)] * 8, 3)
+    assert not outgrows_digit([(4, 4, 4, 4)] * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +117,7 @@ def test_outgrows_digit_bounds_the_minors_the_search_meets():
 def test_minor_vanishing_mod_p_is_still_pr():
     # (1,0) and (1,p) are independent over Q, dependent mod p
     f = Frame.from_vectors([(1, 0), (0, 1), (1, P)])
-    assert _partition(residues(f._int_cols), 1, None, RESIDUE) is not None
+    assert _partition(residues(f._int_cols), kernel=RESIDUE) is not None
     assert is_phase_retrievable(f)
     assert brute_has_cp(f)
     whole = Subspace.from_vectors([(1, 0), (0, 1)])
@@ -158,7 +157,7 @@ def test_certified_verdicts_agree_with_oracles(case):
         # only the exact search returns a partition: a true failing subset
         failing = sorted(cp.failing)
         rest = [i for i in range(f.N) if i not in cp.failing]
-        assert cp.failing == _partition(f._int_cols, n - 1).a
+        assert cp.failing == _partition(f._int_cols).a
         assert oracle_rank([f.vectors[i] for i in failing]) < n
         assert oracle_rank([f.vectors[i] for i in rest]) < n
     try:
@@ -280,10 +279,10 @@ def test_a_failed_certificate_leaves_the_residue_search_nothing_to_settle(case):
         for on in combinations(range(len(vecs)), n)
     )
     assert full_spark_residue(vecs, within) == (not singular)
-    # at 2t + 1 columns in R^(t+1), t = n - 1: a failed certificate leaves
-    # t + 1 columns dependent mod p, a class of a partition mod p
+    # at 2n - 1 columns in R^n: a failed certificate leaves n columns
+    # dependent mod p, a class of a partition mod p
     if len(vecs) == 2 * n - 1 and not full_spark_residue(vecs):
-        assert _partition(residues(vecs), n - 1, None, RESIDUE) is not None
+        assert _partition(residues(vecs), kernel=RESIDUE) is not None
 
 
 

@@ -130,7 +130,7 @@ def test_projected_rank_invariant_under_basis_change():
         except BadInput:
             continue
         # the basis times g = [[1, 1], [0, 1]]: columns b0 and b0 + b1
-        b0, b1 = m.vectors()
+        b0, b1 = m.basis
         m2 = Subspace.from_vectors([b0, tuple(x + y for x, y in zip(b0, b1))], ambient_dim=4)
         p1 = [clear_denominators(v) for v in project_frame(f, m)]
         p2 = [clear_denominators(v) for v in project_frame(f, m2)]
@@ -199,9 +199,9 @@ def test_subspace_chain_reuses_cached_d(monkeypatch):
     dims = []
     inner = prframes.frames._partition
 
-    def recording(cols, t, *rest):
+    def recording(cols, *rest, **named):
         dims.append(len(cols[0]))
-        return inner(cols, t, *rest)
+        return inner(cols, *rest, **named)
 
     monkeypatch.setattr(prframes.frames, "_partition", recording)
     sub = random_pr_subspace(f, d, seed=3)
@@ -325,7 +325,7 @@ def test_project_frame_agrees_with_oracle(case):
         m = Subspace.from_vectors(sub_vecs, ambient_dim=n)
     except (NotAFrame, BadInput):
         assume(False)
-    bt = _sympy_cols(m.vectors()).T
+    bt = _sympy_cols(m.basis).T
     expected = [_fractions(bt * _sympy_cols([v])) for v in f.vectors]
     assert project_frame(f, m) == expected
 
@@ -629,11 +629,11 @@ def assert_certified_extension(b, x, m):
     xs = _sympy_cols([x])
     k = sum(1 for c in bt * xs if c)
     assert m.dim == k
-    cols = _sympy_cols(m.vectors())
+    cols = _sympy_cols(m.basis)
     assert cols.rank() == k and cols.row_join(xs).rank() == k
     coord_family = [_fractions(bt.row(i) * cols) for i in range(b.dim)]
     assert brute_family_has_cp(coord_family, k)
-    assert brute_min_support(m.vectors(), basis_vecs) == k
+    assert brute_min_support(m.basis, basis_vecs) == k
 
 
 def test_extend_turns_down_a_singular_u(monkeypatch):

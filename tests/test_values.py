@@ -110,8 +110,8 @@ def test_generator_records():
     assert p != PatternMatrix(((False, True),))
 
     steps = plan(4, 8)
-    assert repr(steps) == "ConstructionPlan(steps=('base36', 'step_III'), target=(4, 8))"
-    assert steps == ConstructionPlan(("base36", "step_III"), (4, 8))
+    assert repr(steps) == "ConstructionPlan(steps=('base36', 'step_III'))"
+    assert steps == ConstructionPlan(("base36", "step_III"))
 
     frame = Frame(2, UNIT_2)
     cert = CertifiedFrame(frame, {"seed": 0})
