@@ -31,6 +31,16 @@ lengths whose numbers can outgrow one digit.  Where a certificate proves
 nothing the exact search decides, so every failing subset and every
 spark below n + 1 is the exact search's (``ratlin`` has the argument).
 
+Two searches walk the columns in support order (``_support_order``: by
+the index of the last nonzero entry, then by the number of nonzeros): the
+CP proof's residue search, read only for None, and d(F), read only for the
+rank.  Neither answer depends on the order, and with sparse columns first
+an extension rebuilds fewer rows, and shorter ones, since it rebuilds only
+the rows nonzero at the added column.  A search whose partition is
+reported (the exact search behind ``Frame._cp``, whose failing subset
+``verify`` prints, and ``lifting``'s witnesses) keeps the given order: its
+class A is a set of indices into the columns as given.
+
 ``spark`` is a depth-first search over independent subfamilies that shares
 each prefix's span.  On bare integer columns, ``_spark(cols, within)`` is
 the size of the smallest dependent subfamily that meets ``within``: the
@@ -184,8 +194,11 @@ class Frame(_Value):
     @cached_property
     def _d(self) -> int:
         # d(F): the larger class rank of the partition the least search
-        # ends on, or n when every 2-colouring has a class that spans
-        found = _partition(self._int_cols, least=True)
+        # ends on, or n when every 2-colouring has a class that spans.  The
+        # least rank over all 2-colourings is the same in any column order,
+        # so the search walks the support order; its class A, which indexes
+        # the sorted columns, is not read
+        found = _partition(_support_order(self._int_cols), least=True)
         return self.dim if found is None else found.rank
 
     @cached_property
@@ -371,11 +384,29 @@ def _certified_partition(cols: Sequence[IntVec]) -> Optional[Split]:
     Where the numbers can outgrow one digit, the residue search runs first,
     and finding no partition mod p proves that none exists; at 2n - 1
     columns in R^n ``_partition`` reads the full-spark certificate instead.
+    The residue search is read only for None, which holds or fails for the
+    set of columns in any order, so it walks them in support order.  The
+    exact search keeps the given order: its partition is the failing subset
+    that ``Frame._cp`` reports.
     """
     if len(cols) != 2 * len(cols[0]) - 1 and outgrows_digit(cols):
-        if _partition(residues(cols), kernel=extend_residue) is None:
+        if _partition(residues(_support_order(cols)), kernel=extend_residue) is None:
             return None
     return _partition(cols)
+
+
+def _support_order(cols: Sequence[IntVec]) -> List[IntVec]:
+    """The columns sorted by the index of their last nonzero entry, then by their number of nonzeros.
+
+    The sort is stable, so columns with the same key keep their order, and
+    a family with no zero entry keeps its own.
+    """
+
+    def key(c: IntVec) -> Tuple[int, int]:
+        support = [i for i, x in enumerate(c) if x]
+        return (support[-1] if support else -1, len(support))
+
+    return sorted(cols, key=key)
 
 
 # ---------------------------------------------------------------------------

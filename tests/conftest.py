@@ -129,6 +129,36 @@ def span_extensions(monkeypatch):
 
 
 @pytest.fixture
+def table_entries(monkeypatch):
+    """Count the entries of the rows that span extensions rebuild, in ``table_entries[0]``.
+
+    An extension returns the rows it keeps as they are and builds the
+    others, each on the columns after the one added.  So ``extend_table``
+    and ``extend_residue``, bound by name in frames and ratlin only, are
+    wrapped to add the lengths of the returned rows that were not in their
+    input.  The input is read as a slice, a plain tuple, so that
+    ``span_tests`` counts no scan for it.
+    """
+    calls = [0]
+
+    def counting(inner):
+        def step(rows, *args):
+            out = inner(rows, *args)
+            kept = set(map(id, rows[:]))
+            calls[0] += sum(len(row) for row in out if id(row) not in kept)
+            return out
+
+        return step
+
+    for name in ("extend_table", "extend_residue"):
+        wrapper = counting(getattr(prframes.ratlin, name))
+        for module in (prframes.ratlin, prframes.frames):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.fixture
 def partition_searches(monkeypatch):
     """Record the columns of every partition search (``_partition`` call).
 

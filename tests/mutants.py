@@ -196,6 +196,24 @@ MUTANTS = (
         "is left outside both spans",
     ),
     Mutant(
+        "support-order-on-the-reported-search",
+        "src/prframes/frames.py",
+        "    return _partition(cols)\n",
+        "    return _partition(_support_order(cols))\n",
+        ("tests/test_residue.py",),
+        "the exact search of the CP proof keeps the given order: its class A is the failing "
+        "subset reported, as indices into the columns as given",
+    ),
+    Mutant(
+        "support-order-dropped",
+        "src/prframes/frames.py",
+        "residues(_support_order(cols))",
+        "residues(cols)",
+        ("tests/test_frames.py",),
+        "the CP proof's residue search walks the columns in support order, sparse ones first: "
+        "the same extensions, fewer row entries rebuilt",
+    ),
+    Mutant(
         "step-II-last-nonzero-row",
         "src/prframes/construct.py",
         "    r0, r1 = splice.index(False), splice.index(True)",
@@ -279,7 +297,7 @@ def main(names) -> int:
         t0 = time.perf_counter()
         verdict = run(mutant)
         failed += verdict != "killed"
-        print(f"{verdict:8} {mutant.name:34} {time.perf_counter() - t0:6.1f} s  {mutant.why}", flush=True)
+        print(f"{verdict:8} {mutant.name:36} {time.perf_counter() - t0:6.1f} s  {mutant.why}", flush=True)
     print("mutation gate:", "ok" if not failed else f"{failed} failed")
     return 1 if failed else 0
 

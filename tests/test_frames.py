@@ -357,8 +357,10 @@ def test_cp_work_ceiling_generated_6_21(span_tests):
     span_tests[0] = 0
     assert has_complement_property(frame).holds
     assert span_tests[0] <= 2850
-    # exact, not just bounded: search order and pruning fix the questions asked
-    assert span_tests[0] == 2278
+    # exact, not just bounded: search order and pruning fix the questions
+    # asked.  The residue search walks the support order (2,278 in the
+    # given order, with the same 461 extensions)
+    assert span_tests[0] == 1920
 
 
 def test_cp_proof_kernel_follows_the_width(span_extensions):
@@ -438,11 +440,35 @@ def test_span_tests_count_the_scans_made_in_place(span_tests):
     frame = fresh_generated(6, 21, 0)
     span_tests[0] = 0
     assert has_complement_property(frame).holds
-    assert span_tests[0] == 2278
+    assert span_tests[0] == 1920
     frame = generate_exact_pr(6, 11, 0).frame
     span_tests[0] = 0
     assert _spark(scaled_by_p(frame._int_cols)) == 7
     assert span_tests[0] > 0
+
+
+@pytest.mark.parametrize(
+    "n, N, given, support",
+    [(7, 16, (10085, 3553), (5137, 3665)), (8, 20, (43550, 14001), (22240, 14240)), (7, 22, (1927, 6193), (1853, 4706))],
+)
+def test_cp_proof_walks_the_support_order(table_entries, span_tests, span_extensions, n, N, given, support):
+    # the CP proof's residue search walks the columns in support order,
+    # sparse ones first: the same C(2n - 1, n) - 1 extensions, fewer row
+    # entries rebuilt (a few more span tests on some short shapes).  The
+    # search in the given order is the one the proof made before
+    frame = fresh_generated(n, N, 0)
+    count = math.comb(2 * n - 1, n) - 1
+    table_entries[0] = span_tests[0] = 0
+    span_extensions[:] = [0, 0, 0]
+    assert has_complement_property(frame).holds
+    assert (table_entries[0], span_tests[0]) == support
+    assert span_extensions == [count, 0, count]
+    table_entries[0] = span_tests[0] = 0
+    span_extensions[:] = [0, 0, 0]
+    # the kernel is read from ratlin at the call, where the fixtures wrap it
+    assert _partition(residues(frame._int_cols), kernel=prframes.ratlin.extend_residue) is None
+    assert (table_entries[0], span_tests[0]) == given
+    assert span_extensions == [count, 0, count]
 
 
 def test_spark_work_ceiling_generated_6_11(span_tests):

@@ -84,20 +84,31 @@ def test_fractions_are_made_only_at_the_boundary():
     assert makers <= FRACTION_BOUNDARY, makers - FRACTION_BOUNDARY
 
 
-def _calls_certificate(node):
-    return isinstance(node, ast.Call) and "full_spark_residue" in _referenced_names(node.func)
+def _callers(name):
+    """Qualified names of the package's functions and methods that call ``name``."""
+    src = Path(prframes.__file__).parent
+
+    def calls(node):
+        return isinstance(node, ast.Call) and name in _referenced_names(node.func)
+
+    return {
+        f"{path.stem}.{caller}"
+        for path in src.glob("*.py")
+        for caller in _statements_with(ast.parse(path.read_text()), calls)
+    }
 
 
 def test_only_the_searches_read_the_full_spark_certificate():
     # each search reads the minors mod p in front of itself, so no caller
     # pairs the certificate with a search by hand
-    src = Path(prframes.__file__).parent
-    callers = {
-        f"{path.stem}.{name}"
-        for path in src.glob("*.py")
-        for name in _statements_with(ast.parse(path.read_text()), _calls_certificate)
-    }
-    assert callers == {"frames._partition", "frames._spark"}
+    assert _callers("full_spark_residue") == {"frames._partition", "frames._spark"}
+
+
+def test_only_searches_whose_partition_is_not_read_take_the_support_order():
+    # the CP proof's residue search is read only for None, and d(F) only
+    # for the rank; a search whose partition is reported keeps the given
+    # order, since its class A is a set of indices into it
+    assert _callers("_support_order") == {"frames._certified_partition", "frames.Frame._d"}
 
 
 def _referenced_names(tree):

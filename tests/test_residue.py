@@ -17,6 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from oracles import (
     _rank as oracle_rank,
+    brute_d_value,
     brute_family_has_cp,
     brute_has_cp,
     brute_has_cp_halved,
@@ -28,6 +29,7 @@ from prframes import (
     Frame,
     NotAFrame,
     Subspace,
+    d_max,
     has_complement_property,
     is_full_spark,
     is_phase_retrievable,
@@ -165,6 +167,34 @@ def test_certified_verdicts_agree_with_oracles(case):
     except BadInput:
         return
     assert is_pr_subspace(f, m) == brute_family_has_cp(project_frame(f, m), m.dim)
+
+
+@st.composite
+def wide_sparse_frames(draw):
+    """N <= 8 integer vectors in R^n (2 <= n <= 4), about half of the entries 0, the rest 2^16..2^20 in size."""
+    n = draw(st.integers(2, 4))
+    wide = st.integers(1 << 16, 1 << 20).flatmap(lambda x: st.sampled_from((x, -x)))
+    vec = st.lists(st.one_of(st.just(0), wide), min_size=n, max_size=n)
+    return n, draw(st.lists(vec, min_size=n, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_sparse_frames())
+def test_support_order_keeps_verdicts_d_and_the_failing_subset(case):
+    # the residue search and d(F) walk the columns in support order; the
+    # verdict, d and the reported failing subset are those of the given order
+    n, vecs = case
+    try:
+        f = Frame.from_vectors(vecs, dim=n)
+    except NotAFrame:
+        assume(False)
+    # a vector with one nonzero entry is held as a unit vector: the family
+    # needs n vectors with two or more for the CP proof to run mod p first
+    assume(outgrows_digit(f._int_cols))
+    assert f._cp.holds == brute_has_cp(f)
+    assert d_max(f) == brute_d_value(f)
+    if not f._cp.holds:
+        assert f._cp.failing == _partition(f._int_cols).a
 
 
 @st.composite

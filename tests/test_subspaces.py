@@ -774,15 +774,18 @@ def test_min_support_work_ceiling_vandermonde(span_tests, minors):
 
 @pytest.mark.parametrize("vecs, d, ceiling", [(SPARSE_7_14, 6, 1280), (SPARSE_8_16, 6, 1340)])
 def test_d_max_work_ceiling_sparse(span_tests, vecs, d, ceiling):
-    # one bounded search that also reports the rank: 1,024 and 1,071 tests
-    # (1,038 and 1,087 when the two final classes were ranked again, 1,451
-    # and 1,371 with one search per threshold)
+    # one bounded search in support order that also reports the rank: 940
+    # and 1,170 tests (1,024 and 1,071 in the given order; 1,038 and 1,087
+    # when the two final classes were ranked again, 1,451 and 1,371 with
+    # one search per threshold).  The second count rises while its time
+    # falls: its extensions rebuild fewer and narrower entries, 1,992 of
+    # 6,684 bits in all against 2,523 of 10,971
     f = Frame.from_vectors(vecs, dim=len(vecs[0]))
     span_tests[0] = 0
     assert d_max(f) == d
     assert span_tests[0] <= ceiling
     # exact, not just bounded: search order and pruning fix the questions asked
-    assert span_tests[0] == {14: 1024, 16: 1071}[len(vecs)]
+    assert span_tests[0] == {14: 940, 16: 1170}[len(vecs)]
 
 
 @pytest.mark.parametrize("within, count, tests", [(None, 4, 799), ({0}, 5, 1254)])
