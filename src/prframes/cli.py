@@ -108,7 +108,7 @@ def cmd_verify(args) -> int:
             from .lifting import has_exact_pr_redundancy
 
             results["redundancy"] = {"passed": has_exact_pr_redundancy(frame)}
-        elif c == "lifted-independence":
+        else:  # lifted-independence
             from .lifting import lifted_independent
 
             results["lifted-independence"] = {"passed": lifted_independent(frame)}
@@ -139,7 +139,7 @@ def cmd_analyze(args) -> int:
             results["dmax"] = d_max(frame)
         elif w == "spark":
             results["spark"] = spark(frame)
-        elif w == "redundancy":
+        else:  # redundancy
             from .lifting import pr_redundancy
 
             results["redundancy"] = format_rational(pr_redundancy(frame))

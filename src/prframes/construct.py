@@ -395,8 +395,6 @@ def _redundancy_component(dim: int, length: int, seed: Seed) -> Frame:
     """
     if length >= 2 * dim - 1:
         return generate_exact_pr(dim, length, seed).frame
-    if length < dim:
-        raise OutOfRange(f"component length {length} below dimension {dim}")
     failure = f"short component ({dim}, {length}) failed to certify"
     return _full_spark_draw((), dim, length, seed, 57, failure)
 
@@ -491,8 +489,6 @@ def basis_with_maximal_subspace(n: int, k: int, seed: Seed = 0):
 
 def _full_spark_fill(k: int, seed: Seed) -> Tuple[Tuple[int, ...], ...]:
     """k-1 extra vectors making {e_1..e_k, extras} full spark in R^k."""
-    if k == 1:
-        return ()
     return _full_spark_draw(identity(k), k, k - 1, seed, 7, "full-spark fill failed")._rows[k:]
 
 

@@ -104,9 +104,11 @@ def save_json(obj: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
-    """The JSON document in ``path``; nesting too deep for the parser raises BadInput."""
+    """The JSON document in ``path``; a file that the parser refuses raises BadInput."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise BadInput(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # not JSON, not UTF-8, or an int past the digit limit
+            raise BadInput(f"{path}: {exc}") from None

@@ -126,8 +126,8 @@ class Subspace(_Value):
 class MaximalityVerdict(NamedTuple):
     """Outcome of the maximality ladder.
 
-    status is "Maximal", "NotMaximal", or "Unknown".  NotMaximal carries a
-    certified strictly larger PR superspace; Unknown carries the probe report.
+    status is "Maximal", "NotMaximal" or "Unknown".  NotMaximal carries a certified
+    larger PR superspace; Unknown, never given on a basis or for R^n, the probe report.
     """
 
     status: str
@@ -281,9 +281,7 @@ def _orthogonal_sample(basis: Sequence[IntVec], n: int, rng: random.Random) -> I
 def _extension_probe(frame: Frame, sub: Subspace, seed: Seed) -> Optional[Subspace]:
     """Try to certify a strictly larger PR subspace containing M, in PROBE_BUDGET draws."""
     n = sub.ambient_dim
-    basis = int_nullspace(sub._int_cols, n)
-    if not basis:  # M is all of R^n
-        return None
+    basis = int_nullspace(sub._int_cols, n)  # not empty: the ladder decides M = R^n itself
     rng = random.Random(derive_seed(seed, 9001))
     for _ in range(PROBE_BUDGET):
         u = _orthogonal_sample(basis, n, rng)
@@ -294,37 +292,40 @@ def _extension_probe(frame: Frame, sub: Subspace, seed: Seed) -> Optional[Subspa
 
 
 def is_maximal_pr_subspace(frame: Frame, sub: Subspace, seed: Seed = 0) -> MaximalityVerdict:
-    """Decision ladder for maximality of a PR subspace.
+    """Decision ladder for maximality of a PR subspace M of dimension k in R^n.
 
-    (1) dimension equals d_max: Maximal outright.  (2) frame is a basis:
-    minimum support equal to the dimension certifies Maximal; a strictly
-    larger minimum support below the [(n+1)/2] ceiling always extends, and
-    the verdict carries a verified superspace.  (3) anything else is probed;
-    a failed probe is reported as Unknown, never as Maximal.  Rungs (2) and
-    (3) run the same extension probe, once; the rung decides only what its
-    outcome means.
+    k = d(F) is Maximal; below d(F) the kind of frame F decides:
+
+    * a basis: d(F) = [(n+1)/2], the least any frame has, met by its halves.
+      By the paper's basis theorem every nonzero x in M has |supp(x)| >= k,
+      and M is maximal iff its minimum support s is k.  For s > k the probe
+      gives NotMaximal, or RetriesExhausted if it certifies no superspace.
+    * M = R^n: PR only when F is, so d(F) = n.
+    * any other frame: d(F) = ``d_max`` (none past ``D_MAX_CAP``); the probe
+      gives NotMaximal, or Unknown if it certifies no superspace.
     """
     if not is_pr_subspace(frame, sub):
         raise NotPRSubspace("subspace is not phase-retrievable w.r.t. the frame")
     k, n = sub.dim, sub.ambient_dim
-    try:
-        d = d_max(frame)
-    except CapExceeded:
-        d = None
-    if d is not None and k == d:
+    basis = frame.N == frame.dim
+    if basis or k == n:  # d(F) without a search
+        d = (n + 1) // 2 if basis else n
+    else:
+        try:
+            d = d_max(frame)
+        except CapExceeded:
+            d = None
+    if k == d:
         return MaximalityVerdict("Maximal", reason=f"dimension equals d_max = {d}")
-    extends = None  # the reason, when the basis rung proves that M extends
-    if frame.N == frame.dim:
+    if basis:
         s = min_support(sub, frame)
         if s == k:
             return MaximalityVerdict("Maximal", reason=f"minimum support {s} equals dimension")
-        if s > k and k < (n + 1) // 2:
-            extends = f"minimum support {s} exceeds dimension"
     witness = _extension_probe(frame, sub, seed)
     if witness is not None:
-        reason = extends or "probe found a larger PR subspace"
+        reason = f"minimum support {s} exceeds dimension" if basis else "probe found a larger PR subspace"
         return MaximalityVerdict("NotMaximal", reason=reason, witness=witness)
-    if extends:
+    if basis:
         raise RetriesExhausted("extension exists but sampling failed to certify one")
     return MaximalityVerdict(
         "Unknown",

@@ -214,6 +214,33 @@ MUTANTS = (
         "the same extensions, fewer row entries rebuilt",
     ),
     Mutant(
+        "basis-d-floor",
+        "src/prframes/subspaces.py",
+        "        d = (n + 1) // 2 if basis else n",
+        "        d = n // 2 if basis else n",
+        ("tests/test_subspaces.py",),
+        "a basis has d(F) = [(n+1)/2]: its two halves are classes of ranks [(n+1)/2] and [n/2], "
+        "and no frame has less",
+    ),
+    Mutant(
+        "whole-space-probed",
+        "src/prframes/subspaces.py",
+        "    if basis or k == n:",
+        "    if basis:",
+        ("tests/test_subspaces.py",),
+        "M = R^n is PR only on a PR frame, whose d(F) is n: Maximal with no d_max search, so no cap, "
+        "and no probe, which has no vector to add",
+    ),
+    Mutant(
+        "basis-probe-failure-unknown",
+        "src/prframes/subspaces.py",
+        "        raise RetriesExhausted(\"extension exists but sampling failed to certify one\")",
+        "        return MaximalityVerdict(\"Unknown\", reason=\"no decision procedure applies\")",
+        ("tests/test_subspaces.py",),
+        "on a basis a minimum support above k proves that M extends, so a probe that finds no "
+        "superspace is the sampler's failure, never Unknown",
+    ),
+    Mutant(
         "step-II-last-nonzero-row",
         "src/prframes/construct.py",
         "    r0, r1 = splice.index(False), splice.index(True)",

@@ -410,6 +410,9 @@ def test_subspace_missing_option_exits_2(capsys, pr_frame_file):
     assert code == 2 and "--dim" in err
     code, _, err = run(capsys, "subspace", pr_frame_file, "--action", "extend")
     assert code == 2 and "--vector" in err
+    for action in ("check", "maximal"):
+        code, out, err = run(capsys, "subspace", pr_frame_file, "--action", action)
+        assert (code, out) == (2, "") and err == "--subspace-file is required for this action\n"
 
 
 def test_paper_suite_all_green(capsys):

@@ -189,6 +189,26 @@ def test_validate_rejects_a_mask_that_is_not_a_rectangle(mask):
         PatternMatrix(mask).validate()
 
 
+def test_validate_rejects_a_row_without_representatives():
+    # columns e_1..e_4 then five mixed ones: P1, P2 and P3 hold, but rows 0
+    # and 1 meet row 2 only in column 8, so row 2 has no system (P4)
+    cols = [
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1),
+        (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0),
+    ]
+    p = PatternMatrix(tuple(tuple(bool(c[i]) for c in cols) for i in range(4)))
+    with pytest.raises(PatternViolation, match="P4: row 2") as info:
+        p.validate()
+    assert info.value.prop == "P4"
+
+
+def test_normalized_refuses_a_mask_without_the_identity():
+    # column 1 is e_1, and no column is e_2
+    with pytest.raises(PatternViolation) as info:
+        PatternMatrix(((True, True), (True, False))).normalized()
+    assert info.value.prop == "P1"
+
+
 def test_identity_columns_are_read_from_the_mask():
     p = PatternMatrix(((True, False, True, True), (False, True, True, False)))
     assert (p.n, p.N) == (2, 4)
@@ -569,6 +589,23 @@ def test_generate_with_dmax_past_the_d_max_cap(n, k, N):
         d_max(f)
 
 
+def test_generate_with_dmax_retries_a_component_that_gives_up(monkeypatch):
+    # a generator inside one attempt that gives up costs that attempt only
+    seeds = []
+    real = prframes.construct.generate_exact_pr
+
+    def gives_up_once(n, N, seed):
+        seeds.append(seed)
+        if len(seeds) == 1:
+            raise RetriesExhausted("stubbed")
+        return real(n, N, seed)
+
+    monkeypatch.setattr(prframes.construct, "generate_exact_pr", gives_up_once)
+    cert = generate_with_dmax(4, 3, 6, seed=0)
+    assert cert.certificate["retries"] == 1 and cert.frame._d == 3
+    assert len(seeds) == 2 and seeds[0] != seeds[1]
+
+
 def test_generate_with_dmax_small_redundancy_crosscheck():
     for n, k, N in [(3, 2, 3), (3, 2, 4), (4, 2, 4), (4, 2, 5), (4, 3, 6)]:
         cert = generate_with_dmax(n, k, N, seed=21)
@@ -625,3 +662,5 @@ def test_basis_with_maximal_subspace_bounds():
         basis_with_maximal_subspace(3, 0, seed=0)
     basis, sub = basis_with_maximal_subspace(3, 1, seed=0)
     assert sub.dim == 1 and min_support(sub, basis) == 1
+    # k = 1 draws no extra vector (a 1 x 0 draw), so the basis stays e_1..e_3
+    assert basis == Frame.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1)], dim=3)

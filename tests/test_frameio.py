@@ -65,6 +65,7 @@ def test_verdict_serialization():
     plain = MaximalityVerdict("Maximal", "dimension equals d(F)", None, None)
     d2 = verdict_to_dict(plain)
     assert set(d2) == {"status", "reason"}
+    assert verdict_to_dict(MaximalityVerdict("Maximal")) == {"status": "Maximal"}
 
 
 def test_save_load_file(tmp_path):
@@ -127,6 +128,23 @@ def test_subspace_file_of_wrong_basis_shape_is_bad_input(tmp_path, capsys, basis
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("BadInput: ")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"{not json", b'\xff{"n": 2}', b'{"n": ' + b"1" * 5000 + b"}"],
+    ids=["not-json", "not-utf8", "past-the-int-digit-limit"],
+)
+def test_load_json_refusals_are_bad_input(capsys, tmp_path, data):
+    # json.load raises a ValueError on each; load_json names the file in a BadInput
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    with pytest.raises(BadInput) as info:
+        load_json(str(p))
+    assert str(info.value).startswith(f"{p}: ")
+    assert main(["verify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"BadInput: {p}: ")
 
 
 @pytest.mark.parametrize("entry", ["0.5", "1e3", "1_000", " 1", "inf", "1/-2", "1/", ""])

@@ -97,6 +97,7 @@ def test_witness_predicate():
     w = S2Witness((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)), 2)
     assert w.validate(f, [0, 1])
     assert not w.validate(f, [0, 1, 2])
+    assert not S2Witness(w.x, w.x, 2).validate(f, [0, 1])  # x x^T - x x^T is zero
     trivial = S2Witness((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)))
     assert not trivial.is_nonzero()
 

@@ -114,6 +114,11 @@ def test_solve_rejects_singular():
         solve([[1, 2], [2, 4]], [[1, 0], [0, 1]])
 
 
+def test_solve_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve([[1, 2], [3, 4]], [[1]])
+
+
 def test_clear_denominators_primitive():
     v = clear_denominators((Fraction(1, 2), Fraction(3, 4), Fraction(0)))
     assert v == (2, 3, 0)

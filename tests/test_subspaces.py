@@ -384,6 +384,20 @@ def test_random_pr_subspace_gives_up_after_retries_plus_one_draws(record_calls):
     assert str(exc.value) == "no PR subspace of dimension 2 found in 6 draws"
 
 
+def test_random_pr_subspace_skips_a_draw_with_dependent_columns(monkeypatch):
+    draws = []
+    real = prframes.subspaces.sample_int_matrix
+
+    def dependent_first(rows, cols, range_max, seed):
+        draws.append(((1,) * cols,) * rows if not draws else real(rows, cols, range_max, seed))
+        return draws[-1]
+
+    monkeypatch.setattr(prframes.subspaces, "sample_int_matrix", dependent_first)
+    f = Frame.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)], dim=3)
+    sub = random_pr_subspace(f, 2, seed=1)
+    assert len(draws) == 2 and sub == Subspace.from_vectors(zip(*draws[1]), ambient_dim=3)
+
+
 def test_support_duality():
     b5 = std_basis(5)
     assert support((1, 0, 1, 0, 0), b5) == frozenset({0, 2})
@@ -490,6 +504,56 @@ def test_not_maximal_with_certified_superspace():
     assert w is not None and w.dim == 2
     assert is_pr_subspace(b5, w)
     assert contains(w, (1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize(
+    "n, vecs, status, reason",
+    [
+        (1, [(3,)], "Maximal", "dimension equals d_max = 1"),
+        (4, [(1, 1, 1, 0), (1, -1, 0, 1)], "Maximal", "dimension equals d_max = 2"),
+        (
+            5, [(1, 1, 1, 1, 1), (1, 2, 4, 8, 16), (1, 3, 9, 27, 81)],
+            "Maximal", "dimension equals d_max = 3",
+        ),
+        (5, [(0, 0, 1, 0, 0)], "Maximal", "minimum support 1 equals dimension"),
+        (5, [(1, 2, 3, 4, 5)], "NotMaximal", "minimum support 5 exceeds dimension"),
+    ],
+)
+def test_basis_ladder_runs_no_d_search(record_calls, n, vecs, status, reason):
+    # a basis has d(F) = [(n+1)/2]: its halves reach it and no frame has less
+    reads = record_calls(Frame, "_d")
+    v = is_maximal_pr_subspace(std_basis(n), Subspace.from_vectors(vecs, ambient_dim=n))
+    assert (v.status, v.reason) == (status, reason)
+    assert reads == []
+
+
+def test_basis_probe_that_certifies_nothing_raises(record_calls):
+    # minimum support 5 > k = 1 proves that M extends, so a probe that finds
+    # no superspace is the sampler's failure, never Unknown
+    record_calls(prframes.subspaces, "_extension_probe", None)
+    m = Subspace.from_vectors([(1, 2, 3, 4, 5)], ambient_dim=5)
+    with pytest.raises(RetriesExhausted, match="extension exists but sampling failed"):
+        is_maximal_pr_subspace(std_basis(5), m)
+
+
+def test_whole_space_is_maximal_past_the_d_max_cap(record_calls):
+    # R^n is PR only on a PR frame, whose d is n: no d_max, no probe
+    f = random_frame(random.Random(0), 3, 26)
+    assert f.N > prframes.subspaces.D_MAX_CAP and is_phase_retrievable(f)
+    probes = record_calls(prframes.subspaces, "_extension_probe")
+    whole = Subspace.from_vectors(std_basis(3).vectors, ambient_dim=3)
+    for frame in (f, Frame.from_vectors(f.vectors[:20], dim=3)):
+        v = is_maximal_pr_subspace(frame, whole)
+        assert (v.status, v.reason) == ("Maximal", "dimension equals d_max = 3")
+    assert probes == []
+
+
+def test_line_past_the_d_max_cap_is_left_to_the_probe():
+    # a longer frame past the cap, with k < n: d(F) is not read, and the probe decides
+    f = random_frame(random.Random(0), 3, 26)
+    v = is_maximal_pr_subspace(f, Subspace.from_vectors([(1, 2, 3)], ambient_dim=3))
+    assert (v.status, v.reason) == ("NotMaximal", "probe found a larger PR subspace")
+    assert v.witness.dim == 2 and is_pr_subspace(f, v.witness)
 
 
 def test_probe_computes_one_nullspace(record_calls):
